@@ -5,7 +5,6 @@ tie-aware expected-rank evaluation metrics, and a learning-to-rank combiner.
 """
 
 from .model import (
-    FaultCase,
     ProgramElement,
     Ranking,
     ScoredList,
@@ -18,7 +17,6 @@ from .model import (
 from .metrics import (
     CorrelationUndefinedError,
     NotLocalizedError,
-    e_inspect,
     e_inspect_at_n,
     exam,
     expected_first_faulty_rank,

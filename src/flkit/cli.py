@@ -12,11 +12,14 @@ from .metrics import expected_first_faulty_rank
 from .model import full_universe_ranking
 from .pipeline import (
     PipelineError,
+    analyze_corpus,
     analyze_fault,
+    corpus_features,
     correlation_matrix,
     emit_report,
     evaluate_corpus,
     evaluate_score_records,
+    technique_ranks,
 )
 
 
@@ -129,49 +132,29 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    bundles = load_corpus(args.corpus)
-    results = evaluate_corpus(
-        bundles,
-        level=args.preset,
-        granularity=args.granularity,
-        seed=args.seed,
-        q=args.q,
-        with_ablation=False,
-    )
-    slim = {"correlation": results["correlation"]}
+    analyses = analyze_corpus(load_corpus(args.corpus), args.preset)
+    techniques = cmb.preset_techniques(args.preset)
+    values = technique_ranks(analyses, techniques, args.granularity)
+    slim = {"correlation": correlation_matrix(values, q=args.q)}
     _write(emit_report(slim, args.format), None)
     return 0
 
 
 def cmd_combine(args) -> int:
     bundles = load_corpus(args.corpus)
-    families = cmb.preset_families(args.preset)
-    techniques = list(cmb.preset_techniques(args.preset))
     if args.load:
         model = cmb.RankModel.from_json(Path(args.load).read_text())
         targets = [b for b in bundles if args.fault in (None, b.fault_id)]
         if not targets:
             raise PipelineError(f"fault {args.fault!r} not in corpus")
-        for bundle in targets:
-            analysis = analyze_fault(bundle, families)
-            feats = cmb.build_features(
-                bundle.fault_id,
-                analysis.scores,
-                bundle.elements,
-                bundle.faulty,
-                list(model.techniques),
-            )
+        analyses = analyze_corpus(targets, args.preset)
+        for feats in corpus_features(analyses, model.techniques, args.granularity):
             value = cmb.combined_e_inspect(model, feats)
-            print(f"{bundle.fault_id}: combined E_inspect = {value}")
+            print(f"{feats.fault_id}: combined E_inspect = {value}")
         return 0
-    features = []
-    for bundle in bundles:
-        analysis = analyze_fault(bundle, families)
-        features.append(
-            cmb.build_features(
-                bundle.fault_id, analysis.scores, bundle.elements, bundle.faulty, techniques
-            )
-        )
+    techniques = cmb.preset_techniques(args.preset)
+    analyses = analyze_corpus(bundles, args.preset)
+    features = corpus_features(analyses, techniques, args.granularity)
     pairs = cmb.build_pairwise_constraints(features, seed=args.seed)
     model = cmb.train(pairs, techniques, seed=args.seed)
     text = model.to_json() + "\n"

@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,27 +21,30 @@ L2_LAMBDA = 0.01
 EPOCHS = 100
 MARGIN = 1.0
 
-# Families grouped by order-of-magnitude run-time cost.
-LEVEL_FAMILIES = {
-    1: ("history", "stacktrace", "ir"),
-    2: ("history", "stacktrace", "ir", "slicing", "sbfl"),
-    3: ("history", "stacktrace", "ir", "slicing", "sbfl", "predswitch"),
-    4: ("history", "stacktrace", "ir", "slicing", "sbfl", "predswitch", "mbfl"),
-}
 
-FAMILY_TECHNIQUES = {
-    "sbfl": ("ochiai", "dstar"),
-    "mbfl": ("metallaxis", "muse"),
-    "slicing": ("slice-union", "slice-intersection", "slice-frequency"),
-    "stacktrace": ("stacktrace",),
-    "predswitch": ("predswitch",),
-    "ir": ("ir",),
-    "history": ("history",),
-}
+@dataclass(frozen=True)
+class Family:
+    """A localization family, the preset level that adds it, and the optional
+    FaultBundle attribute (`requires`) and corpus file (`source`) it reads."""
 
-TECHNIQUE_FAMILY = {
-    tech: family for family, techs in FAMILY_TECHNIQUES.items() for tech in techs
-}
+    name: str
+    level: int
+    techniques: tuple
+    requires: Optional[str] = None
+    source: Optional[str] = None
+
+
+# Families grouped by order-of-magnitude run-time cost. The row order fixes
+# the technique order, and so the feature column order training depends on.
+FAMILIES = (
+    Family("history", 1, ("history",), "commits", "history.json"),
+    Family("stacktrace", 1, ("stacktrace",)),
+    Family("ir", 1, ("ir",), "bug_report", "report.txt"),
+    Family("slicing", 2, ("slice-union", "slice-intersection", "slice-frequency")),
+    Family("sbfl", 2, ("ochiai", "dstar")),
+    Family("predswitch", 3, ("predswitch",)),
+    Family("mbfl", 4, ("metallaxis", "muse")),
+)
 
 
 class CombineError(Exception):
@@ -49,22 +52,22 @@ class CombineError(Exception):
 
 
 def preset_families(level: int) -> tuple:
-    if level not in LEVEL_FAMILIES:
+    if level not in {f.level for f in FAMILIES}:
         raise CombineError(f"unknown time level {level}; expected 1..4")
-    return LEVEL_FAMILIES[level]
+    return tuple(f.name for f in FAMILIES if f.level <= level)
 
 
 def preset_techniques(level: int) -> tuple:
-    return tuple(
-        tech for family in preset_families(level) for tech in FAMILY_TECHNIQUES[family]
-    )
+    families = preset_families(level)
+    return tuple(t for f in FAMILIES if f.name in families for t in f.techniques)
 
 
 def normalize(scored: ScoredList, universe: Iterable) -> dict:
     """Min-max normalize to [0, 1] over the whole element universe.
 
-    Unscored elements count as raw 0. +inf maps to 1 and is excluded from the
-    finite maximum; a degenerate (constant) score vector maps to all zeros.
+    Unscored elements count as raw 0. +inf maps to 1 and -inf to 0, and both
+    are excluded from the finite range; a degenerate (constant) score vector
+    maps to all zeros.
     """
     universe = list(universe)
     if not universe:
@@ -79,7 +82,7 @@ def normalize(scored: ScoredList, universe: Iterable) -> dict:
         lo = hi = 0.0
     for e, v in raw.items():
         if math.isinf(v):
-            out[e] = 1.0
+            out[e] = 1.0 if v > 0 else 0.0
         elif hi == lo:
             out[e] = 0.0
         else:

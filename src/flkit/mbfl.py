@@ -6,12 +6,11 @@ it flips to passing; Metallaxis counts any output change (it may still fail).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import ScoredList, parse_element_key
+from .model import ScoredList
 
 SAME = "same-result"
 CHANGED = "output-changed"
@@ -144,39 +143,3 @@ def aggregate_to_statement(
         else:
             entries.append((elem, max(scores)))
     return ScoredList(technique, entries)
-
-
-def matrix_to_json(matrix: MutantOutcomeMatrix) -> str:
-    mutants = []
-    for mid in sorted(matrix.mutant_stmt):
-        per_test = [
-            {"test": t, "class": matrix.classes[(mid, t)]}
-            for t in sorted(matrix.originally_failed | matrix.originally_passed)
-        ]
-        mutants.append(
-            {"id": mid, "stmt": str(matrix.mutant_stmt[mid]), "per_test": per_test}
-        )
-    return json.dumps({"mutants": mutants}, indent=2)
-
-
-def matrix_from_json(text: str, original_outcomes: Mapping) -> MutantOutcomeMatrix:
-    """Ingest an external kill matrix; original_outcomes maps test_id -> passed."""
-    data = json.loads(text)
-    classes = {}
-    mutant_stmt = {}
-    f2p = p2f = 0
-    failed = frozenset(t for t, passed in original_outcomes.items() if not passed)
-    passed_tests = frozenset(original_outcomes) - failed
-    for rec in data["mutants"]:
-        mid = rec["id"]
-        mutant_stmt[mid] = parse_element_key(rec["stmt"])
-        for cell in rec["per_test"]:
-            cls = cell["class"]
-            if cls not in (SAME, CHANGED, F2P, P2F):
-                raise MatrixError(f"unknown outcome class {cls!r}")
-            classes[(mid, cell["test"])] = cls
-            if cls == F2P:
-                f2p += 1
-            elif cls == P2F:
-                p2f += 1
-    return MutantOutcomeMatrix(classes, mutant_stmt, failed, passed_tests, f2p, p2f)

@@ -40,10 +40,6 @@ def expected_first_faulty_rank(ranking: Ranking, faulty: set) -> Fraction:
     raise NotLocalizedError("no faulty element appears in the ranking")
 
 
-# Common alias used throughout reports.
-e_inspect = expected_first_faulty_rank
-
-
 def e_inspect_at_n(values: Iterable[Fraction], n: int) -> int:
     """How many faults were localized within the top n expected positions."""
     if n < 1:

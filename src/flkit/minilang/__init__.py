@@ -1,7 +1,7 @@
 """A small instrumented imperative language used as the fault-localization subject."""
 
 from .parse import MiniSyntaxError, Program, parse
-from .interp import ExecutionTrace, Outcome, TestCase, run, run_with_flip
+from .interp import ExecutionTrace, Outcome, TestCase, run
 from .mutate import Mutant, gen_mutants
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "gen_mutants",
     "parse",
     "run",
-    "run_with_flip",
 ]

@@ -459,6 +459,9 @@ def run(
         except _ReturnSignal as ret:
             value = ret.value
             criterion = ret.event_index
+        except RecursionError:
+            # Python's stack can run out before the 200-frame guard trips.
+            raise _Crash("stack-overflow") from None
         if test.expect == "pass" or value == test.expect or (
             isinstance(test.expect, (list, tuple))
             and isinstance(value, list)
@@ -485,13 +488,3 @@ def run(
         value=value,
         flip_applied=interp.flip_applied if flip is not None else True,
     )
-
-
-def run_with_flip(
-    program: Program, test: TestCase, pred_id: str, occurrence: int
-) -> ExecutionTrace:
-    """Re-run a test with one dynamic predicate evaluation inverted.
-
-    If the occurrence is never reached the trace reports flip_applied=False.
-    """
-    return run(program, test, flip=(pred_id, occurrence))

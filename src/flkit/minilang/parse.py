@@ -501,7 +501,11 @@ class _Parser:
 def parse(source: str, file_id: str = "main") -> Program:
     """Parse source text into a Program with stable element/predicate numbering."""
     parser = _Parser(tokenize(source), file_id)
-    functions = parser.program()
+    try:
+        functions = parser.program()
+    except RecursionError:
+        tok = parser.tokens[parser.pos - 1]
+        raise MiniSyntaxError("nesting too deep", tok.line, tok.col) from None
     program = Program(functions, file_id, source)
     # reject calls to undefined functions up front
     for stmt in program.statements():

@@ -1,4 +1,4 @@
-"""Shared data model: program elements, scored lists, tie-aware rankings, fault cases."""
+"""Shared data model: program elements, scored lists, tie-aware rankings."""
 
 from __future__ import annotations
 
@@ -101,13 +101,6 @@ class Ranking:
     def total(self) -> int:
         return sum(len(g) for g in self.groups)
 
-    def position_of(self, elem) -> Optional[int]:
-        """Start position of the tie-group containing elem, or None."""
-        for group, start in zip(self.groups, self.start_positions):
-            if elem in group:
-                return start
-        return None
-
 
 def rank_elements(scored: ScoredList) -> Ranking:
     """Group elements by exact score equality, ordered by decreasing score.
@@ -191,24 +184,3 @@ def adjust_ground_truth_for_insertions(
     if not faulty:
         raise ModelError("patch maps to no executable element")
     return frozenset(faulty)
-
-
-@dataclass(frozen=True)
-class FaultCase:
-    """One defect: its element universe, ground truth, tests, and auxiliary inputs."""
-
-    case_id: str
-    elements: frozenset
-    faulty: frozenset
-    tests: tuple  # (test_id, passed) pairs
-    bug_report: Optional[str] = None
-    history: Optional[tuple] = None
-    project: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.faulty:
-            raise ModelError(f"fault {self.case_id}: empty faulty set")
-        if not self.faulty <= self.elements:
-            raise ModelError(f"fault {self.case_id}: faulty elements outside universe")
-        if not any(not passed for _, passed in self.tests):
-            raise ModelError(f"fault {self.case_id}: no failing test")

@@ -1,4 +1,8 @@
-"""Pipeline orchestration: run FL families over a corpus, evaluate, and report."""
+"""Pipeline orchestration: run FL families over a corpus, evaluate, and report.
+
+Evaluation is staged: analyze every fault, rank each technique on its own,
+then cross-validate the combination; correlation needs only the first two.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -47,100 +51,110 @@ class FaultAnalysis:
     timings: dict = field(default_factory=dict)  # family -> seconds
 
 
-def analyze_fault(
-    bundle: FaultBundle,
-    families: Sequence[str],
-    reexec_step_budget: int = REEXEC_STEP_BUDGET,
-) -> FaultAnalysis:
+def _score_history(bundle: FaultBundle, traces: dict) -> dict:
+    now = max(c.timestamp for c in bundle.commits)
+    file_scores = history_rank_files(bundle.commits, now)
+    return {"history": propagate_file_scores(file_scores, {PROGRAM_FILE: bundle.elements})}
+
+
+def _score_stacktrace(bundle: FaultBundle, traces: dict) -> dict:
+    failed_traces = [tr for tr in traces.values() if tr.failed]
+    return {"stacktrace": score_stack_traces(failed_traces, bundle.elements)}
+
+
+def _score_ir(bundle: FaultBundle, traces: dict) -> dict:
+    file_scores = ir_rank_files(bundle.bug_report, {PROGRAM_FILE: bundle.program.source})
+    return {"ir": propagate_file_scores(file_scores, {PROGRAM_FILE: bundle.elements})}
+
+
+def _score_slicing(bundle: FaultBundle, traces: dict) -> dict:
+    slices = [
+        backward_slice(tr)
+        for tr in traces.values()
+        if tr.failed and tr.criterion_event is not None
+    ]
+    scores = {}
+    for strategy in Strategy:
+        tech = f"slice-{strategy.value}"
+        scores[tech] = combine_slices(slices, strategy) if slices else ScoredList(tech)
+    return scores
+
+
+def _score_sbfl(bundle: FaultBundle, traces: dict) -> dict:
+    spectrum = sbfl.build_spectrum(
+        [(tr.covered, tr.failed) for tr in traces.values()], bundle.elements
+    )
+    return {
+        "ochiai": sbfl.spectrum_scores(spectrum, sbfl.ochiai, "ochiai"),
+        "dstar": sbfl.spectrum_scores(spectrum, sbfl.dstar, "dstar"),
+    }
+
+
+def _score_predswitch(bundle: FaultBundle, traces: dict) -> dict:
+    failing_tests = [t for t in bundle.tests if traces[t.test_id].failed]
+    scored, _ = critical_predicates_for_tests(
+        bundle.program, failing_tests, step_budget=REEXEC_STEP_BUDGET
+    )
+    return {"predswitch": scored}
+
+
+def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
+    original = {tid: (not tr.failed, tr.signature()) for tid, tr in traces.items()}
+    mutant_runs = {}
+    mutant_stmt = {}
+    for mutant in gen_mutants(bundle.program):
+        mutant_stmt[mutant.mutant_id] = mutant.element
+        per_test = {}
+        for test in bundle.tests:
+            tr = run(mutant.program, test, step_budget=REEXEC_STEP_BUDGET)
+            per_test[test.test_id] = (not tr.failed, tr.signature())
+        mutant_runs[mutant.mutant_id] = per_test
+    matrix = mbfl.build_outcome_matrix(original, mutant_runs, mutant_stmt)
+    return {
+        tech: mbfl.aggregate_to_statement(tech, matrix, bundle.elements)
+        for tech in ("metallaxis", "muse")
+    }
+
+
+# One scorer per row of combine.FAMILIES: (bundle, test_id -> original trace)
+# -> technique -> ScoredList.
+SCORERS = {
+    "history": _score_history,
+    "stacktrace": _score_stacktrace,
+    "ir": _score_ir,
+    "slicing": _score_slicing,
+    "sbfl": _score_sbfl,
+    "predswitch": _score_predswitch,
+    "mbfl": _score_mbfl,
+}
+
+
+def analyze_fault(bundle: FaultBundle, families: Sequence[str]) -> FaultAnalysis:
     """Run the requested FL families on one fault.
 
     Raises PipelineError listing families whose required inputs are absent.
     """
-    missing = []
-    if "ir" in families and bundle.bug_report is None:
-        missing.append("ir (no report.txt)")
-    if "history" in families and bundle.commits is None:
-        missing.append("history (no history.json)")
+    missing = [
+        f"{f.name} (no {f.source})"
+        for name in families
+        for f in cmb.FAMILIES
+        if f.name == name and f.requires and getattr(bundle, f.requires) is None
+    ]
     if missing:
         raise PipelineError(f"fault {bundle.fault_id}: missing family data: {missing}")
 
     analysis = FaultAnalysis(bundle)
-    program = bundle.program
-    elements = bundle.elements
-
     t0 = time.perf_counter()
-    traces = {t.test_id: run(program, t) for t in bundle.tests}
+    traces = {t.test_id: run(bundle.program, t) for t in bundle.tests}
     analysis.timings["testruns"] = time.perf_counter() - t0
-    failed_traces = [tr for tr in traces.values() if tr.failed]
-    if not failed_traces:
+    if not any(tr.failed for tr in traces.values()):
         raise PipelineError(f"fault {bundle.fault_id}: no failing test")
 
-    method_elements: dict = {}
-    for elem in elements:
-        method_elements.setdefault(elem.method_id, []).append(elem)
-
     for family in families:
-        t0 = time.perf_counter()
-        if family == "sbfl":
-            spectrum = sbfl.build_spectrum(
-                [(tr.covered, tr.failed) for tr in traces.values()], elements
-            )
-            analysis.scores["ochiai"] = sbfl.spectrum_scores(spectrum, sbfl.ochiai, "ochiai")
-            analysis.scores["dstar"] = sbfl.spectrum_scores(spectrum, sbfl.dstar, "dstar")
-        elif family == "slicing":
-            slices = [
-                backward_slice(tr)
-                for tr in failed_traces
-                if tr.criterion_event is not None
-            ]
-            for strategy in Strategy:
-                tech = f"slice-{strategy.value}"
-                if slices:
-                    analysis.scores[tech] = combine_slices(slices, strategy)
-                else:
-                    analysis.scores[tech] = ScoredList(tech)
-        elif family == "stacktrace":
-            _, stmt_scores = score_stack_traces(failed_traces, method_elements)
-            analysis.scores["stacktrace"] = stmt_scores
-        elif family == "predswitch":
-            failing_tests = [
-                t for t in bundle.tests if traces[t.test_id].failed
-            ]
-            scored, _ = critical_predicates_for_tests(
-                program, failing_tests, step_budget=reexec_step_budget
-            )
-            analysis.scores["predswitch"] = scored
-        elif family == "ir":
-            files = {PROGRAM_FILE: program.source}
-            file_scores = ir_rank_files(bundle.bug_report, files)
-            analysis.scores["ir"] = propagate_file_scores(
-                file_scores, {PROGRAM_FILE: elements}
-            )
-        elif family == "history":
-            now = max(c.timestamp for c in bundle.commits)
-            file_scores = history_rank_files(bundle.commits, now)
-            analysis.scores["history"] = propagate_file_scores(
-                file_scores, {PROGRAM_FILE: elements}
-            )
-        elif family == "mbfl":
-            original = {
-                tid: (not tr.failed, tr.signature()) for tid, tr in traces.items()
-            }
-            mutants = gen_mutants(program)
-            mutant_runs = {}
-            mutant_stmt = {}
-            for mutant in mutants:
-                mutant_stmt[mutant.mutant_id] = mutant.element
-                per_test = {}
-                for test in bundle.tests:
-                    tr = run(mutant.program, test, step_budget=reexec_step_budget)
-                    per_test[test.test_id] = (not tr.failed, tr.signature())
-                mutant_runs[mutant.mutant_id] = per_test
-            matrix = mbfl.build_outcome_matrix(original, mutant_runs, mutant_stmt)
-            for tech in ("metallaxis", "muse"):
-                analysis.scores[tech] = mbfl.aggregate_to_statement(tech, matrix, elements)
-        else:
+        if family not in SCORERS:
             raise PipelineError(f"unknown family {family!r}")
+        t0 = time.perf_counter()
+        analysis.scores.update(SCORERS[family](bundle, traces))
         analysis.timings[family] = time.perf_counter() - t0
     return analysis
 
@@ -162,11 +176,11 @@ def _granular(analysis: FaultAnalysis, granularity: str):
     return universe, faulty, lifted
 
 
-def _summary(values: Mapping[str, Optional[Fraction]], exams: Mapping[str, Optional[Fraction]]):
+def _summary(values: Mapping[str, Optional[Fraction]], sizes: Mapping[str, int]):
     """Aggregate per-fault expected ranks; unlocalized faults count against @n
-    and are excluded from the EXAM mean."""
+    and are excluded from the EXAM mean (expected rank / universe size)."""
     localized = [v for v in values.values() if v is not None]
-    exam_vals = [float(x) for x in exams.values() if x is not None]
+    exam_vals = [float(v / sizes[fid]) for fid, v in values.items() if v is not None]
     return {
         "e_inspect": {
             fid: (str(v) if v is not None else None) for fid, v in sorted(values.items())
@@ -177,6 +191,72 @@ def _summary(values: Mapping[str, Optional[Fraction]], exams: Mapping[str, Optio
     }
 
 
+def analyze_corpus(bundles: Sequence[FaultBundle], level: int) -> list:
+    """Stage 1: every family of the preset on every fault."""
+    families = cmb.preset_families(level)
+    return [analyze_fault(b, families) for b in bundles]
+
+
+def technique_ranks(
+    analyses: Sequence[FaultAnalysis], techniques: Sequence[str], granularity: str
+) -> dict:
+    """Stage 2: technique -> fault_id -> exact expected rank."""
+    values: dict = {t: {} for t in techniques}
+    for analysis in analyses:
+        universe, faulty, scores = _granular(analysis, granularity)
+        fid = analysis.bundle.fault_id
+        for tech in techniques:
+            ranking = full_universe_ranking(scores[tech], universe)
+            values[tech][fid] = expected_first_faulty_rank(ranking, faulty)
+    return values
+
+
+def corpus_features(
+    analyses: Sequence[FaultAnalysis], techniques: Sequence[str], granularity: str
+) -> list:
+    """Stage 3 input: one normalized feature matrix per fault."""
+    features = []
+    for analysis in analyses:
+        universe, faulty, scores = _granular(analysis, granularity)
+        bundle = analysis.bundle
+        features.append(
+            cmb.build_features(
+                bundle.fault_id, scores, universe, faulty, techniques, bundle.project
+            )
+        )
+    return features
+
+
+def _cross_validate(
+    features, sizes, families, cv: str, k: int, seed: int, with_ablation: bool
+):
+    """Stage 3: summaries of the cross-validated combination and of each
+    leave-one-family-out combination."""
+
+    def summarize(feats):
+        if cv == "kfold":
+            values = cmb.kfold_cv(feats, k=k, seed=seed)
+        elif cv == "cross-project":
+            values = cmb.cross_project_cv(feats, seed=seed)
+        else:
+            raise PipelineError(f"unknown cv method {cv!r}")
+        return _summary(values, sizes)
+
+    combined = summarize(features)
+    ablation = {}
+    if with_ablation and len(families) > 1:
+        techniques = features[0].techniques
+        for family in (f for f in cmb.FAMILIES if f.name in families):
+            kept = [t for t in techniques if t not in family.techniques]
+            columns = [techniques.index(t) for t in kept]
+            reduced = [
+                replace(f, techniques=tuple(kept), matrix=f.matrix[:, columns])
+                for f in features
+            ]
+            ablation[family.name] = summarize(reduced)
+    return combined, ablation
+
+
 def evaluate_corpus(
     bundles: Sequence[FaultBundle],
     level: int = 2,
@@ -184,65 +264,16 @@ def evaluate_corpus(
     seed: int = 0,
     k: int = 10,
     cv: str = "kfold",
-    q: int = 100,
-    reexec_step_budget: int = REEXEC_STEP_BUDGET,
     with_ablation: bool = True,
 ) -> dict:
     """Run every family of the preset on every fault, combine, and summarize."""
     families = cmb.preset_families(level)
-    techniques = list(cmb.preset_techniques(level))
-    analyses = [analyze_fault(b, families, reexec_step_budget) for b in bundles]
-
-    per_tech_values: dict = {t: {} for t in techniques}
-    per_tech_exam: dict = {t: {} for t in techniques}
-    features = []
-    for analysis in analyses:
-        universe, faulty, scores = _granular(analysis, granularity)
-        fid = analysis.bundle.fault_id
-        for tech in techniques:
-            ranking = full_universe_ranking(scores[tech], universe)
-            value = expected_first_faulty_rank(ranking, faulty)
-            per_tech_values[tech][fid] = value
-            per_tech_exam[tech][fid] = value / len(universe)
-        features.append(
-            cmb.build_features(
-                fid, scores, universe, faulty, techniques, analysis.bundle.project
-            )
-        )
-
-    def run_cv(feats):
-        if cv == "kfold":
-            return cmb.kfold_cv(feats, k=k, seed=seed)
-        if cv == "cross-project":
-            return cmb.cross_project_cv(feats, seed=seed)
-        raise PipelineError(f"unknown cv method {cv!r}")
-
-    universe_sizes = {f.fault_id: len(f.elements) for f in features}
-    combined_values = run_cv(features)
-    combined_exam = {
-        fid: v / universe_sizes[fid] for fid, v in combined_values.items()
-    }
-
-    ablation = {}
-    if with_ablation and len(families) > 1:
-        for family in families:
-            kept = [t for t in techniques if cmb.TECHNIQUE_FAMILY[t] != family]
-            reduced = [
-                cmb.FaultFeatures(
-                    f.fault_id,
-                    tuple(kept),
-                    f.elements,
-                    f.matrix[:, [techniques.index(t) for t in kept]],
-                    f.faulty,
-                    f.project,
-                )
-                for f in features
-            ]
-            values = run_cv(reduced)
-            exams = {fid: v / universe_sizes[fid] for fid, v in values.items()}
-            ablation[family] = _summary(values, exams)
-
-    corr = correlation_matrix(per_tech_values, q=q)
+    techniques = cmb.preset_techniques(level)
+    analyses = analyze_corpus(bundles, level)
+    values = technique_ranks(analyses, techniques, granularity)
+    features = corpus_features(analyses, techniques, granularity)
+    sizes = {f.fault_id: len(f.elements) for f in features}
+    combined, ablation = _cross_validate(features, sizes, families, cv, k, seed, with_ablation)
 
     timings: dict = {}
     for analysis in analyses:
@@ -256,12 +287,10 @@ def evaluate_corpus(
         "cv": cv,
         "k": k,
         "faults": sorted(b.fault_id for b in bundles),
-        "techniques": {
-            t: _summary(per_tech_values[t], per_tech_exam[t]) for t in techniques
-        },
-        "combined": _summary(combined_values, combined_exam),
+        "techniques": {t: _summary(values[t], sizes) for t in techniques},
+        "combined": combined,
         "ablation": ablation,
-        "correlation": corr,
+        "correlation": correlation_matrix(values),
         "timings": timings,
     }
 
@@ -301,7 +330,7 @@ def evaluate_score_records(
     by_id = {b.fault_id: b for b in bundles}
     techniques = sorted({r.technique_id for r in records})
     per_tech_values: dict = {t: {b.fault_id: None for b in bundles} for t in techniques}
-    per_tech_exam: dict = {t: {b.fault_id: None for b in bundles} for t in techniques}
+    sizes: dict = {}
     for record in records:
         bundle = by_id.get(record.fault_id)
         if bundle is None:
@@ -314,12 +343,12 @@ def evaluate_score_records(
         except NotLocalizedError:
             continue
         per_tech_values[record.technique_id][record.fault_id] = value
-        per_tech_exam[record.technique_id][record.fault_id] = value / len(universe)
+        sizes[record.fault_id] = len(universe)
     return {
         "granularity": granularity,
         "faults": sorted(by_id),
         "techniques": {
-            t: _summary(per_tech_values[t], per_tech_exam[t]) for t in techniques
+            t: _summary(per_tech_values[t], sizes) for t in techniques
         },
     }
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -72,29 +71,3 @@ def spectrum_scores(spectrum: Spectrum, formula, technique_id: str):
         (elem, formula(c.ef, c.ep, c.nf, c.np)) for elem, c in spectrum.counts.items()
     ]
     return ScoredList(technique_id, entries)
-
-
-def spectrum_to_json(spectrum: Spectrum) -> str:
-    elems = [
-        {"id": str(elem), "ef": c.ef, "ep": c.ep, "nf": c.nf, "np": c.np}
-        for elem, c in sorted(spectrum.counts.items(), key=lambda kv: str(kv[0]))
-    ]
-    return json.dumps({"elements": elems}, indent=2)
-
-
-def spectrum_from_json(text: str) -> Spectrum:
-    """Ingest external coverage data keyed by "file:line:idx" element ids."""
-    from .model import parse_element_key
-
-    data = json.loads(text)
-    counts = {}
-    total_failed = total_passed = None
-    for rec in data["elements"]:
-        c = Counts(rec["ef"], rec["ep"], rec["nf"], rec["np"])
-        if total_failed is None:
-            total_failed = c.ef + c.nf
-            total_passed = c.ep + c.np
-        counts[parse_element_key(rec["id"])] = c
-    if not counts:
-        raise SpectrumError("empty spectrum file")
-    return Spectrum(counts, total_failed, total_passed)

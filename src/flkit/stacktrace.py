@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .minilang.interp import CRASH, ExecutionTrace
-from .model import ScoredList
+from .model import ProgramElement, ScoredList
 
 
 def method_scores_from_frames(frame_lists: Iterable[Iterable]) -> dict:
@@ -21,38 +20,17 @@ def method_scores_from_frames(frame_lists: Iterable[Iterable]) -> dict:
 
 
 def score_stack_traces(
-    failed_traces: Iterable[ExecutionTrace], method_elements: Mapping
-) -> tuple[ScoredList, ScoredList]:
-    """Score methods from crash stacks and propagate to their statements.
+    failed_traces: Iterable[ExecutionTrace], elements: Iterable[ProgramElement]
+) -> ScoredList:
+    """Score methods from crash stacks and give each statement in `elements`
+    the score of its method_id.
 
     Assertion failures come from the test harness, not the program, so they
-    contribute nothing; with no crashes at all both lists are empty.
-    method_elements maps method_id -> its statement elements.
+    contribute nothing; with no crashes at all the list is empty.
     """
     frame_lists = [
         t.outcome.stack for t in failed_traces if t.outcome.status == CRASH
     ]
     methods = method_scores_from_frames(frame_lists)
-    method_list = ScoredList("stacktrace", tuple(methods.items()))
-    entries = []
-    for method, score in methods.items():
-        for elem in method_elements.get(method, ()):
-            entries.append((elem, score))
-    return method_list, ScoredList("stacktrace", entries)
-
-
-class _ExternalFrame:
-    def __init__(self, method_id, depth):
-        self.method_id = method_id
-        self.depth = depth
-
-
-def frames_from_json(text: str) -> dict:
-    """Ingest external stack traces: {"traces": [{"test": ..., "frames": [{"method", "line"}]}]}."""
-    data = json.loads(text)
-    out = {}
-    for rec in data["traces"]:
-        out[rec["test"]] = [
-            _ExternalFrame(f["method"], d + 1) for d, f in enumerate(rec["frames"])
-        ]
-    return out
+    entries = [(e, methods[e.method_id]) for e in elements if e.method_id in methods]
+    return ScoredList("stacktrace", entries)

@@ -44,6 +44,14 @@ class TestPresets:
         with pytest.raises(CombineError):
             preset_families(5)
 
+    def test_technique_order_is_fixed(self):
+        # The order sets the feature columns, and training depends on it.
+        assert preset_techniques(4) == (
+            "history", "stacktrace", "ir",
+            "slice-union", "slice-intersection", "slice-frequency",
+            "ochiai", "dstar", "predswitch", "metallaxis", "muse",
+        )
+
 
 class TestNormalize:
     def test_min_max(self):
@@ -62,6 +70,10 @@ class TestNormalize:
         assert out["a"] == 1.0
         assert out["b"] == 1.0  # finite max
         assert out["c"] == 0.0
+
+    def test_negative_infinity_maps_to_zero(self):
+        scored = ScoredList("t", [("a", -math.inf), ("b", 1.0), ("c", 0.5)])
+        assert normalize(scored, ["a", "b", "c"]) == {"a": 0.0, "b": 1.0, "c": 0.0}
 
     def test_constant_vector_all_zero(self):
         scored = ScoredList("t", [("a", 7.0), ("b", 7.0)])

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from flkit import combine as cmb
 from flkit.cli import main as cli_main
 from flkit.corpus import (
     CorpusError,
@@ -15,6 +16,7 @@ from flkit.corpus import (
 )
 from flkit.model import ProgramElement, ScoredList
 from flkit.pipeline import (
+    SCORERS,
     PipelineError,
     analyze_fault,
     emit_report,
@@ -120,6 +122,15 @@ class TestAnalyzeFault:
             "stacktrace",
         }
         assert set(analysis.timings) == {"testruns", "sbfl", "slicing", "stacktrace"}
+
+    def test_one_scorer_per_family(self):
+        assert set(SCORERS) == {f.name for f in cmb.FAMILIES}
+
+    def test_level4_produces_exactly_the_preset(self, bundles):
+        (bundle,) = [b for b in bundles if b.fault_id == "f02_maxof3"]
+        analysis = analyze_fault(bundle, cmb.preset_families(4))
+        assert sorted(analysis.scores) == sorted(cmb.preset_techniques(4))
+        assert set(analysis.timings) == {"testruns", *cmb.preset_families(4)}
 
     def test_missing_aux_inputs_rejected(self, bundles):
         from dataclasses import replace
@@ -253,6 +264,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Correlation" in out
+
+    def test_correlate_trains_nothing(self, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("correlate must not train a model")
+
+        monkeypatch.setattr(cmb, "train", no_training)
+        rc = cli_main(["correlate", "--corpus", str(CORPUS), "--preset", "2"])
+        assert rc == 0
+        assert "Correlation" in capsys.readouterr().out
+
+    def test_combine_honours_granularity(self, tmp_path):
+        weights = {}
+        for granularity in ("statement", "method"):
+            path = tmp_path / f"{granularity}.json"
+            rc = cli_main(
+                ["combine", "--corpus", str(CORPUS), "--preset", "2",
+                 "--granularity", granularity, "--save", str(path)]
+            )
+            assert rc == 0
+            weights[granularity] = json.loads(path.read_text())["weights"]
+        assert weights["statement"] != weights["method"]
 
     def test_combine_save_and_load(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -11,8 +11,6 @@ from flkit.mbfl import (
     aggregate_to_statement,
     build_outcome_matrix,
     classify,
-    matrix_from_json,
-    matrix_to_json,
     metallaxis_mutant_score,
     muse_mutant_score,
     mutant_scores,
@@ -131,19 +129,3 @@ class TestAggregation:
         s3 = ProgramElement("f", 3)
         scored = aggregate_to_statement("metallaxis", m, [S1, S2, s3]).as_dict()
         assert scored[s3] == 0.0
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        m = small_matrix()
-        text = matrix_to_json(m)
-        original_outcomes = {"tf1": False, "tf2": False, "tp1": True, "tp2": True}
-        again = matrix_from_json(text, original_outcomes)
-        assert again.classes == m.classes
-        assert again.mutant_stmt == m.mutant_stmt
-        assert (again.f2p, again.p2f) == (m.f2p, m.p2f)
-
-    def test_rejects_unknown_class(self):
-        bad = '{"mutants": [{"id": "m", "stmt": "f:1:0", "per_test": [{"test": "t", "class": "weird"}]}]}'
-        with pytest.raises(MatrixError):
-            matrix_from_json(bad, {"t": True})

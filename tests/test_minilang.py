@@ -6,7 +6,6 @@ from flkit.minilang.interp import (
     PASS,
     TestCase as MLTest,
     run,
-    run_with_flip,
 )
 from flkit.minilang.mutate import gen_mutants
 from flkit.minilang.parse import MiniSyntaxError, parse
@@ -64,6 +63,10 @@ class TestParsing:
         with pytest.raises(MiniSyntaxError):
             parse("func f() { return 1; } func f() { return 2; }")
 
+    def test_deep_nesting_is_syntax_error(self):
+        with pytest.raises(MiniSyntaxError, match="nesting too deep"):
+            parse("func f() { return " + "(" * 400 + "1" + ")" * 400 + "; }")
+
 
 class TestInterpreter:
     def test_arithmetic_and_return(self):
@@ -111,6 +114,14 @@ class TestInterpreter:
         tr = run(parse(src), MLTest("t", "f", args, "pass"), step_budget=2000)
         assert tr.outcome.status == CRASH
         assert tr.outcome.crash_kind == kind
+
+    def test_deep_recursion_is_stack_overflow_crash(self):
+        # Deep enough to exhaust Python's own stack before the 200-frame guard.
+        prog = parse("func f(n) { if (n == 0) { return 0; } return 1 + f(n - 1); }")
+        tr = run(prog, MLTest("t", "f", (199,), 199))
+        assert tr.outcome.status == CRASH
+        assert tr.outcome.crash_kind == "stack-overflow"
+        assert tr.outcome.stack[0].method_id == "f"
 
     def test_overflow_trap(self):
         prog = parse(
@@ -187,7 +198,7 @@ class TestPredicateFlips:
         prog = parse(COLLATZ)
         base = run(prog, MLTest("t", "collatz", (4,), "pass"))
         assert base.predicate_instances == (("p0", 0, True),)
-        flipped = run_with_flip(prog, MLTest("t", "collatz", (4,), "pass"), "p0", 0)
+        flipped = run(prog, MLTest("t", "collatz", (4,), "pass"), flip=("p0", 0))
         assert flipped.predicate_instances == (("p0", 0, False),)
         assert flipped.value == 13  # else branch: 4*3+1
 
@@ -196,13 +207,13 @@ class TestPredicateFlips:
             "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }"
         )
         # flip the 3rd evaluation (occurrence 2): loop exits after 2 iterations
-        tr = run_with_flip(prog, MLTest("t", "f", (5,), "pass"), "p0", 2)
+        tr = run(prog, MLTest("t", "f", (5,), "pass"), flip=("p0", 2))
         assert tr.value == 2
         assert tr.flip_applied
 
     def test_unreached_flip_reported(self):
         prog = parse(COLLATZ)
-        tr = run_with_flip(prog, MLTest("t", "collatz", (4,), "pass"), "p0", 5)
+        tr = run(prog, MLTest("t", "collatz", (4,), "pass"), flip=("p0", 5))
         assert not tr.flip_applied
 
 

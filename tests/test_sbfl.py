@@ -12,9 +12,7 @@ from flkit.sbfl import (
     build_spectrum,
     dstar,
     ochiai,
-    spectrum_from_json,
     spectrum_scores,
-    spectrum_to_json,
 )
 
 
@@ -99,16 +97,3 @@ class TestSpectrum:
         ranking = rank_elements(scored)
         # b covered only by the failing run ranks strictly first
         assert ranking.groups[0] == frozenset({b})
-
-    def test_json_round_trip(self):
-        a, b, c = self.elems()
-        runs = [({a, b}, True), ({a, c}, False)]
-        sp = build_spectrum(runs, [a, b, c])
-        again = spectrum_from_json(spectrum_to_json(sp))
-        assert again.counts == sp.counts
-        assert again.total_failed == sp.total_failed
-        assert again.total_passed == sp.total_passed
-
-    def test_json_rejects_empty(self):
-        with pytest.raises(SpectrumError):
-            spectrum_from_json('{"elements": []}')

@@ -1,7 +1,6 @@
 from flkit.minilang.interp import TestCase as MLTest, run
 from flkit.minilang.parse import parse
 from flkit.stacktrace import (
-    frames_from_json,
     method_scores_from_frames,
     score_stack_traces,
 )
@@ -46,17 +45,13 @@ class TestScoreStackTraces:
         prog = parse("func f(x) { assert(x > 0); return x; }")
         tr = run(prog, MLTest("t", "f", (0,), "pass"))
         assert tr.failed and tr.outcome.status != "crash"
-        methods, stmts = score_stack_traces([tr], {"f": []})
-        assert len(methods) == 0
+        stmts = score_stack_traces([tr], prog.elements())
         assert len(stmts) == 0
 
     def test_statement_propagation(self):
         prog = parse(NESTED)
         tr = run(prog, MLTest("t", "top", ([1],), "pass"))
-        method_elements = {}
-        for elem, method in prog.method_map().items():
-            method_elements.setdefault(method, []).append(elem)
-        methods, stmts = score_stack_traces([tr], method_elements)
+        stmts = score_stack_traces([tr], prog.elements())
         by_line = {e.line: s for e, s in stmts.entries}
         assert by_line[2] == 1.0      # leaf's statement
         assert by_line[5] == 0.5      # mid's statement
@@ -66,16 +61,6 @@ class TestScoreStackTraces:
         prog = parse(NESTED + "func g(x) { assert(x > 0); return x; }")
         crash = run(prog, MLTest("t1", "top", ([1],), "pass"))
         af = run(prog, MLTest("t2", "g", (0,), "pass"))
-        methods, _ = score_stack_traces([crash, af], {})
-        assert methods.as_dict() == {"leaf": 1.0, "mid": 0.5, "top": 1.0 / 3}
-
-
-class TestExternalFrames:
-    def test_ingest(self):
-        text = (
-            '{"traces": [{"test": "t1", "frames": '
-            '[{"method": "a", "line": 4}, {"method": "b", "line": 9}]}]}'
-        )
-        frames = frames_from_json(text)
-        scores = method_scores_from_frames(frames.values())
-        assert scores == {"a": 1.0, "b": 0.5}
+        stmts = score_stack_traces([crash, af], prog.elements())
+        by_method = {e.method_id: s for e, s in stmts.entries}
+        assert by_method == {"leaf": 1.0, "mid": 0.5, "top": 1.0 / 3}
