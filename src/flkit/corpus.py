@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .irhist import Commit, commits_from_json
-from .minilang import Program, TestCase, parse
+from .minilang import MiniSyntaxError, Program, TestCase, parse
 from .model import (
     ModelError,
     ProgramElement,
@@ -74,7 +74,10 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     if missing:
         raise CorpusError(f"fault {fault_id}: missing inputs {missing}")
 
-    program = parse((fault_dir / PROGRAM_FILE).read_text(), file_id=PROGRAM_FILE)
+    try:
+        program = parse((fault_dir / PROGRAM_FILE).read_text(), file_id=PROGRAM_FILE)
+    except MiniSyntaxError as exc:
+        raise CorpusError(f"fault {fault_id}: {PROGRAM_FILE}:{exc}") from None
     tests_data = json.loads((fault_dir / "tests.json").read_text())
     tests = tuple(
         TestCase(t["id"], t["entry"], tuple(t.get("args", ())), t["expect"])
@@ -82,6 +85,12 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     )
     if not tests:
         raise CorpusError(f"fault {fault_id}: no tests")
+    for t in tests:
+        fn = program.functions.get(t.entry)
+        if fn is None or len(t.args) != len(fn.params):
+            raise CorpusError(
+                f"fault {fault_id}: test {t.test_id}: no function {t.entry!r} of {len(t.args)} args"
+            )
 
     truth = json.loads((fault_dir / "truth.json").read_text())
     elements = program.elements()

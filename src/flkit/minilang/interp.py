@@ -1,9 +1,9 @@
 """Instrumented tree-walking interpreter.
 
 Every executed statement (and every dynamic predicate evaluation) produces one
-trace event recording defined/used variables, the event indices it depends on
-(dynamic data dependences, including values returned by calls), and its
-dynamic control parent. Predicate evaluations can be individually inverted
+trace event recording its element, the trace positions of the events it
+depends on (dynamic data dependences, including values returned by calls), and
+its dynamic control parent. Predicate evaluations can be individually inverted
 for predicate switching.
 """
 
@@ -37,6 +37,15 @@ from .parse import (
 
 STEP_BUDGET = 10**6
 
+# Step budget for mutant and predicate-flip re-executions; both can loop
+# forever, and desk-scale corpus programs stay far below this.
+REEXEC_STEP_BUDGET = 5_000
+
+# Mini-language call depth that crashes with "stack-overflow". A call costs
+# about six Python frames, so this trips well before Python's own recursion
+# limit, and the outcome does not depend on how deep run() is called from.
+MAX_CALL_DEPTH = 100
+
 # Integer magnitude trap; keeps runaway mutants (e.g. squaring in a loop)
 # from producing astronomically large bignums before the step budget hits.
 INT_LIMIT = 2**63
@@ -62,12 +71,9 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Event:
-    index: int
     element: ProgramElement
-    defs: frozenset  # variable names defined here
-    uses: frozenset  # variable names read here
-    deps: frozenset  # indices of events this one data-depends on
-    control: Optional[int]  # index of the controlling branch event
+    deps: frozenset  # trace positions of events this one data-depends on
+    control: Optional[int]  # trace position of the controlling branch event
 
 
 @dataclass(frozen=True)
@@ -160,30 +166,18 @@ class _Interp:
         if self.steps > self.step_budget:
             raise _Crash("budget")
         idx = len(self.events)
-        frame = self.frames[-1]
-        self.events.append(
-            Event(idx, elem, frozenset(), frozenset(), frozenset(), frame.control_parent())
-        )
+        self.events.append(Event(elem, frozenset(), self.frames[-1].control_parent()))
         return idx
 
-    def finish_event(self, idx: int, defs=(), uses=(), deps=()):
+    def finish_event(self, idx: int, deps):
         ev = self.events[idx]
-        self.events[idx] = Event(
-            ev.index,
-            ev.element,
-            frozenset(defs),
-            frozenset(uses),
-            frozenset(deps),
-            ev.control,
-        )
+        self.events[idx] = Event(ev.element, frozenset(deps), ev.control)
 
-    # -- expression evaluation: returns (value, uses, deps) --
+    # -- expression evaluation: returns (value, deps) --
 
     def eval(self, expr: Expr):
-        if isinstance(expr, Num):
-            return expr.value, set(), set()
-        if isinstance(expr, BoolLit):
-            return expr.value, set(), set()
+        if isinstance(expr, (Num, BoolLit)):
+            return expr.value, set()
         if isinstance(expr, Var):
             frame = self.frames[-1]
             if expr.name not in frame.env:
@@ -191,82 +185,78 @@ class _Interp:
             deps = set()
             if expr.name in frame.var_events:
                 deps.add(frame.var_events[expr.name])
-            return frame.env[expr.name], {expr.name}, deps
+            return frame.env[expr.name], deps
         if isinstance(expr, Unary):
-            value, uses, deps = self.eval(expr.operand)
+            value, deps = self.eval(expr.operand)
             if expr.op == "-":
                 self.require_int(value)
-                return -value, uses, deps
+                return -value, deps
             self.require_bool(value)
-            return (not value), uses, deps
+            return (not value), deps
         if isinstance(expr, Binary):
             return self.eval_binary(expr)
         if isinstance(expr, Index):
-            base, uses, deps = self.eval(expr.base)
-            idx, u2, d2 = self.eval(expr.index)
-            uses |= u2
+            base, deps = self.eval(expr.base)
+            idx, d2 = self.eval(expr.index)
             deps |= d2
             if not isinstance(base, list):
                 raise _Crash("type")
             self.require_int(idx)
             if idx < 0 or idx >= len(base):
                 raise _Crash("bounds")
-            return base[idx], uses, deps
+            return base[idx], deps
         if isinstance(expr, ArrayLit):
             items = []
-            uses: set = set()
             deps: set = set()
             for item in expr.items:
-                v, u, d = self.eval(item)
+                v, d = self.eval(item)
                 items.append(v)
-                uses |= u
                 deps |= d
-            return items, uses, deps
+            return items, deps
         if isinstance(expr, Call):
             return self.eval_call(expr)
         raise AssertionError(f"unhandled expr {expr!r}")
 
     def eval_binary(self, expr: Binary):
         if expr.op in ("&&", "||"):
-            left, uses, deps = self.eval(expr.left)
+            left, deps = self.eval(expr.left)
             self.require_bool(left)
             if (expr.op == "&&" and not left) or (expr.op == "||" and left):
-                return left, uses, deps
-            right, u2, d2 = self.eval(expr.right)
+                return left, deps
+            right, d2 = self.eval(expr.right)
             self.require_bool(right)
-            return right, uses | u2, deps | d2
-        left, uses, deps = self.eval(expr.left)
-        right, u2, d2 = self.eval(expr.right)
-        uses |= u2
+            return right, deps | d2
+        left, deps = self.eval(expr.left)
+        right, d2 = self.eval(expr.right)
         deps |= d2
         op = expr.op
         if op in ("==", "!="):
             eq = left == right
-            return (eq if op == "==" else not eq), uses, deps
+            return (eq if op == "==" else not eq), deps
         self.require_int(left)
         self.require_int(right)
         if op == "+":
-            return self.checked(left + right), uses, deps
+            return self.checked(left + right), deps
         if op == "-":
-            return self.checked(left - right), uses, deps
+            return self.checked(left - right), deps
         if op == "*":
-            return self.checked(left * right), uses, deps
+            return self.checked(left * right), deps
         if op == "/":
             if right == 0:
                 raise _Crash("div0")
-            return int(left / right) if (left < 0) != (right < 0) else left // right, uses, deps
+            return int(left / right) if (left < 0) != (right < 0) else left // right, deps
         if op == "%":
             if right == 0:
                 raise _Crash("div0")
-            return left - right * (int(left / right) if (left < 0) != (right < 0) else left // right), uses, deps
+            return left - right * (int(left / right) if (left < 0) != (right < 0) else left // right), deps
         if op == "<":
-            return left < right, uses, deps
+            return left < right, deps
         if op == "<=":
-            return left <= right, uses, deps
+            return left <= right, deps
         if op == ">":
-            return left > right, uses, deps
+            return left > right, deps
         if op == ">=":
-            return left >= right, uses, deps
+            return left >= right, deps
         raise AssertionError(f"unhandled operator {op}")
 
     def eval_call(self, expr: Call):
@@ -274,12 +264,10 @@ class _Interp:
         if len(expr.args) != len(fn.params):
             raise _Crash("arity")
         values = []
-        uses: set = set()
         deps: set = set()
         for arg in expr.args:
-            v, u, d = self.eval(arg)
+            v, d = self.eval(arg)
             values.append(v)
-            uses |= u
             deps |= d
         call_event = self.current_event
         caller_elem = self.current_stmt.elem if self.current_stmt is not None else None
@@ -290,7 +278,7 @@ class _Interp:
             call_event,
             caller_elem,
         )
-        if len(self.frames) >= 200:
+        if len(self.frames) >= MAX_CALL_DEPTH:
             raise _Crash("stack-overflow")
         self.frames.append(frame)
         saved_stmt = self.current_stmt
@@ -300,13 +288,13 @@ class _Interp:
             self.frames.pop()
             self.current_stmt = saved_stmt
             deps.add(ret.event_index)
-            return ret.value, uses, deps
+            return ret.value, deps
         # A crash propagates past this point without unwinding self.frames,
         # deliberately: crash_stack() needs the frames as they were.
         self.frames.pop()
         self.current_stmt = saved_stmt
         # fell off the end of the function: implicit return 0 with no event
-        return 0, uses, deps
+        return 0, deps
 
     @staticmethod
     def checked(value: int) -> int:
@@ -330,8 +318,8 @@ class _Interp:
         for stmt in body:
             self.exec_stmt(stmt)
 
-    def eval_predicate(self, stmt) -> tuple[bool, set, set]:
-        value, uses, deps = self.eval(stmt.cond)
+    def eval_predicate(self, stmt) -> tuple[bool, set]:
+        value, deps = self.eval(stmt.cond)
         self.require_bool(value)
         occurrence = self.pred_counts.get(stmt.pred_id, 0)
         self.pred_counts[stmt.pred_id] = occurrence + 1
@@ -339,7 +327,7 @@ class _Interp:
             value = not value
             self.flip_applied = True
         self.predicate_instances.append((stmt.pred_id, occurrence, value))
-        return value, uses, deps
+        return value, deps
 
     def exec_stmt(self, stmt: Stmt):
         self.current_stmt = stmt
@@ -347,18 +335,14 @@ class _Interp:
         idx = self.new_event(stmt.elem)
         self.current_event = idx
         if isinstance(stmt, VarDecl):
-            if stmt.init is not None:
-                value, uses, deps = self.eval(stmt.init)
-            else:
-                value, uses, deps = 0, set(), set()
+            value, deps = self.eval(stmt.init) if stmt.init is not None else (0, ())
             frame.env[stmt.name] = value
             frame.var_events[stmt.name] = idx
-            self.finish_event(idx, defs={stmt.name}, uses=uses, deps=deps)
+            self.finish_event(idx, deps)
         elif isinstance(stmt, Assign):
-            value, uses, deps = self.eval(stmt.value)
+            value, deps = self.eval(stmt.value)
             if stmt.index is not None:
-                pos, u2, d2 = self.eval(stmt.index)
-                uses |= u2 | {stmt.target}
+                pos, d2 = self.eval(stmt.index)
                 deps |= d2
                 if stmt.target not in frame.env:
                     raise _Crash("undefined-var")
@@ -378,18 +362,18 @@ class _Interp:
                     raise _Crash("undefined-var")
                 frame.env[stmt.target] = value
             frame.var_events[stmt.target] = idx
-            self.finish_event(idx, defs={stmt.target}, uses=uses, deps=deps)
+            self.finish_event(idx, deps)
         elif isinstance(stmt, If):
-            value, uses, deps = self.eval_predicate(stmt)
-            self.finish_event(idx, uses=uses, deps=deps)
+            value, deps = self.eval_predicate(stmt)
+            self.finish_event(idx, deps)
             frame.control.append(idx)
             try:
                 self.exec_body(stmt.then_body if value else stmt.else_body)
             finally:
                 frame.control.pop()
         elif isinstance(stmt, While):
-            value, uses, deps = self.eval_predicate(stmt)
-            self.finish_event(idx, uses=uses, deps=deps)
+            value, deps = self.eval_predicate(stmt)
+            self.finish_event(idx, deps)
             while value:
                 frame.control.append(idx)
                 try:
@@ -399,24 +383,21 @@ class _Interp:
                 self.current_stmt = stmt
                 idx = self.new_event(stmt.elem)
                 self.current_event = idx
-                value, uses, deps = self.eval_predicate(stmt)
-                self.finish_event(idx, uses=uses, deps=deps)
+                value, deps = self.eval_predicate(stmt)
+                self.finish_event(idx, deps)
         elif isinstance(stmt, Return):
-            if stmt.value is not None:
-                value, uses, deps = self.eval(stmt.value)
-            else:
-                value, uses, deps = 0, set(), set()
-            self.finish_event(idx, uses=uses, deps=deps)
+            value, deps = self.eval(stmt.value) if stmt.value is not None else (0, ())
+            self.finish_event(idx, deps)
             raise _ReturnSignal(value, idx)
         elif isinstance(stmt, Assert):
-            value, uses, deps = self.eval(stmt.cond)
+            value, deps = self.eval(stmt.cond)
             self.require_bool(value)
-            self.finish_event(idx, uses=uses, deps=deps)
+            self.finish_event(idx, deps)
             if not value:
                 raise _AssertFailed()
         elif isinstance(stmt, ExprStmt):
-            _, uses, deps = self.eval(stmt.expr)
-            self.finish_event(idx, uses=uses, deps=deps)
+            _, deps = self.eval(stmt.expr)
+            self.finish_event(idx, deps)
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
 
@@ -460,7 +441,8 @@ def run(
             value = ret.value
             criterion = ret.event_index
         except RecursionError:
-            # Python's stack can run out before the 200-frame guard trips.
+            # Backstop: deeply nested expressions inside deep recursion can
+            # still exhaust Python's stack before MAX_CALL_DEPTH trips.
             raise _Crash("stack-overflow") from None
         if test.expect == "pass" or value == test.expect or (
             isinstance(test.expect, (list, tuple))

@@ -41,21 +41,6 @@ class Mutant:
     program: Program
 
 
-def _find_stmt(program: Program, node_id: int) -> Stmt:
-    for stmt in program.statements():
-        if stmt.node_id == node_id:
-            return stmt
-    raise KeyError(node_id)
-
-
-def _find_expr(program: Program, node_id: int):
-    for stmt in program.statements():
-        for node in iter_exprs(stmt):
-            if node.node_id == node_id:
-                return stmt, node
-    raise KeyError(node_id)
-
-
 def _stmt_fingerprint(stmt: Stmt) -> str:
     parts = [type(stmt).__name__]
     for node in iter_exprs(stmt):
@@ -69,44 +54,43 @@ def _stmt_fingerprint(stmt: Stmt) -> str:
 
 def gen_mutants(program: Program) -> list[Mutant]:
     """Every applicable operator at every applicable site, lexical order, deduplicated."""
-    plans = []  # (kind, stmt_node_id, expr_node_id or None, payload, description)
-    for stmt in program.statements():
-        for node in iter_exprs(stmt):
+    # Sites are named by position in program.statements() and iter_exprs(),
+    # which a deep copy preserves.
+    plans = []  # (kind, statement position, expression position or None, payload, description)
+    for s_pos, stmt in enumerate(program.statements()):
+        for e_pos, node in enumerate(iter_exprs(stmt)):
             if isinstance(node, Binary):
                 if node.op in ARITH_OPS:
                     for op in ARITH_OPS:
                         if op != node.op:
-                            plans.append(("aor", stmt.node_id, node.node_id, op, f"{node.op} -> {op}"))
+                            plans.append(("aor", s_pos, e_pos, op, f"{node.op} -> {op}"))
                 elif node.op in REL_OPS:
                     for op in REL_OPS:
                         if op != node.op:
-                            plans.append(("ror", stmt.node_id, node.node_id, op, f"{node.op} -> {op}"))
+                            plans.append(("ror", s_pos, e_pos, op, f"{node.op} -> {op}"))
                 elif node.op in LOGIC_OPS:
                     other = "||" if node.op == "&&" else "&&"
-                    plans.append(("lor", stmt.node_id, node.node_id, other, f"{node.op} -> {other}"))
+                    plans.append(("lor", s_pos, e_pos, other, f"{node.op} -> {other}"))
             elif isinstance(node, Num):
-                plans.append(("cpm", stmt.node_id, node.node_id, node.value + 1, f"{node.value} -> {node.value + 1}"))
-                plans.append(("cpm", stmt.node_id, node.node_id, node.value - 1, f"{node.value} -> {node.value - 1}"))
+                plans.append(("cpm", s_pos, e_pos, node.value + 1, f"{node.value} -> {node.value + 1}"))
+                plans.append(("cpm", s_pos, e_pos, node.value - 1, f"{node.value} -> {node.value - 1}"))
         if isinstance(stmt, (Assign, ExprStmt)):
-            plans.append(("sdl", stmt.node_id, None, None, "delete statement"))
+            plans.append(("sdl", s_pos, None, None, "delete statement"))
         if isinstance(stmt, (If, While)):
-            plans.append(("ncd", stmt.node_id, None, None, "negate condition"))
+            plans.append(("ncd", s_pos, None, None, "negate condition"))
 
     mutants = []
     seen: set[tuple] = set()
-    for kind, stmt_id, expr_id, payload, description in plans:
+    for kind, s_pos, e_pos, payload, description in plans:
         mutated = copy.deepcopy(program)
+        stmt = mutated.statements()[s_pos]
         if kind in ("aor", "ror", "lor"):
-            stmt, node = _find_expr(mutated, expr_id)
-            node.op = payload
+            list(iter_exprs(stmt))[e_pos].op = payload
         elif kind == "cpm":
-            stmt, node = _find_expr(mutated, expr_id)
-            node.value = payload
+            list(iter_exprs(stmt))[e_pos].value = payload
         elif kind == "sdl":
-            stmt = _find_stmt(mutated, stmt_id)
             _delete_stmt(mutated, stmt)
         elif kind == "ncd":
-            stmt = _find_stmt(mutated, stmt_id)
             stmt.cond = Unary("!", stmt.cond, line=stmt.cond.line)
         else:
             raise AssertionError(kind)

@@ -36,6 +36,12 @@ KEYWORDS = {"func", "var", "if", "else", "while", "return", "assert", "true", "f
 TWO_CHAR = {"==", "!=", "<=", ">=", "&&", "||"}
 ONE_CHAR = set("+-*/%<>!=(){}[],;")
 
+# Deepest nesting parse() accepts. Each statement, expression node and
+# parenthesised group is one level inside what encloses it; a function's body
+# statements are at level 1. Parsing, mutant copying and evaluation all
+# recurse once per level, so this keeps them far from Python's recursion limit.
+MAX_NESTING = 64
+
 ARITH_OPS = ("+", "-", "*", "/", "%")
 REL_OPS = ("==", "!=", "<", "<=", ">", ">=")
 LOGIC_OPS = ("&&", "||")
@@ -94,19 +100,9 @@ def tokenize(source: str) -> list[Token]:
 
 # --- AST -------------------------------------------------------------------
 
-_next_node_id = 0
-
-
-def _nid() -> int:
-    global _next_node_id
-    _next_node_id += 1
-    return _next_node_id
-
-
 @dataclass
 class Expr:
     line: int = field(default=0, kw_only=True)
-    node_id: int = field(default_factory=_nid, kw_only=True)
 
 
 @dataclass
@@ -157,7 +153,6 @@ class ArrayLit(Expr):
 @dataclass
 class Stmt:
     elem: ProgramElement = field(default=None, kw_only=True)
-    node_id: int = field(default_factory=_nid, kw_only=True)
 
 
 @dataclass
@@ -257,6 +252,7 @@ class _Parser:
         self.stmts_on_line: dict[int, int] = {}
         self.n_predicates = 0
         self.current_func = ""
+        self.depth = 0  # nesting level of the construct being parsed
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -285,6 +281,16 @@ class _Parser:
             return True
         return False
 
+    def nested(self, parse_fn):
+        """parse_fn() one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek() or self.tokens[-1]
+            raise MiniSyntaxError("nesting too deep", tok.line, tok.col)
+        node = parse_fn()
+        self.depth -= 1
+        return node
+
     def element_for(self, line) -> ProgramElement:
         idx = self.stmts_on_line.get(line, 0)
         self.stmts_on_line[line] = idx + 1
@@ -297,7 +303,6 @@ class _Parser:
         while self.peek() is not None:
             fn = self.function()
             if fn.name in functions:
-                tok = self.tokens[self.pos - 1]
                 raise MiniSyntaxError(f"duplicate function {fn.name!r}", fn.line, 1)
             functions[fn.name] = fn
         if not functions:
@@ -338,6 +343,9 @@ class _Parser:
         return [self.statement()]
 
     def statement(self) -> Stmt:
+        return self.nested(self._statement)
+
+    def _statement(self) -> Stmt:
         tok = self.peek()
         if tok is None:
             raise MiniSyntaxError("unexpected end of input", 1, 1)
@@ -387,24 +395,20 @@ class _Parser:
             if nxt is not None and nxt.text == "[":
                 # lookahead for "name[expr] = ..." vs an index read in an expression
                 save = self.pos
-                self.pos += 1
-                try:
-                    self.expect("[")
-                    index = self.expression()
-                    self.expect("]")
-                    if self.accept("="):
-                        value = self.expression()
-                        self.expect(";")
-                        return Assign(tok.text, index, value, elem=elem)
-                finally:
-                    pass
+                self.pos += 2
+                index = self.expression()
+                self.expect("]")
+                if self.accept("="):
+                    value = self.expression()
+                    self.expect(";")
+                    return Assign(tok.text, index, value, elem=elem)
                 self.pos = save
         expr = self.expression()
         self.expect(";")
         return ExprStmt(expr, elem=elem)
 
     def expression(self) -> Expr:
-        return self.or_expr()
+        return self.nested(self.or_expr)
 
     def or_expr(self) -> Expr:
         left = self.and_expr()
@@ -450,7 +454,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.text in ("-", "!"):
             self.next()
-            return Unary(tok.text, self.unary_expr(), line=tok.line)
+            return Unary(tok.text, self.nested(self.unary_expr), line=tok.line)
         return self.postfix_expr()
 
     def postfix_expr(self) -> Expr:
@@ -506,41 +510,66 @@ def parse(source: str, file_id: str = "main") -> Program:
     except RecursionError:
         tok = parser.tokens[parser.pos - 1]
         raise MiniSyntaxError("nesting too deep", tok.line, tok.col) from None
-    program = Program(functions, file_id, source)
-    # reject calls to undefined functions up front
-    for stmt in program.statements():
-        for node in iter_exprs(stmt):
+    _check_tree(functions)
+    return Program(functions, file_id, source)
+
+
+def _check_tree(functions: dict):
+    """Reject calls to undefined functions, and trees nested past MAX_NESTING
+    (including operator and index chains, which the parser builds in loops)."""
+    stack = [(stmt, 1) for fn in functions.values() for stmt in fn.body][::-1]
+    while stack:  # lexical pre-order, so the first bad call is reported
+        node, depth = stack.pop()
+        if isinstance(node, Stmt):
+            line = node.elem.line
+            children = _expr_roots(node)
+            if isinstance(node, If):
+                children = children + node.then_body + node.else_body
+            elif isinstance(node, While):
+                children = children + node.body
+        else:
+            line = node.line
+            children = _subexprs(node)
             if isinstance(node, Call) and node.name not in functions:
-                raise MiniSyntaxError(f"call to undefined function {node.name!r}", node.line, 1)
-    return program
+                raise MiniSyntaxError(f"call to undefined function {node.name!r}", line, 1)
+        if depth > MAX_NESTING:
+            raise MiniSyntaxError("nesting too deep", line, 1)
+        stack.extend((child, depth + 1) for child in reversed(children))
+
+
+def _expr_roots(stmt: Stmt) -> list:
+    if isinstance(stmt, VarDecl) and stmt.init is not None:
+        return [stmt.init]
+    if isinstance(stmt, Assign):
+        return ([stmt.index] if stmt.index is not None else []) + [stmt.value]
+    if isinstance(stmt, (If, While, Assert)):
+        return [stmt.cond]
+    if isinstance(stmt, Return) and stmt.value is not None:
+        return [stmt.value]
+    if isinstance(stmt, ExprStmt):
+        return [stmt.expr]
+    return []
+
+
+def _subexprs(node: Expr) -> list:
+    """Direct subexpressions, lexical order."""
+    if isinstance(node, Unary):
+        return [node.operand]
+    if isinstance(node, Binary):
+        return [node.left, node.right]
+    if isinstance(node, Index):
+        return [node.base, node.index]
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, ArrayLit):
+        return node.items
+    return []
 
 
 def iter_exprs(stmt: Stmt):
     """All expression nodes of a statement, lexical order."""
-    roots = []
-    if isinstance(stmt, VarDecl) and stmt.init is not None:
-        roots = [stmt.init]
-    elif isinstance(stmt, Assign):
-        roots = ([stmt.index] if stmt.index is not None else []) + [stmt.value]
-    elif isinstance(stmt, (If, While)):
-        roots = [stmt.cond]
-    elif isinstance(stmt, Return) and stmt.value is not None:
-        roots = [stmt.value]
-    elif isinstance(stmt, Assert):
-        roots = [stmt.cond]
-    elif isinstance(stmt, ExprStmt):
-        roots = [stmt.expr]
-    stack = list(reversed(roots))
+    stack = list(reversed(_expr_roots(stmt)))
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Binary):
-            stack.extend([node.right, node.left])
-        elif isinstance(node, Call):
-            stack.extend(reversed(node.args))
-        elif isinstance(node, Index):
-            stack.extend([node.index, node.base])
-        elif isinstance(node, ArrayLit):
-            stack.extend(reversed(node.items))
+        stack.extend(reversed(_subexprs(node)))

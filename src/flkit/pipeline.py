@@ -26,16 +26,13 @@ from .metrics import (
     r_squared,
 )
 from .minilang import gen_mutants, run
-from .model import ScoredList, full_universe_ranking, lift_to_method_granularity
+from .minilang.interp import REEXEC_STEP_BUDGET
+from .model import ModelError, ScoredList, full_universe_ranking, lift_to_method_granularity
 from .predswitch import critical_predicates_for_tests
 from .slicing import Strategy, backward_slice, combine_slices
 from .stacktrace import score_stack_traces
 
 AT_N = (1, 3, 5, 10)
-
-# Step budget for mutant and predicate-flip re-executions; both can loop
-# forever, and desk-scale corpus programs stay far below this.
-REEXEC_STEP_BUDGET = 5_000
 
 
 class PipelineError(Exception):
@@ -91,10 +88,8 @@ def _score_sbfl(bundle: FaultBundle, traces: dict) -> dict:
 
 
 def _score_predswitch(bundle: FaultBundle, traces: dict) -> dict:
-    failing_tests = [t for t in bundle.tests if traces[t.test_id].failed]
-    scored, _ = critical_predicates_for_tests(
-        bundle.program, failing_tests, step_budget=REEXEC_STEP_BUDGET
-    )
+    failing_runs = [(t, traces[t.test_id]) for t in bundle.tests if traces[t.test_id].failed]
+    scored, _ = critical_predicates_for_tests(bundle.program, failing_runs)
     return {"predswitch": scored}
 
 
@@ -336,8 +331,13 @@ def evaluate_score_records(
         if bundle is None:
             raise PipelineError(f"score record references unknown fault {record.fault_id!r}")
         analysis = FaultAnalysis(bundle, {record.technique_id: record.scores})
-        universe, faulty, scores = _granular(analysis, granularity)
-        ranking = full_universe_ranking(scores[record.technique_id], universe)
+        try:
+            universe, faulty, scores = _granular(analysis, granularity)
+            ranking = full_universe_ranking(scores[record.technique_id], universe)
+        except ModelError as exc:
+            raise PipelineError(
+                f"fault {record.fault_id}: technique {record.technique_id}: {exc}"
+            ) from None
         try:
             value = expected_first_faulty_rank(ranking, faulty)
         except NotLocalizedError:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .minilang.interp import PASS, STEP_BUDGET, TestCase, run
+from .minilang.interp import PASS, REEXEC_STEP_BUDGET, ExecutionTrace, TestCase, run
 from .minilang.parse import Program
 from .model import ScoredList
 
@@ -20,39 +20,32 @@ class SwitchResult:
 
 
 def find_critical_predicates(
-    program: Program,
-    test: TestCase,
-    instance_budget: int = INSTANCE_BUDGET,
-    step_budget: int = STEP_BUDGET,
+    program: Program, test: TestCase, baseline: ExecutionTrace
 ) -> SwitchResult:
     """Flip each dynamic predicate instance of the failing run, one per re-execution.
 
-    A flip that crashes or exhausts the step budget simply does not qualify.
+    ``baseline`` is the test's original run. A flip that crashes or exhausts
+    the step budget simply does not qualify.
     """
-    baseline = run(program, test, step_budget=step_budget)
     if not baseline.failed:
         raise ValueError(f"test {test.test_id} passes; nothing to switch")
     pred_elem = dict(program.predicates())
     critical = set()
-    instances = baseline.predicate_instances[:instance_budget]
+    instances = baseline.predicate_instances[:INSTANCE_BUDGET]
     for pred_id, occurrence, _branch in instances:
-        flipped = run(program, test, flip=(pred_id, occurrence), step_budget=step_budget)
+        flipped = run(program, test, flip=(pred_id, occurrence), step_budget=REEXEC_STEP_BUDGET)
         if flipped.flip_applied and flipped.outcome.status == PASS:
             critical.add(pred_elem[pred_id])
     return SwitchResult(frozenset(critical), len(instances))
 
 
-def critical_predicates_for_tests(
-    program: Program,
-    failing_tests,
-    instance_budget: int = INSTANCE_BUDGET,
-    step_budget: int = STEP_BUDGET,
-) -> tuple[ScoredList, int]:
-    """Union of critical predicates over failing tests, as a set-valued scored list."""
+def critical_predicates_for_tests(program: Program, failing_runs) -> tuple[ScoredList, int]:
+    """Union of critical predicates over (test, original failing trace) pairs,
+    as a set-valued scored list, plus the number of re-executions."""
     critical = set()
     reexecutions = 0
-    for test in failing_tests:
-        result = find_critical_predicates(program, test, instance_budget, step_budget)
+    for test, baseline in failing_runs:
+        result = find_critical_predicates(program, test, baseline)
         critical |= result.critical
         reexecutions += result.reexecutions
     return ScoredList("predswitch", [(e, 1.0) for e in critical]), reexecutions

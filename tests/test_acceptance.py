@@ -119,8 +119,8 @@ def test_03_collatz_slice():
     with criterion(3, "backward slice on the collatz example"):
         prog = parse(COLLATZ)
         trace = run(prog, MLTest("t", "collatz", (3,), "pass"))
-        ret_event = next(e for e in trace.events if e.element.line == 6)
-        slice_lines = {e.line for e in backward_slice(trace, ret_event.index).members}
+        ret_event = next(i for i, e in enumerate(trace.events) if e.element.line == 6)
+        slice_lines = {e.line for e in backward_slice(trace, ret_event).members}
         assert 5 in slice_lines
         assert 3 not in slice_lines
 
@@ -139,10 +139,10 @@ def test_04_predicate_switching():
             "}\n"
         )
         test = MLTest("t", "absval", (-5,), 5)
-        result = find_critical_predicates(prog, test)
+        baseline = run(prog, test)
+        result = find_critical_predicates(prog, test, baseline)
         (pred_elem,) = [elem for _, elem in prog.predicates()]
         assert result.critical == frozenset({pred_elem})
-        baseline = run(prog, test)
         assert result.reexecutions == len(baseline.predicate_instances)
 
 

@@ -73,6 +73,20 @@ class TestCorpusLoading:
         bundle = load_fault(d)
         assert {e.line for e in bundle.faulty} == {3}
 
+    def test_entry_arity_checked(self, tmp_path):
+        write_fault(tmp_path / "f1", args=(1, 2))
+        with pytest.raises(CorpusError, match="f1: test t: no function 'f' of 2 args"):
+            load_fault(tmp_path / "f1")
+
+
+def write_fault(fault_dir, program="func f(x) { return x; }", entry="f", args=(1,)):
+    fault_dir.mkdir()
+    (fault_dir / "program.ml").write_text(program)
+    (fault_dir / "tests.json").write_text(
+        json.dumps({"tests": [{"id": "t", "entry": entry, "args": list(args), "expect": 2}]})
+    )
+    (fault_dir / "truth.json").write_text(json.dumps({"faulty": ["program.ml:1:0"]}))
+
 
 class TestScoreRecords:
     def rec(self, fault="f1", tech="ochiai"):
@@ -321,3 +335,31 @@ class TestCli:
         rc = cli_main(["evaluate", "--corpus", "/nonexistent"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @staticmethod
+    def assert_one_error_line(capsys, *words):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+
+    def test_report_element_outside_program(self, tmp_path, capsys, bundles):
+        b = bundles[0]
+        scores = tmp_path / "scores.jsonl"
+        outside = ProgramElement("program.ml", 999)
+        write_scores([ScoreRecord(b.fault_id, "ext", ScoredList("ext", [(outside, 1.0)]))], scores)
+        rc = cli_main(["report", "--corpus", str(CORPUS), "--scores", str(scores)])
+        assert rc == 1
+        self.assert_one_error_line(capsys, b.fault_id, "outside universe")
+
+    def test_unparsable_program(self, tmp_path, capsys):
+        write_fault(tmp_path / "f1", program="func f(x) { return x }")
+        rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "f1", "program.ml:1:")
+
+    def test_undefined_test_entry(self, tmp_path, capsys):
+        write_fault(tmp_path / "f1", entry="g")
+        rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "f1", "no function 'g'")

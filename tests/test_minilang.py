@@ -3,12 +3,13 @@ import pytest
 from flkit.minilang.interp import (
     ASSERT_FAIL,
     CRASH,
+    MAX_CALL_DEPTH,
     PASS,
     TestCase as MLTest,
     run,
 )
 from flkit.minilang.mutate import gen_mutants
-from flkit.minilang.parse import MiniSyntaxError, parse
+from flkit.minilang.parse import MAX_NESTING, MiniSyntaxError, parse
 from flkit.model import ProgramElement
 
 COLLATZ = """\
@@ -21,9 +22,39 @@ func collatz(x) { var res = 0;
 }
 """
 
+RECURSIVE = "func f(n) { if (n == 0) { return 0; } return 1 + f(n - 1); }"
+
 
 def lines(elements):
     return sorted(e.line for e in elements)
+
+
+def at_python_depth(frames, fn):
+    """Call fn() from `frames` extra Python stack frames."""
+    if frames == 0:
+        return fn()
+    return at_python_depth(frames - 1, fn)
+
+
+def _nested_array(levels):
+    value = 7
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+# Each shape nested k levels deep reaches nesting level k + 2: the return
+# statement is level 1 and the innermost operand is level k + 2.
+NESTED_SHAPES = {
+    "unary": (lambda k: "func f(x) { return " + "- " * k + "x; }", lambda k: (3,)),
+    "index": (lambda k: "func f(a) { return a" + "[0]" * k + "; }", lambda k: (_nested_array(k),)),
+    "if": (
+        lambda k: "func f(x) { " + "if (x > 0) { " * k + "return 1; " + "} " * k + "return 0; }",
+        lambda k: (1,),
+    ),
+    "binary": (lambda k: "func f(x) { return x" + " + x" * k + "; }", lambda k: (1,)),
+    "parens": (lambda k: "func f(x) { return " + "(" * k + "x" + ")" * k + "; }", lambda k: (3,)),
+}
 
 
 class TestParsing:
@@ -66,6 +97,19 @@ class TestParsing:
     def test_deep_nesting_is_syntax_error(self):
         with pytest.raises(MiniSyntaxError, match="nesting too deep"):
             parse("func f() { return " + "(" * 400 + "1" + ")" * 400 + "; }")
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    def test_nesting_bound(self, shape):
+        source, args = NESTED_SHAPES[shape]
+        k = MAX_NESTING - 2
+        # from a deeper caller stack too: the bound leaves Python room to spare
+        prog = at_python_depth(200, lambda: parse(source(k)))
+        mutants = at_python_depth(200, lambda: gen_mutants(prog))
+        test = MLTest("t", "f", args(k), "pass")
+        for program in [prog] + [m.program for m in mutants]:
+            assert run(program, test).outcome.status in (PASS, ASSERT_FAIL, CRASH)
+        with pytest.raises(MiniSyntaxError, match="nesting too deep"):
+            parse(source(k + 1))
 
 
 class TestInterpreter:
@@ -116,12 +160,21 @@ class TestInterpreter:
         assert tr.outcome.crash_kind == kind
 
     def test_deep_recursion_is_stack_overflow_crash(self):
-        # Deep enough to exhaust Python's own stack before the 200-frame guard.
-        prog = parse("func f(n) { if (n == 0) { return 0; } return 1 + f(n - 1); }")
+        # Deeper than MAX_CALL_DEPTH: the call-depth guard trips.
+        prog = parse(RECURSIVE)
         tr = run(prog, MLTest("t", "f", (199,), 199))
         assert tr.outcome.status == CRASH
         assert tr.outcome.crash_kind == "stack-overflow"
         assert tr.outcome.stack[0].method_id == "f"
+
+    def test_call_depth_guard_independent_of_caller_stack(self):
+        prog = parse(RECURSIVE)
+        test = MLTest("t", "f", (150,), 150)
+        top = run(prog, test).outcome
+        deep = at_python_depth(200, lambda: run(prog, test)).outcome
+        assert top == deep
+        assert (top.status, top.crash_kind) == (CRASH, "stack-overflow")
+        assert len(top.stack) == MAX_CALL_DEPTH
 
     def test_overflow_trap(self):
         prog = parse(
@@ -175,22 +228,22 @@ class TestDependences:
     def test_data_dependence_chain(self):
         prog = parse("func f() {\n var a = 1;\n var b = a + 1;\n return b;\n}")
         tr = run(prog, MLTest("t", "f", (), 2))
-        ev = {e.element.line: e for e in tr.events}
-        assert ev[3].deps == {ev[2].index}
-        assert ev[4].deps == {ev[3].index}
+        pos = {e.element.line: i for i, e in enumerate(tr.events)}
+        assert tr.events[pos[3]].deps == {pos[2]}
+        assert tr.events[pos[4]].deps == {pos[3]}
 
     def test_control_parent(self):
         prog = parse("func f(x) {\n if (x > 0) {\n  x = 1;\n }\n return x;\n}")
         tr = run(prog, MLTest("t", "f", (5,), 1))
-        ev = {e.element.line: e for e in tr.events}
-        assert ev[3].control == ev[2].index
-        assert ev[5].control is None
+        pos = {e.element.line: i for i, e in enumerate(tr.events)}
+        assert tr.events[pos[3]].control == pos[2]
+        assert tr.events[pos[5]].control is None
 
     def test_call_return_dependence(self):
         prog = parse("func g() {\n return 7;\n}\nfunc f() {\n var x = g();\n return x;\n}")
         tr = run(prog, MLTest("t", "f", (), 7))
-        ev = {e.element.line: e for e in tr.events}
-        assert ev[2].index in ev[5].deps  # var x depends on g's return event
+        pos = {e.element.line: i for i, e in enumerate(tr.events)}
+        assert pos[2] in tr.events[pos[5]].deps  # var x depends on g's return event
 
 
 class TestPredicateFlips:

@@ -1,5 +1,6 @@
 import pytest
 
+from flkit import predswitch
 from flkit.minilang.interp import TestCase as MLTest, run
 from flkit.minilang.parse import parse
 from flkit.predswitch import (
@@ -19,17 +20,26 @@ func absval(x) {
 """
 
 
+def switch(prog, test):
+    """find_critical_predicates on the test's original run."""
+    return find_critical_predicates(prog, test, run(prog, test))
+
+
+def failing_runs(prog, tests):
+    return [(t, run(prog, t)) for t in tests]
+
+
 class TestFindCritical:
     def test_inverted_branch_is_critical(self):
         prog = parse(INVERTED)
-        result = find_critical_predicates(prog, MLTest("t", "absval", (-5,), 5))
+        result = switch(prog, MLTest("t", "absval", (-5,), 5))
         assert {e.line for e in result.critical} == {2}
         assert result.reexecutions == 1
 
     def test_no_critical_predicate(self):
         # wrong constant, not a wrong branch: no flip can fix it
         prog = parse("func f(x) { if (x > 0) { return 7; } return 0; }")
-        result = find_critical_predicates(prog, MLTest("t", "f", (3,), 3))
+        result = switch(prog, MLTest("t", "f", (3,), 3))
         assert result.critical == frozenset()
 
     def test_loop_bound_flip(self):
@@ -38,7 +48,7 @@ class TestFindCritical:
             "func f(n) { var s = 0; var i = 0;"
             " while (i <= n) { s = s + 1; i = i + 1; } return s; }"
         )
-        result = find_critical_predicates(prog, MLTest("t", "f", (3,), 3))
+        result = switch(prog, MLTest("t", "f", (3,), 3))
         assert len(result.critical) == 1
         assert result.reexecutions == 5  # one per dynamic evaluation
 
@@ -49,28 +59,27 @@ class TestFindCritical:
         )
         # n exceeds the array length and the baseline crashes; flipping the
         # loop test at the overrun iteration exits early and passes
-        result = find_critical_predicates(prog, MLTest("t", "f", ([1, 2], 5), "pass"))
+        result = switch(prog, MLTest("t", "f", ([1, 2], 5), "pass"))
         assert {e.stmt_index for e in result.critical} == {2}  # the while statement
 
     def test_crashing_flip_not_critical(self):
         # baseline fails the output check; the flipped branch crashes instead,
         # which does not qualify as critical
         prog = parse("func f(a, x) { if (x > 0) { return a[9]; } return 1; }")
-        result = find_critical_predicates(prog, MLTest("t", "f", ([1], 0), 2))
+        result = switch(prog, MLTest("t", "f", ([1], 0), 2))
         assert result.critical == frozenset()
 
     def test_passing_test_rejected(self):
         prog = parse(INVERTED)
         with pytest.raises(ValueError):
-            find_critical_predicates(prog, MLTest("t", "absval", (0,), 0))
+            switch(prog, MLTest("t", "absval", (0,), 0))
 
-    def test_instance_budget_limits_reexecutions(self):
+    def test_instance_budget_limits_reexecutions(self, monkeypatch):
+        monkeypatch.setattr(predswitch, "INSTANCE_BUDGET", 10)
         prog = parse(
             "func f(n) { var i = 0; while (i < n) { i = i + 1; } return 0; }"
         )
-        result = find_critical_predicates(
-            prog, MLTest("t", "f", (50,), 99), instance_budget=10
-        )
+        result = switch(prog, MLTest("t", "f", (50,), 99))
         assert result.reexecutions == 10
 
 
@@ -81,7 +90,7 @@ class TestMultiTest:
             MLTest("t1", "absval", (-5,), 5),
             MLTest("t2", "absval", (-9,), 9),
         ]
-        scored, reexec = critical_predicates_for_tests(prog, tests)
+        scored, reexec = critical_predicates_for_tests(prog, failing_runs(prog, tests))
         assert {e.line for e in scored.elements} == {2}
         assert set(scored.as_dict().values()) == {1.0}
         assert reexec == 2
@@ -89,7 +98,7 @@ class TestMultiTest:
     def test_deterministic(self):
         prog = parse(INVERTED)
         tests = [MLTest("t1", "absval", (-5,), 5)]
-        a = critical_predicates_for_tests(prog, tests)
-        b = critical_predicates_for_tests(prog, tests)
+        a = critical_predicates_for_tests(prog, failing_runs(prog, tests))
+        b = critical_predicates_for_tests(prog, failing_runs(prog, tests))
         assert a[0].as_dict() == b[0].as_dict()
         assert a[1] == b[1]

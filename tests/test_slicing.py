@@ -70,8 +70,8 @@ class TestBackwardSlice:
     def test_explicit_criterion(self):
         prog = parse("func f() {\n var a = 1;\n var b = a;\n return b;\n}")
         tr = run(prog, MLTest("t", "f", (), "pass"))
-        ev_b = next(e for e in tr.events if e.element.line == 3)
-        sl = backward_slice(tr, ev_b.index)
+        ev_b = next(i for i, e in enumerate(tr.events) if e.element.line == 3)
+        sl = backward_slice(tr, ev_b)
         assert slice_lines(sl) == [2, 3]
 
     def test_invalid_criterion_rejected(self):
