@@ -17,13 +17,13 @@ from flkit.pipeline import emit_report, evaluate_corpus
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-REPORT_FILE = GOLDEN / "report_level3.json"
+REPORT_FILES = {3: GOLDEN / "report_level3.json", 4: GOLDEN / "report_level4.json"}
 MUTANTS_FILE = GOLDEN / "mutants.tsv"
 
 
-def report_text(bundles) -> str:
-    """Level-3 kfold statement report as JSON, without the run-dependent timings."""
-    results = evaluate_corpus(bundles, level=3)
+def report_text(bundles, level: int) -> str:
+    """Kfold statement report as JSON, without the run-dependent timings."""
+    results = evaluate_corpus(bundles, level=level)
     del results["timings"]
     return emit_report(results, "json")
 
@@ -55,7 +55,11 @@ def mutants_text(bundles) -> str:
 
 
 def test_report_matches_golden():
-    assert report_text(load_corpus(CORPUS)) == REPORT_FILE.read_text()
+    assert report_text(load_corpus(CORPUS), 3) == REPORT_FILES[3].read_text()
+
+
+def test_level4_report_matches_golden():
+    assert report_text(load_corpus(CORPUS), 4) == REPORT_FILES[4].read_text()
 
 
 def test_mutants_match_golden():
@@ -68,5 +72,6 @@ def test_mutants_match_golden():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     bundles = load_corpus(CORPUS)
-    REPORT_FILE.write_text(report_text(bundles))
+    for level, path in REPORT_FILES.items():
+        path.write_text(report_text(bundles, level))
     MUTANTS_FILE.write_text(mutants_text(bundles))
