@@ -37,9 +37,20 @@ from .parse import (
 
 STEP_BUDGET = 10**6
 
-# Step budget for mutant and predicate-flip re-executions; both can loop
-# forever, and desk-scale corpus programs stay far below this.
-REEXEC_STEP_BUDGET = 5_000
+# Mutant and predicate-flip re-executions can loop forever, so each gets a
+# step budget sized by its test's original run, in the shape of PIT's
+# timeoutFactor × normal run + timeoutConstant. Rule: every re-execution that
+# ends on its own under STEP_BUDGET must still end on its own. On the corpus
+# the tightest is a 6-step test whose mutant runs 255 steps to an "overflow"
+# crash (195 past 10×); runaway arithmetic reaches INT_LIMIT within about 63
+# doublings, which the slack of 250 covers.
+REEXEC_STEP_FACTOR = 10
+REEXEC_STEP_SLACK = 250
+
+
+def reexec_step_budget(original: ExecutionTrace) -> int:
+    """Step budget for re-executing the test whose original run is ``original``."""
+    return min(STEP_BUDGET, REEXEC_STEP_FACTOR * len(original.events) + REEXEC_STEP_SLACK)
 
 # Mini-language call depth that crashes with "stack-overflow". A call costs
 # about six Python frames, so this trips well before Python's own recursion

@@ -26,7 +26,7 @@ from .metrics import (
     r_squared,
 )
 from .minilang import gen_mutants, run
-from .minilang.interp import REEXEC_STEP_BUDGET
+from .minilang.interp import reexec_step_budget
 from .model import ModelError, ScoredList, full_universe_ranking, lift_to_method_granularity
 from .predswitch import critical_predicates_for_tests
 from .slicing import Strategy, backward_slice, combine_slices
@@ -95,14 +95,21 @@ def _score_predswitch(bundle: FaultBundle, traces: dict) -> dict:
 
 def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
     original = {tid: (not tr.failed, tr.signature()) for tid, tr in traces.items()}
+    budget = {tid: reexec_step_budget(tr) for tid, tr in traces.items()}
     mutant_runs = {}
     mutant_stmt = {}
     for mutant in gen_mutants(bundle.program):
         mutant_stmt[mutant.mutant_id] = mutant.element
         per_test = {}
         for test in bundle.tests:
-            tr = run(mutant.program, test, step_budget=REEXEC_STEP_BUDGET)
-            per_test[test.test_id] = (not tr.failed, tr.signature())
+            tid = test.test_id
+            # A mutation stays inside its statement and the interpreter is
+            # deterministic, so a test that never reaches it behaves as before.
+            if mutant.element not in traces[tid].covered:
+                per_test[tid] = original[tid]
+                continue
+            tr = run(mutant.program, test, step_budget=budget[tid])
+            per_test[tid] = (not tr.failed, tr.signature())
         mutant_runs[mutant.mutant_id] = per_test
     matrix = mbfl.build_outcome_matrix(original, mutant_runs, mutant_stmt)
     return {

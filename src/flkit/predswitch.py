@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .minilang.interp import PASS, REEXEC_STEP_BUDGET, ExecutionTrace, TestCase, run
+from .minilang.interp import PASS, ExecutionTrace, TestCase, reexec_step_budget, run
 from .minilang.parse import Program
 from .model import ScoredList
 
@@ -24,16 +24,18 @@ def find_critical_predicates(
 ) -> SwitchResult:
     """Flip each dynamic predicate instance of the failing run, one per re-execution.
 
-    ``baseline`` is the test's original run. A flip that crashes or exhausts
-    the step budget simply does not qualify.
+    ``baseline`` is the test's original run; each re-execution gets the step
+    budget ``reexec_step_budget(baseline)`` derived from it. A flip that
+    crashes or exhausts that budget simply does not qualify.
     """
     if not baseline.failed:
         raise ValueError(f"test {test.test_id} passes; nothing to switch")
     pred_elem = dict(program.predicates())
     critical = set()
     instances = baseline.predicate_instances[:INSTANCE_BUDGET]
+    budget = reexec_step_budget(baseline)
     for pred_id, occurrence, _branch in instances:
-        flipped = run(program, test, flip=(pred_id, occurrence), step_budget=REEXEC_STEP_BUDGET)
+        flipped = run(program, test, flip=(pred_id, occurrence), step_budget=budget)
         if flipped.flip_applied and flipped.outcome.status == PASS:
             critical.add(pred_elem[pred_id])
     return SwitchResult(frozenset(critical), len(instances))

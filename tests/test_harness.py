@@ -4,16 +4,21 @@ from pathlib import Path
 
 import pytest
 
+from collections import Counter
+
 from flkit import combine as cmb
+from flkit import mbfl, pipeline
 from flkit.cli import main as cli_main
 from flkit.corpus import (
     CorpusError,
+    FaultBundle,
     ScoreRecord,
     ingest_scores,
     load_corpus,
     load_fault,
     write_scores,
 )
+from flkit.minilang import TestCase as MLTest, gen_mutants, parse, run
 from flkit.model import ProgramElement, ScoredList
 from flkit.pipeline import (
     SCORERS,
@@ -168,6 +173,86 @@ class TestAnalyzeFault:
             if expected_first_faulty_rank(ranking, set(b.faulty)) <= 3:
                 hits += 1
         assert hits >= 8
+
+
+# A passing test of 9,006 steps; line 5 is a covered no-op.
+COUNT = """\
+func count(n) {
+    var s = 0;
+    var i = 0;
+    while (i < n) {
+        s = s + 0;
+        i = i + 1;
+    }
+    return s;
+}
+"""
+
+
+def record(monkeypatch, module, name):
+    """Patch module.<name> to record each call as (args, result)."""
+    real, calls = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestMutantExecution:
+    @staticmethod
+    def gcd():
+        (bundle,) = [b for b in load_corpus(CORPUS) if b.fault_id == "f04_gcd"]
+        return bundle, {t.test_id: run(bundle.program, t) for t in bundle.tests}
+
+    def test_long_test_keeps_equivalent_mutant_alive(self, monkeypatch):
+        program = parse(COUNT)
+        tests = (MLTest("long", "count", (3000,), 0), MLTest("bad", "count", (1,), 5))
+        traces = {t.test_id: run(program, t) for t in tests}
+        assert len(traces["long"].events) > 5_000
+        (noop,) = [m for m in gen_mutants(program) if m.operator == "sdl" and m.element.line == 5]
+        monkeypatch.setattr(pipeline, "gen_mutants", lambda _program: [noop])
+        runs = record(monkeypatch, pipeline, "run")
+        matrices = record(monkeypatch, mbfl, "build_outcome_matrix")
+        pipeline._score_mbfl(FaultBundle("count", program, tests, frozenset()), traces)
+        (args, long_run), _ = runs
+        assert args[1] == tests[0]
+        assert long_run.outcome == run(noop.program, tests[0]).outcome
+        assert matrices[0][1].classes[(noop.mutant_id, "long")] == mbfl.SAME
+
+    def test_uncovered_pairs_are_not_run(self, monkeypatch):
+        bundle, traces = self.gcd()
+        generated = record(monkeypatch, pipeline, "gen_mutants")
+        runs = record(monkeypatch, pipeline, "run")
+        pipeline._score_mbfl(bundle, traces)
+        ((_, mutants),) = generated
+        covered = Counter(
+            (id(m.program), tid)
+            for m in mutants
+            for tid, tr in traces.items()
+            if m.element in tr.covered
+        )
+        assert Counter((id(args[0]), args[1].test_id) for args, _ in runs) == covered
+
+    def test_outcome_matrix_equals_flat_budget_matrix(self, monkeypatch):
+        bundle, traces = self.gcd()
+        matrices = record(monkeypatch, mbfl, "build_outcome_matrix")
+        pipeline._score_mbfl(bundle, traces)
+        mutants = gen_mutants(bundle.program)
+        flat = {
+            m.mutant_id: {
+                t.test_id: (not tr.failed, tr.signature())
+                for t in bundle.tests
+                for tr in [run(m.program, t, step_budget=5_000)]
+            }
+            for m in mutants
+        }
+        original = {tid: (not tr.failed, tr.signature()) for tid, tr in traces.items()}
+        stmts = {m.mutant_id: m.element for m in mutants}
+        ((_, matrix),) = matrices
+        assert matrix == mbfl.build_outcome_matrix(original, flat, stmts)
 
 
 class TestEvaluateCorpus:

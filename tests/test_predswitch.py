@@ -82,6 +82,25 @@ class TestFindCritical:
         result = switch(prog, MLTest("t", "f", (50,), 99))
         assert result.reexecutions == 10
 
+    def test_flip_budget_follows_long_original_run(self, monkeypatch):
+        # The wrong branch comes first and a 6,000-step loop follows it, so
+        # the repairing flip needs as many steps as the original run.
+        monkeypatch.setattr(predswitch, "INSTANCE_BUDGET", 1)
+        prog = parse(
+            "func f(n) {\n"
+            "    var r = 0;\n"
+            "    if (n > 0) { r = 1; }\n"
+            "    var i = 0;\n"
+            "    while (i < n) { i = i + 1; }\n"
+            "    return r;\n"
+            "}\n"
+        )
+        test = MLTest("t", "f", (3000,), 0)
+        baseline = run(prog, test)
+        assert len(baseline.events) > 5_000
+        result = find_critical_predicates(prog, test, baseline)
+        assert {e.line for e in result.critical} == {3}
+
 
 class TestMultiTest:
     def test_union_over_failing_tests(self):
