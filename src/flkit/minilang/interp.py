@@ -119,7 +119,7 @@ class ExecutionTrace:
             return (CRASH, self.outcome.crash_kind)
         if self.outcome.status == ASSERT_FAIL:
             elem = self.events[self.criterion_event].element if self.criterion_event is not None else None
-            return (ASSERT_FAIL, elem)
+            return (ASSERT_FAIL, elem, _freeze(self.value))
         return (PASS, _freeze(self.value))
 
 

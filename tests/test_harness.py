@@ -203,8 +203,9 @@ def record(monkeypatch, module, name):
 
 class TestMutantExecution:
     @staticmethod
-    def gcd():
-        (bundle,) = [b for b in load_corpus(CORPUS) if b.fault_id == "f04_gcd"]
+    def fault(bundles, fault_id):
+        """A corpus fault and its tests' original runs."""
+        (bundle,) = [b for b in bundles if b.fault_id == fault_id]
         return bundle, {t.test_id: run(bundle.program, t) for t in bundle.tests}
 
     def test_long_test_keeps_equivalent_mutant_alive(self, monkeypatch):
@@ -222,8 +223,18 @@ class TestMutantExecution:
         assert long_run.outcome == run(noop.program, tests[0]).outcome
         assert matrices[0][1].classes[(noop.mutant_id, "long")] == mbfl.SAME
 
-    def test_uncovered_pairs_are_not_run(self, monkeypatch):
-        bundle, traces = self.gcd()
+    def test_changed_wrong_output_is_a_kill(self, bundles, monkeypatch):
+        # f02_maxof3 m007 turns `c > m` into `c == m`: t1 still fails, but
+        # returns 1 where the original returned 2.
+        bundle, traces = self.fault(bundles, "f02_maxof3")
+        matrices = record(monkeypatch, mbfl, "build_outcome_matrix")
+        pipeline._score_mbfl(bundle, traces)
+        ((_, matrix),) = matrices
+        assert (traces["t1"].value, matrix.mutant_stmt["m007"].line) == (2, 6)
+        assert matrix.classes[("m007", "t1")] == mbfl.CHANGED
+
+    def test_uncovered_pairs_are_not_run(self, bundles, monkeypatch):
+        bundle, traces = self.fault(bundles, "f04_gcd")
         generated = record(monkeypatch, pipeline, "gen_mutants")
         runs = record(monkeypatch, pipeline, "run")
         pipeline._score_mbfl(bundle, traces)
@@ -236,8 +247,8 @@ class TestMutantExecution:
         )
         assert Counter((id(args[0]), args[1].test_id) for args, _ in runs) == covered
 
-    def test_outcome_matrix_equals_flat_budget_matrix(self, monkeypatch):
-        bundle, traces = self.gcd()
+    def test_outcome_matrix_equals_flat_budget_matrix(self, bundles, monkeypatch):
+        bundle, traces = self.fault(bundles, "f04_gcd")
         matrices = record(monkeypatch, mbfl, "build_outcome_matrix")
         pipeline._score_mbfl(bundle, traces)
         mutants = gen_mutants(bundle.program)
