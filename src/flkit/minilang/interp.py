@@ -37,13 +37,11 @@ from .parse import (
 
 STEP_BUDGET = 10**6
 
-# Mutant and predicate-flip re-executions can loop forever, so each gets a
-# step budget sized by its test's original run, in the shape of PIT's
-# timeoutFactor × normal run + timeoutConstant. Rule: every re-execution that
-# ends on its own under STEP_BUDGET must still end on its own. On the corpus
-# the tightest is a 6-step test whose mutant runs 255 steps to an "overflow"
-# crash (195 past 10×); runaway arithmetic reaches INT_LIMIT within about 63
-# doublings, which the slack of 250 covers.
+# Mutant and predicate-flip re-executions can loop forever. Each gets
+# REEXEC_STEP_FACTOR × its test's original steps + REEXEC_STEP_SLACK (the
+# shape of PIT's timeout), so long tests get room and short ones stop early.
+# Every corpus re-execution that ends on its own still does: the tightest, a
+# 6-step test's mutant, crashes on INT_LIMIT after 255 steps, 195 past 10×.
 REEXEC_STEP_FACTOR = 10
 REEXEC_STEP_SLACK = 250
 

@@ -12,13 +12,14 @@ Operator table (an explicit extension point, not a fixed standard set):
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from ..model import ProgramElement
 from .parse import (
     ARITH_OPS,
     Assign,
     Binary,
+    Expr,
     ExprStmt,
     If,
     LOGIC_OPS,
@@ -55,7 +56,7 @@ def _stmt_fingerprint(stmt: Stmt) -> str:
 def gen_mutants(program: Program) -> list[Mutant]:
     """Every applicable operator at every applicable site, lexical order, deduplicated."""
     # Sites are named by position in program.statements() and iter_exprs(),
-    # which a deep copy preserves.
+    # which copying a statement's expressions preserves.
     plans = []  # (kind, statement position, expression position or None, payload, description)
     for s_pos, stmt in enumerate(program.statements()):
         for e_pos, node in enumerate(iter_exprs(stmt)):
@@ -81,45 +82,46 @@ def gen_mutants(program: Program) -> list[Mutant]:
 
     mutants = []
     seen: set[tuple] = set()
+    statements = program.statements()
     for kind, s_pos, e_pos, payload, description in plans:
-        mutated = copy.deepcopy(program)
-        stmt = mutated.statements()[s_pos]
+        stmt = statements[s_pos]
+        mutated = None if kind == "sdl" else _copy_exprs(stmt)
         if kind in ("aor", "ror", "lor"):
-            list(iter_exprs(stmt))[e_pos].op = payload
+            list(iter_exprs(mutated))[e_pos].op = payload
         elif kind == "cpm":
-            list(iter_exprs(stmt))[e_pos].value = payload
-        elif kind == "sdl":
-            _delete_stmt(mutated, stmt)
+            list(iter_exprs(mutated))[e_pos].value = payload
         elif kind == "ncd":
-            stmt.cond = Unary("!", stmt.cond, line=stmt.cond.line)
-        else:
-            raise AssertionError(kind)
-        target = stmt.elem
-        key = (target, kind if kind == "sdl" else _stmt_fingerprint(stmt))
+            mutated.cond = Unary("!", mutated.cond, line=mutated.cond.line)
+        key = (stmt.elem, kind if kind == "sdl" else _stmt_fingerprint(mutated))
         if key in seen:
             continue
         seen.add(key)
-        mutants.append(
-            Mutant(f"m{len(mutants):03d}", target, kind, description, mutated)
-        )
+        variant = _replace_stmt(program, stmt, mutated)
+        mutants.append(Mutant(f"m{len(mutants):03d}", stmt.elem, kind, description, variant))
     return mutants
 
 
-def _delete_stmt(program: Program, stmt: Stmt):
-    def prune(body: list) -> bool:
-        for i, s in enumerate(body):
-            if s is stmt:
-                del body[i]
-                return True
-            if isinstance(s, If):
-                if prune(s.then_body) or prune(s.else_body):
-                    return True
-            elif isinstance(s, While):
-                if prune(s.body):
-                    return True
-        return False
+def _copy_exprs(stmt: Stmt) -> Stmt:
+    """A copy of ``stmt`` with its own expressions; nested statement lists are shared."""
+    values = ((f.name, getattr(stmt, f.name)) for f in fields(stmt))
+    return replace(stmt, **{k: copy.deepcopy(v) for k, v in values if isinstance(v, Expr)})
 
-    for fn in program.functions.values():
-        if prune(fn.body):
-            return
-    raise KeyError("statement not found for deletion")
+
+def _replace_stmt(program: Program, old: Stmt, new) -> Program:
+    """``program`` with ``new`` for ``old`` (None deletes it), copying only the path to ``old``."""
+
+    def rebuild(body: list):
+        for i, s in enumerate(body):
+            if s is old:
+                return body[:i] + ([] if new is None else [new]) + body[i + 1 :]
+            for name in ("then_body", "else_body", "body"):
+                inner = rebuild(getattr(s, name, ()))
+                if inner is not None:
+                    return body[:i] + [replace(s, **{name: inner})] + body[i + 1 :]
+        return None
+
+    for name, fn in program.functions.items():
+        body = rebuild(fn.body)
+        if body is not None:
+            return replace(program, functions={**program.functions, name: replace(fn, body=body)})
+    raise KeyError("statement not found")

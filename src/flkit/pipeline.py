@@ -95,7 +95,6 @@ def _score_predswitch(bundle: FaultBundle, traces: dict) -> dict:
 
 def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
     original = {tid: (not tr.failed, tr.signature()) for tid, tr in traces.items()}
-    budget = {tid: reexec_step_budget(tr) for tid, tr in traces.items()}
     mutant_runs = {}
     mutant_stmt = {}
     for mutant in gen_mutants(bundle.program):
@@ -108,7 +107,7 @@ def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
             if mutant.element not in traces[tid].covered:
                 per_test[tid] = original[tid]
                 continue
-            tr = run(mutant.program, test, step_budget=budget[tid])
+            tr = run(mutant.program, test, step_budget=reexec_step_budget(traces[tid]))
             per_test[tid] = (not tr.failed, tr.signature())
         mutant_runs[mutant.mutant_id] = per_test
     matrix = mbfl.build_outcome_matrix(original, mutant_runs, mutant_stmt)

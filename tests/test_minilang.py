@@ -301,6 +301,22 @@ class TestMutants:
         # original still behaves as written
         assert run(prog, MLTest("t", "f", (1,), 2)).outcome.status == PASS
 
+    def test_input_program_unchanged(self):
+        prog = parse(
+            "func g(x) { return x * 2; }\n"
+            "func f(a, n) { var s = 0; var i = 0;"
+            " while (i < n) { if (a[i] > 0) { s = s + g(a[i]); } else { s = s - 1; } i = i + 1; }"
+            " return s; }"
+        )
+        before = repr(prog)
+        muts = gen_mutants(prog)
+        assert {m.operator for m in muts} == {"aor", "ror", "cpm", "sdl", "ncd"}
+        assert repr(prog) == before
+        # statements off the mutated path are shared, not copied
+        for m in muts:
+            if m.element.method_id == "f":
+                assert m.program.functions["g"] is prog.functions["g"]
+
     def test_mutant_changes_behavior(self):
         prog = parse("func f(a, b) { return a + b; }")
         sub = next(
