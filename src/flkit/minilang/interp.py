@@ -50,6 +50,7 @@ def reexec_step_budget(original: ExecutionTrace) -> int:
     """Step budget for re-executing the test whose original run is ``original``."""
     return min(STEP_BUDGET, REEXEC_STEP_FACTOR * len(original.events) + REEXEC_STEP_SLACK)
 
+
 # Mini-language call depth that crashes with "stack-overflow". A call costs
 # about six Python frames, so this trips well before Python's own recursion
 # limit, and the outcome does not depend on how deep run() is called from.
