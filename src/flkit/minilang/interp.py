@@ -37,18 +37,19 @@ from .parse import (
 
 STEP_BUDGET = 10**6
 
-# Mutant and predicate-flip re-executions can loop forever. Each gets
-# REEXEC_STEP_FACTOR × its test's original steps + REEXEC_STEP_SLACK (the
-# shape of PIT's timeout), so long tests get room and short ones stop early.
-# Every corpus re-execution that ends on its own still does: the tightest, a
-# 6-step test's mutant, crashes on INT_LIMIT after 255 steps, 195 past 10×.
+# Re-executions (mutants, predicate flips) can loop forever, so each gets
+# REEXEC_STEP_FACTOR × steps + REEXEC_STEP_SLACK, PIT's timeout shape, where steps is the
+# longest original run among the fault's tests: a failing test may stop early, but a flip
+# or mutant that repairs it runs like a passing one. The tightest corpus run that ends on
+# its own, on a fault whose longest test runs 10 steps, overflows at step 255.
 REEXEC_STEP_FACTOR = 10
 REEXEC_STEP_SLACK = 250
 
 
-def reexec_step_budget(original: ExecutionTrace) -> int:
-    """Step budget for re-executing the test whose original run is ``original``."""
-    return min(STEP_BUDGET, REEXEC_STEP_FACTOR * len(original.events) + REEXEC_STEP_SLACK)
+def reexec_step_budget(originals) -> int:
+    """Step budget for re-executing any test of a fault with these original runs."""
+    longest = max(len(trace.events) for trace in originals)
+    return min(STEP_BUDGET, REEXEC_STEP_FACTOR * longest + REEXEC_STEP_SLACK)
 
 
 # Mini-language call depth that crashes with "stack-overflow". A call costs

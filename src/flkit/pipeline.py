@@ -89,26 +89,25 @@ def _score_sbfl(bundle: FaultBundle, traces: dict) -> dict:
 
 def _score_predswitch(bundle: FaultBundle, traces: dict) -> dict:
     failing_runs = [(t, traces[t.test_id]) for t in bundle.tests if traces[t.test_id].failed]
-    scored, _ = critical_predicates_for_tests(bundle.program, failing_runs)
-    return {"predswitch": scored}
+    budget = reexec_step_budget(traces.values())  # passing runs bound a repaired one
+    return {"predswitch": critical_predicates_for_tests(bundle.program, failing_runs, budget)[0]}
 
 
 def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
     original = {tid: (not tr.failed, tr.signature()) for tid, tr in traces.items()}
     mutant_runs = {}
     mutant_stmt = {}
+    budget = reexec_step_budget(traces.values())
     for mutant in gen_mutants(bundle.program):
         mutant_stmt[mutant.mutant_id] = mutant.element
         per_test = {}
         for test in bundle.tests:
-            tid = test.test_id
             # A mutation stays inside its statement and the interpreter is
             # deterministic, so a test that never reaches it behaves as before.
-            if mutant.element not in traces[tid].covered:
-                per_test[tid] = original[tid]
-                continue
-            tr = run(mutant.program, test, step_budget=reexec_step_budget(traces[tid]))
-            per_test[tid] = (not tr.failed, tr.signature())
+            tr = traces[test.test_id]
+            if mutant.element in tr.covered:
+                tr = run(mutant.program, test, step_budget=budget)
+            per_test[test.test_id] = (not tr.failed, tr.signature())
         mutant_runs[mutant.mutant_id] = per_test
     matrix = mbfl.build_outcome_matrix(original, mutant_runs, mutant_stmt)
     return {

@@ -20,20 +20,20 @@ class SwitchResult:
 
 
 def find_critical_predicates(
-    program: Program, test: TestCase, baseline: ExecutionTrace
+    program: Program, test: TestCase, baseline: ExecutionTrace, budget=None
 ) -> SwitchResult:
     """Flip each dynamic predicate instance of the failing run, one per re-execution.
 
-    ``baseline`` is the test's original run; each re-execution gets the step
-    budget ``reexec_step_budget(baseline)`` derived from it. A flip that
-    crashes or exhausts that budget simply does not qualify.
+    ``baseline`` is the test's original run. Each flip gets ``budget`` steps,
+    by default ``reexec_step_budget([baseline])``; a flip that crashes or
+    exhausts them does not qualify.
     """
     if not baseline.failed:
         raise ValueError(f"test {test.test_id} passes; nothing to switch")
     pred_elem = dict(program.predicates())
     critical = set()
     instances = baseline.predicate_instances[:INSTANCE_BUDGET]
-    budget = reexec_step_budget(baseline)
+    budget = budget or reexec_step_budget([baseline])
     for pred_id, occurrence, _branch in instances:
         flipped = run(program, test, flip=(pred_id, occurrence), step_budget=budget)
         if flipped.flip_applied and flipped.outcome.status == PASS:
@@ -41,13 +41,13 @@ def find_critical_predicates(
     return SwitchResult(frozenset(critical), len(instances))
 
 
-def critical_predicates_for_tests(program: Program, failing_runs) -> tuple[ScoredList, int]:
-    """Union of critical predicates over (test, original failing trace) pairs,
-    as a set-valued scored list, plus the number of re-executions."""
+def critical_predicates_for_tests(program: Program, failing_runs, budget=None) -> tuple[ScoredList, int]:
+    """Union of critical predicates over (test, original failing trace) pairs, each flip run
+    within ``budget`` steps, as a set-valued scored list, plus the number of re-executions."""
     critical = set()
     reexecutions = 0
     for test, baseline in failing_runs:
-        result = find_critical_predicates(program, test, baseline)
+        result = find_critical_predicates(program, test, baseline, budget)
         critical |= result.critical
         reexecutions += result.reexecutions
     return ScoredList("predswitch", [(e, 1.0) for e in critical]), reexecutions

@@ -188,6 +188,31 @@ func count(n) {
 }
 """
 
+# Fault: the early return on line 2 fails the 200-element test after 2 steps,
+# while the run that a flip or a mutant of it repairs takes 605 steps.
+EARLY_EXIT = """\
+func total(n) {
+    if (n > 100) {
+        return 0;
+    }
+    var s = 0;
+    var i = 0;
+    while (i < n) {
+        s = s + i;
+        i = i + 1;
+    }
+    return s;
+}
+"""
+
+
+def early_exit_fault():
+    program = parse(EARLY_EXIT)
+    tests = (MLTest("long", "total", (200,), 19900), MLTest("mid", "total", (100,), 4950))
+    traces = {t.test_id: run(program, t) for t in tests}
+    assert len(traces["long"].events) == 2 and not traces["mid"].failed
+    return FaultBundle("total", program, tests, frozenset()), traces
+
 
 def record(monkeypatch, module, name):
     """Patch module.<name> to record each call as (args, result)."""
@@ -232,6 +257,21 @@ class TestMutantExecution:
         ((_, matrix),) = matrices
         assert (traces["t1"].value, matrix.mutant_stmt["m007"].line) == (2, 6)
         assert matrix.classes[("m007", "t1")] == mbfl.CHANGED
+
+    def test_repairing_mutant_of_early_exit_passes(self, monkeypatch):
+        # The negated condition repairs the failing test, whose own 2-step run
+        # would size a budget of 270 steps; the passing test's 305 steps do not.
+        bundle, traces = early_exit_fault()
+        (ncd,) = [m for m in gen_mutants(bundle.program) if m.operator == "ncd" and m.element.line == 2]
+        monkeypatch.setattr(pipeline, "gen_mutants", lambda _program: [ncd])
+        matrices = record(monkeypatch, mbfl, "build_outcome_matrix")
+        pipeline._score_mbfl(bundle, traces)
+        assert matrices[0][1].classes[(ncd.mutant_id, "long")] == mbfl.F2P
+
+    def test_flip_of_early_exit_is_critical(self):
+        bundle, traces = early_exit_fault()
+        scored = pipeline._score_predswitch(bundle, traces)["predswitch"]
+        assert {e.line for e in scored.elements} == {2}
 
     def test_uncovered_pairs_are_not_run(self, bundles, monkeypatch):
         bundle, traces = self.fault(bundles, "f04_gcd")
