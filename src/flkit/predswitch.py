@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .minilang.interp import PASS, ExecutionTrace, TestCase, reexec_step_budget, run
+from .minilang.interp import PASS, ExecutionTrace, TestCase, run
 from .minilang.parse import Program
 from .model import ScoredList
 
@@ -20,20 +20,19 @@ class SwitchResult:
 
 
 def find_critical_predicates(
-    program: Program, test: TestCase, baseline: ExecutionTrace, budget=None
+    program: Program, test: TestCase, baseline: ExecutionTrace, budget: int
 ) -> SwitchResult:
     """Flip each dynamic predicate instance of the failing run, one per re-execution.
 
-    ``baseline`` is the test's original run. Each flip gets ``budget`` steps,
-    by default ``reexec_step_budget([baseline])``; a flip that crashes or
-    exhausts them does not qualify.
+    ``baseline`` is the test's original run. Each flip gets ``budget`` steps
+    (``reexec_step_budget`` of the fault's original runs); a flip that
+    crashes or exhausts them does not qualify.
     """
     if not baseline.failed:
         raise ValueError(f"test {test.test_id} passes; nothing to switch")
     pred_elem = dict(program.predicates())
     critical = set()
     instances = baseline.predicate_instances[:INSTANCE_BUDGET]
-    budget = budget or reexec_step_budget([baseline])
     for pred_id, occurrence, _branch in instances:
         flipped = run(program, test, flip=(pred_id, occurrence), step_budget=budget)
         if flipped.flip_applied and flipped.outcome.status == PASS:
@@ -41,7 +40,7 @@ def find_critical_predicates(
     return SwitchResult(frozenset(critical), len(instances))
 
 
-def critical_predicates_for_tests(program: Program, failing_runs, budget=None) -> tuple[ScoredList, int]:
+def critical_predicates_for_tests(program: Program, failing_runs, budget: int) -> tuple[ScoredList, int]:
     """Union of critical predicates over (test, original failing trace) pairs, each flip run
     within ``budget`` steps, as a set-valued scored list, plus the number of re-executions."""
     critical = set()

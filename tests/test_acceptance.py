@@ -26,7 +26,7 @@ from flkit.combine import (
 )
 from flkit.corpus import load_corpus
 from flkit.metrics import expected_first_faulty_rank, r_squared
-from flkit.minilang.interp import TestCase as MLTest, run
+from flkit.minilang.interp import TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
 from flkit.model import full_universe_ranking, rank_elements
 from flkit.pipeline import analyze_fault, emit_report, evaluate_corpus
@@ -140,7 +140,7 @@ def test_04_predicate_switching():
         )
         test = MLTest("t", "absval", (-5,), 5)
         baseline = run(prog, test)
-        result = find_critical_predicates(prog, test, baseline)
+        result = find_critical_predicates(prog, test, baseline, reexec_step_budget([baseline]))
         (pred_elem,) = [elem for _, elem in prog.predicates()]
         assert result.critical == frozenset({pred_elem})
         assert result.reexecutions == len(baseline.predicate_instances)

@@ -1,7 +1,7 @@
 import pytest
 
 from flkit import predswitch
-from flkit.minilang.interp import TestCase as MLTest, run
+from flkit.minilang.interp import TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
 from flkit.predswitch import (
     critical_predicates_for_tests,
@@ -21,12 +21,15 @@ func absval(x) {
 
 
 def switch(prog, test):
-    """find_critical_predicates on the test's original run."""
-    return find_critical_predicates(prog, test, run(prog, test))
+    """find_critical_predicates on the test's original run, with its budget."""
+    baseline = run(prog, test)
+    return find_critical_predicates(prog, test, baseline, reexec_step_budget([baseline]))
 
 
-def failing_runs(prog, tests):
-    return [(t, run(prog, t)) for t in tests]
+def switch_all(prog, tests):
+    """critical_predicates_for_tests on the tests' original runs, with their budget."""
+    runs = [(t, run(prog, t)) for t in tests]
+    return critical_predicates_for_tests(prog, runs, reexec_step_budget(tr for _, tr in runs))
 
 
 class TestFindCritical:
@@ -96,9 +99,8 @@ class TestFindCritical:
             "}\n"
         )
         test = MLTest("t", "f", (3000,), 0)
-        baseline = run(prog, test)
-        assert len(baseline.events) > 5_000
-        result = find_critical_predicates(prog, test, baseline)
+        assert len(run(prog, test).events) > 5_000
+        result = switch(prog, test)
         assert {e.line for e in result.critical} == {3}
 
 
@@ -109,7 +111,7 @@ class TestMultiTest:
             MLTest("t1", "absval", (-5,), 5),
             MLTest("t2", "absval", (-9,), 9),
         ]
-        scored, reexec = critical_predicates_for_tests(prog, failing_runs(prog, tests))
+        scored, reexec = switch_all(prog, tests)
         assert {e.line for e in scored.elements} == {2}
         assert set(scored.as_dict().values()) == {1.0}
         assert reexec == 2
@@ -117,7 +119,7 @@ class TestMultiTest:
     def test_deterministic(self):
         prog = parse(INVERTED)
         tests = [MLTest("t1", "absval", (-5,), 5)]
-        a = critical_predicates_for_tests(prog, failing_runs(prog, tests))
-        b = critical_predicates_for_tests(prog, failing_runs(prog, tests))
+        a = switch_all(prog, tests)
+        b = switch_all(prog, tests)
         assert a[0].as_dict() == b[0].as_dict()
         assert a[1] == b[1]
