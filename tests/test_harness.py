@@ -188,7 +188,7 @@ func count(n) {
 }
 """
 
-# Fault: the early return on line 2 fails the 200-element test after 2 steps,
+# Fault: the early return on line 2 fails total(200) after 2 steps,
 # while the run that a flip or a mutant of it repairs takes 605 steps.
 EARLY_EXIT = """\
 func total(n) {
