@@ -8,8 +8,13 @@ in CHANGES.md) with:
 
 import dataclasses
 import hashlib
+import json
+import tempfile
 from pathlib import Path
 
+import pytest
+
+from flkit.cli import main as cli_main
 from flkit.corpus import load_corpus
 from flkit.minilang import gen_mutants
 from flkit.pipeline import emit_report, evaluate_corpus
@@ -17,15 +22,41 @@ from flkit.pipeline import emit_report, evaluate_corpus
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-REPORT_FILES = {3: GOLDEN / "report_level3.json", 4: GOLDEN / "report_level4.json"}
+# Report file -> evaluate_corpus options (statement granularity throughout).
+REPORT_FILES = {
+    GOLDEN / "report_level3.json": {"level": 3},
+    GOLDEN / "report_level4.json": {"level": 4},
+    GOLDEN / "report_level2_cross_project_seed1.json": {
+        "level": 2, "cv": "cross-project", "seed": 1,
+    },
+}
 MUTANTS_FILE = GOLDEN / "mutants.tsv"
+WEIGHTS_FILE = GOLDEN / "weights.json"
+# Weights key -> `flkit combine --seed 0` arguments.
+WEIGHT_RUNS = {
+    "level4-statement": ["--preset", "level4"],
+    "level2-method": ["--preset", "level2", "--granularity", "method"],
+}
 
 
-def report_text(bundles, level: int) -> str:
-    """Kfold statement report as JSON, without the run-dependent timings."""
-    results = evaluate_corpus(bundles, level=level)
+def report_text(bundles, **options) -> str:
+    """Statement report as JSON, without the run-dependent timings."""
+    results = evaluate_corpus(bundles, **options)
     del results["timings"]
     return emit_report(results, "json")
+
+
+def combine_weights(key: str) -> dict:
+    """Techniques and `float.hex` weights of the model `flkit combine` saves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        argv = ["combine", "--corpus", str(CORPUS), "--seed", "0", "--save", str(path)]
+        assert cli_main(argv + WEIGHT_RUNS[key]) == 0
+        model = json.loads(path.read_text())
+    return {
+        "techniques": model["techniques"],
+        "weights": [float(w).hex() for w in model["weights"]],
+    }
 
 
 def _render(node) -> str:
@@ -54,12 +85,26 @@ def mutants_text(bundles) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _golden_report(name: str) -> bool:
+    path = GOLDEN / name
+    return report_text(load_corpus(CORPUS), **REPORT_FILES[path]) == path.read_text()
+
+
 def test_report_matches_golden():
-    assert report_text(load_corpus(CORPUS), 3) == REPORT_FILES[3].read_text()
+    assert _golden_report("report_level3.json")
 
 
 def test_level4_report_matches_golden():
-    assert report_text(load_corpus(CORPUS), 4) == REPORT_FILES[4].read_text()
+    assert _golden_report("report_level4.json")
+
+
+def test_cross_project_report_matches_golden():
+    assert _golden_report("report_level2_cross_project_seed1.json")
+
+
+@pytest.mark.parametrize("key", sorted(WEIGHT_RUNS))
+def test_combine_weights_match_golden(key):
+    assert combine_weights(key) == json.loads(WEIGHTS_FILE.read_text())[key]
 
 
 def test_mutants_match_golden():
@@ -72,6 +117,8 @@ def test_mutants_match_golden():
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     bundles = load_corpus(CORPUS)
-    for level, path in REPORT_FILES.items():
-        path.write_text(report_text(bundles, level))
+    for path, options in REPORT_FILES.items():
+        path.write_text(report_text(bundles, **options))
     MUTANTS_FILE.write_text(mutants_text(bundles))
+    weights = {key: combine_weights(key) for key in sorted(WEIGHT_RUNS)}
+    WEIGHTS_FILE.write_text(json.dumps(weights, indent=2) + "\n")
