@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .metrics import expected_first_faulty_rank
 from .model import ScoredList, rank_elements
 
@@ -20,6 +18,15 @@ PAIR_CAP = 50  # correct elements sampled per faulty element
 L2_LAMBDA = 0.01
 EPOCHS = 100
 MARGIN = 1.0
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """Left-to-right dot product for every score and margin, so equal rows score
+    equally on every Python version (sum() compensates rounding from 3.12)."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 @dataclass(frozen=True)
@@ -97,18 +104,16 @@ class FaultFeatures:
     fault_id: str
     techniques: tuple
     elements: tuple
-    matrix: np.ndarray  # shape (len(elements), len(techniques)), all in [0, 1]
+    matrix: tuple  # one tuple of floats in [0, 1] per element, in element order
     faulty: frozenset
     project: str = ""
 
     def __post_init__(self):
-        if self.matrix.shape != (len(self.elements), len(self.techniques)):
+        width = len(self.techniques)
+        if len(self.matrix) != len(self.elements) or any(len(r) != width for r in self.matrix):
             raise CombineError("feature matrix shape mismatch")
-        if np.any(self.matrix < 0) or np.any(self.matrix > 1):
+        if not all(0.0 <= v <= 1.0 for row in self.matrix for v in row):
             raise CombineError("feature values must lie in [0, 1]")
-
-    def vector(self, elem) -> np.ndarray:
-        return self.matrix[self.elements.index(elem)]
 
 
 def build_features(
@@ -124,7 +129,7 @@ def build_features(
     if missing:
         raise CombineError(f"fault {fault_id}: missing technique scores for {missing}")
     columns = [normalize(technique_scores[t], universe) for t in techniques]
-    matrix = np.array([[col[e] for col in columns] for e in universe], dtype=float)
+    matrix = tuple(tuple(col[e] for col in columns) for e in universe)
     return FaultFeatures(
         fault_id, tuple(techniques), universe, matrix, frozenset(faulty), project
     )
@@ -133,7 +138,7 @@ def build_features(
 def build_pairwise_constraints(
     faults: Iterable[FaultFeatures], seed: int = 0, cap: int = PAIR_CAP
 ) -> list:
-    """(faulty vector, correct vector) pairs, never crossing faults.
+    """(faulty row, correct row) pairs, never crossing faults.
 
     Each faulty element is contrasted against at most `cap` correct elements of
     the same fault, sampled with the run seed to bound pair explosion.
@@ -141,51 +146,46 @@ def build_pairwise_constraints(
     rng = random.Random(seed)
     pairs = []
     for fault in faults:
-        correct = [e for e in fault.elements if e not in fault.faulty]
-        for fe in fault.elements:
-            if fe not in fault.faulty:
-                continue
-            if not correct:
-                continue
+        faulty, correct = [], []
+        for elem, row in zip(fault.elements, fault.matrix):
+            (faulty if elem in fault.faulty else correct).append(row)
+        for row in faulty:
             chosen = correct if len(correct) <= cap else rng.sample(correct, cap)
-            fv = fault.vector(fe)
-            for ce in chosen:
-                pairs.append((fv, fault.vector(ce)))
+            pairs.extend((row, other) for other in chosen)
     return pairs
 
 
 @dataclass(frozen=True)
 class RankModel:
     techniques: tuple
-    weights: np.ndarray
+    weights: tuple  # one float per technique
     seed: int
-    epochs: int = EPOCHS
     margin: float = MARGIN
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.weights)):
+        if len(self.weights) != len(self.techniques):
+            raise CombineError(f"model has {len(self.weights)} weights for {len(self.techniques)} techniques")
+        if not all(math.isfinite(w) for w in self.weights):
             raise CombineError("model weights must be finite")
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "techniques": list(self.techniques),
-                "weights": [float(w) for w in self.weights],
-                "seed": self.seed,
-                "epochs": self.epochs,
-            },
+            {"techniques": list(self.techniques), "weights": list(self.weights), "seed": self.seed},
             indent=2,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "RankModel":
-        data = json.loads(text)
-        return cls(
-            tuple(data["techniques"]),
-            np.asarray(data["weights"], dtype=float),
-            data["seed"],
-            data.get("epochs", EPOCHS),
-        )
+        """Parse a saved model; any malformed text raises CombineError."""
+        try:
+            data = json.loads(text)
+            return cls(
+                tuple(data["techniques"]), tuple(float(w) for w in data["weights"]), data["seed"]
+            )
+        except json.JSONDecodeError as exc:
+            raise CombineError(f"model file is not JSON: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CombineError(f"malformed model file: {type(exc).__name__} {exc}") from None
 
 
 def train(pairs: Sequence, techniques: Sequence[str], seed: int = 0) -> RankModel:
@@ -197,22 +197,22 @@ def train(pairs: Sequence, techniques: Sequence[str], seed: int = 0) -> RankMode
     if not pairs:
         raise CombineError("no training pairs")
     dim = len(techniques)
-    diffs = [np.asarray(f, dtype=float) - np.asarray(c, dtype=float) for f, c in pairs]
-    for d in diffs:
-        if d.shape != (dim,):
-            raise CombineError("pair dimension does not match technique count")
+    if any(len(f) != dim or len(c) != dim for f, c in pairs):
+        raise CombineError("pair dimension does not match technique count")
+    diffs = [tuple(x - y for x, y in zip(f, c)) for f, c in pairs]
     rng = random.Random(seed)
-    w = np.zeros(dim)
+    decay = 2.0 * L2_LAMBDA
+    w = (0.0,) * dim
     order = list(range(len(diffs)))
     for epoch in range(1, EPOCHS + 1):
         step = 0.1 / math.sqrt(epoch)
         rng.shuffle(order)
         for i in order:
             d = diffs[i]
-            grad = 2.0 * L2_LAMBDA * w
-            if MARGIN - float(w @ d) > 0:
-                grad = grad - d
-            w = w - step * grad
+            if MARGIN - _dot(w, d) > 0:
+                w = tuple(wj - step * (decay * wj - dj) for wj, dj in zip(w, d))
+            else:
+                w = tuple(wj - step * (decay * wj) for wj in w)
     return RankModel(tuple(techniques), w, seed)
 
 
@@ -220,7 +220,7 @@ def violations(model: RankModel, pairs: Sequence) -> int:
     """Pairwise constraints where the faulty element does not outscore the correct one."""
     count = 0
     for f, c in pairs:
-        if float(model.weights @ np.asarray(f)) <= float(model.weights @ np.asarray(c)):
+        if _dot(model.weights, f) <= _dot(model.weights, c):
             count += 1
     return count
 
@@ -230,8 +230,8 @@ def predict(model: RankModel, features: FaultFeatures) -> ScoredList:
         raise CombineError(
             f"feature techniques {features.techniques} do not match model {model.techniques}"
         )
-    scores = features.matrix @ model.weights
-    return ScoredList("combined", list(zip(features.elements, scores.tolist())))
+    scores = [_dot(row, model.weights) for row in features.matrix]
+    return ScoredList("combined", list(zip(features.elements, scores)))
 
 
 def combined_e_inspect(model: RankModel, fault: FaultFeatures) -> Fraction:
@@ -239,9 +239,7 @@ def combined_e_inspect(model: RankModel, fault: FaultFeatures) -> Fraction:
     return expected_first_faulty_rank(ranking, set(fault.faulty))
 
 
-def kfold_cv(
-    faults: Sequence[FaultFeatures], k: int = 10, seed: int = 0, cap: int = PAIR_CAP
-) -> dict:
+def kfold_cv(faults: Sequence[FaultFeatures], k: int = 10, seed: int = 0) -> dict:
     """Seeded k-fold cross-validation; returns fault_id -> E_inspect (exact)."""
     faults = list(faults)
     if len(faults) < k:
@@ -253,16 +251,14 @@ def kfold_cv(
     for fold in folds:
         test_set = {faults[i].fault_id for i in fold}
         train_faults = [f for f in faults if f.fault_id not in test_set]
-        pairs = build_pairwise_constraints(train_faults, seed=seed, cap=cap)
+        pairs = build_pairwise_constraints(train_faults, seed=seed)
         model = train(pairs, faults[0].techniques, seed=seed)
         for i in fold:
             results[faults[i].fault_id] = combined_e_inspect(model, faults[i])
     return results
 
 
-def cross_project_cv(
-    faults: Sequence[FaultFeatures], seed: int = 0, cap: int = PAIR_CAP
-) -> dict:
+def cross_project_cv(faults: Sequence[FaultFeatures], seed: int = 0) -> dict:
     """Leave-one-project-out cross-validation; returns fault_id -> E_inspect."""
     projects = sorted({f.project for f in faults})
     if len(projects) < 2:
@@ -271,7 +267,7 @@ def cross_project_cv(
     for project in projects:
         train_faults = [f for f in faults if f.project != project]
         test_faults = [f for f in faults if f.project == project]
-        pairs = build_pairwise_constraints(train_faults, seed=seed, cap=cap)
+        pairs = build_pairwise_constraints(train_faults, seed=seed)
         model = train(pairs, train_faults[0].techniques, seed=seed)
         for fault in test_faults:
             results[fault.fault_id] = combined_e_inspect(model, fault)

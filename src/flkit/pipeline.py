@@ -250,7 +250,7 @@ def _cross_validate(
             kept = [t for t in techniques if t not in family.techniques]
             columns = [techniques.index(t) for t in kept]
             reduced = [
-                replace(f, techniques=tuple(kept), matrix=f.matrix[:, columns])
+                replace(f, techniques=tuple(kept), matrix=tuple(tuple(r[i] for i in columns) for r in f.matrix))
                 for f in features
             ]
             ablation[family.name] = summarize(reduced)

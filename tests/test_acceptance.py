@@ -211,7 +211,7 @@ def test_07_rank_learning():
         pairs = build_pairwise_constraints(separable, seed=0)
         model = train(pairs, separable[0].techniques, seed=0)
         assert violations(model, pairs) == 0
-        scaled = RankModel(model.techniques, model.weights * 7.0, model.seed)
+        scaled = RankModel(model.techniques, tuple(w * 7.0 for w in model.weights), model.seed)
         for fault in faults:
             base_rank = rank_elements(predict(model, fault))
             scaled_rank = rank_elements(predict(scaled, fault))

@@ -1,6 +1,6 @@
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from flkit.combine import (
@@ -91,8 +91,8 @@ class TestFeatures:
             "y": ScoredList("y", [("a", -2.0)]),
         }
         feats = build_features("f1", scores, ("a", "b"), {"a"}, ("x", "y"))
-        assert feats.matrix.shape == (2, 2)
-        assert feats.vector("b").tolist() == [1.0, 1.0]  # y: b unscored 0 > -2
+        assert len(feats.matrix) == 2 and all(len(row) == 2 for row in feats.matrix)
+        assert feats.matrix[feats.elements.index("b")] == (1.0, 1.0)  # y: b unscored 0 > -2
 
     def test_missing_technique_rejected(self):
         with pytest.raises(CombineError):
@@ -100,7 +100,7 @@ class TestFeatures:
 
     def test_out_of_range_matrix_rejected(self):
         with pytest.raises(CombineError):
-            FaultFeatures("f", ("x",), ("a",), np.array([[2.0]]), frozenset({"a"}))
+            FaultFeatures("f", ("x",), ("a",), ((2.0,),), frozenset({"a"}))
 
     def test_pair_construction_stays_within_fault(self):
         faults, _ = complementary_corpus(n_faults=4, n_elements=5, seed=1)
@@ -112,17 +112,17 @@ class TestFeatures:
         a = build_pairwise_constraints(faults, seed=5, cap=10)
         b = build_pairwise_constraints(faults, seed=5, cap=10)
         assert len(a) == 2 * 10
-        assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b))
+        assert all(x[1] == y[1] for x, y in zip(a, b))
         c = build_pairwise_constraints(faults, seed=6, cap=10)
-        assert any(not np.array_equal(x[1], y[1]) for x, y in zip(a, c))
+        assert any(x[1] != y[1] for x, y in zip(a, c))
 
 
 class TestTraining:
     def test_separable_pairs_get_separated(self):
         # faulty rows dominate in coordinate 0; correct rows in coordinate 1
         pairs = [
-            (np.array([1.0, 0.1]), np.array([0.2, 0.9])),
-            (np.array([0.9, 0.0]), np.array([0.1, 1.0])),
+            ((1.0, 0.1), (0.2, 0.9)),
+            ((0.9, 0.0), (0.1, 1.0)),
         ]
         model = train(pairs, ("x", "y"), seed=0)
         assert violations(model, pairs) == 0
@@ -133,7 +133,7 @@ class TestTraining:
         pairs = build_pairwise_constraints(faults, seed=1)
         m1 = train(pairs, TECHNIQUES, seed=1)
         m2 = train(pairs, TECHNIQUES, seed=1)
-        assert np.array_equal(m1.weights, m2.weights)
+        assert m1.weights == m2.weights
 
     def test_no_pairs_rejected(self):
         with pytest.raises(CombineError):
@@ -141,28 +141,59 @@ class TestTraining:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(CombineError):
-            train([(np.array([1.0]), np.array([0.0]))], ("x", "y"), seed=0)
+            train([((1.0,), (0.0,))], ("x", "y"), seed=0)
 
     def test_model_json_round_trip(self):
-        model = RankModel(("x", "y"), np.array([0.3, -0.1]), seed=4)
+        model = RankModel(("x", "y"), (0.3, -0.1), seed=4)
         again = RankModel.from_json(model.to_json())
         assert again.techniques == model.techniques
-        assert np.allclose(again.weights, model.weights)
+        assert again.weights == model.weights
         assert again.seed == 4
 
+    def test_weight_count_must_match_techniques(self):
+        with pytest.raises(CombineError, match="2 weights for 3 techniques"):
+            RankModel(("x", "y", "z"), (1.0, 2.0), seed=0)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", "[1, 2]", '{"techniques": ["x"], "seed": 0}',
+         '{"techniques": ["x"], "weights": ["w"], "seed": 0}'],
+    )
+    def test_malformed_model_text_rejected(self, text):
+        with pytest.raises(CombineError):
+            RankModel.from_json(text)
+
     def test_predict_requires_matching_techniques(self):
-        model = RankModel(("x",), np.array([1.0]), seed=0)
+        model = RankModel(("x",), (1.0,), seed=0)
         faults, _ = complementary_corpus(n_faults=1, n_elements=4, seed=0)
         with pytest.raises(CombineError):
             predict(model, faults[0])
 
     def test_predict_scores_are_linear(self):
         faults, _ = complementary_corpus(n_faults=1, n_elements=4, seed=0)
-        model = RankModel(TECHNIQUES, np.array([2.0, 1.0]), seed=0)
+        model = RankModel(TECHNIQUES, (2.0, 1.0), seed=0)
         scored = predict(model, faults[0]).as_dict()
         f = faults[0]
-        for i, e in enumerate(f.elements):
-            assert scored[e] == pytest.approx(float(f.matrix[i] @ model.weights))
+        for row, e in zip(f.matrix, f.elements):
+            assert scored[e] == pytest.approx(2.0 * row[0] + 1.0 * row[1])
+
+    # Rows r, 0, r: numpy's matrix-vector product used to score the two
+    # copies of r differently, which split their tie.
+    TIE_ROW = (0.25, 0.82, 0.15, 0.06, 0.86, 0.58, 0.78, 0.64)
+    TIE_WEIGHTS = (1.029, 1.055, 0.729, 1.123, -0.852, 1.024, -0.893, 0.073)
+
+    @pytest.mark.parametrize("faulty", ["a", "c"])
+    def test_identical_rows_tie(self, faulty):
+        techniques = tuple(f"t{i}" for i in range(len(self.TIE_ROW)))
+        zeros = (0.0,) * len(self.TIE_ROW)
+        fault = FaultFeatures(
+            "tie", techniques, ("a", "b", "c"), (self.TIE_ROW, zeros, self.TIE_ROW),
+            frozenset({faulty}),
+        )
+        model = RankModel(techniques, self.TIE_WEIGHTS, seed=0)
+        scored = predict(model, fault).as_dict()
+        assert scored["a"] == scored["c"]
+        assert combined_e_inspect(model, fault) == Fraction(3, 2)
 
 
 class TestCrossValidation:
@@ -207,6 +238,6 @@ class TestCrossValidation:
 
     def test_combined_e_inspect_exact(self):
         faults, _ = complementary_corpus(n_faults=1, n_elements=6, seed=0)
-        model = RankModel(TECHNIQUES, np.array([1.0, 1.0]), seed=0)
+        model = RankModel(TECHNIQUES, (1.0, 1.0), seed=0)
         v = combined_e_inspect(model, faults[0])
         assert 1 <= v <= len(faults[0].elements)

@@ -488,6 +488,26 @@ class TestCli:
         assert rc == 1
         self.assert_one_error_line(capsys, b.fault_id, "outside universe")
 
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ('{"techniques": ["history", "stacktrace", "ir"], "weights": [1.0, 2.0], "seed": 0}',
+             ("2 weights for 3 techniques",)),
+            ('{"techniques": ["history", "stacktrace", "ir"], "seed": 0}', ("'weights'",)),
+            ("weights: 1, 2, 3", ("not JSON",)),
+        ],
+        ids=["weight-count", "no-weights", "not-json"],
+    )
+    def test_bad_model_file(self, tmp_path, capsys, text, words):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        rc = cli_main(
+            ["combine", "--corpus", str(CORPUS), "--preset", "1",
+             "--load", str(model), "--fault", "f01_absval"]
+        )
+        assert rc == 1
+        self.assert_one_error_line(capsys, *words)
+
     def test_unparsable_program(self, tmp_path, capsys):
         write_fault(tmp_path / "f1", program="func f(x) { return x }")
         rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
