@@ -242,6 +242,8 @@ def combined_e_inspect(model: RankModel, fault: FaultFeatures) -> Fraction:
 def kfold_cv(faults: Sequence[FaultFeatures], k: int = 10, seed: int = 0) -> dict:
     """Seeded k-fold cross-validation; returns fault_id -> E_inspect (exact)."""
     faults = list(faults)
+    if k < 2:
+        raise CombineError(f"k-fold cross-validation needs k >= 2, got k={k}")
     if len(faults) < k:
         raise CombineError(f"need at least k={k} faults, got {len(faults)}")
     order = list(range(len(faults)))

@@ -206,6 +206,12 @@ class TestCrossValidation:
         faults, _ = complementary_corpus(n_faults=12, n_elements=6, seed=1)
         assert kfold_cv(faults, k=4, seed=3) == kfold_cv(faults, k=4, seed=3)
 
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_kfold_needs_two_folds(self, k):
+        faults, _ = complementary_corpus(n_faults=4, n_elements=4, seed=0)
+        with pytest.raises(CombineError, match="k >= 2"):
+            kfold_cv(faults, k=k)
+
     def test_kfold_needs_enough_faults(self):
         faults, _ = complementary_corpus(n_faults=5, n_elements=4, seed=0)
         with pytest.raises(CombineError):

@@ -508,6 +508,14 @@ class TestCli:
         assert rc == 1
         self.assert_one_error_line(capsys, *words)
 
+    @pytest.mark.parametrize("k", ["-2", "0", "1"])
+    def test_evaluate_needs_two_folds(self, capsys, k):
+        rc = cli_main(
+            ["evaluate", "--corpus", str(CORPUS), "--preset", "1", "--no-ablation", "--k", k]
+        )
+        assert rc == 1
+        self.assert_one_error_line(capsys, "k >= 2")
+
     def test_unparsable_program(self, tmp_path, capsys):
         write_fault(tmp_path / "f1", program="func f(x) { return x }")
         rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
