@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (CorpusError, PipelineError, cmb.CombineError) as exc:
+    except (CorpusError, PipelineError, cmb.CombineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -508,6 +508,13 @@ class TestCli:
         assert rc == 1
         self.assert_one_error_line(capsys, *words)
 
+    def test_unreadable_model_file(self, tmp_path, capsys):
+        rc = cli_main(
+            ["combine", "--corpus", str(CORPUS), "--load", str(tmp_path / "absent.json")]
+        )
+        assert rc == 1
+        self.assert_one_error_line(capsys, "absent.json")
+
     @pytest.mark.parametrize("k", ["-2", "0", "1"])
     def test_evaluate_needs_two_folds(self, capsys, k):
         rc = cli_main(
