@@ -85,21 +85,21 @@ def mutants_text(bundles) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _golden_report(name: str) -> bool:
+def check_report(name: str):
     path = GOLDEN / name
-    return report_text(load_corpus(CORPUS), **REPORT_FILES[path]) == path.read_text()
+    assert report_text(load_corpus(CORPUS), **REPORT_FILES[path]) == path.read_text()
 
 
 def test_report_matches_golden():
-    assert _golden_report("report_level3.json")
+    check_report("report_level3.json")
 
 
 def test_level4_report_matches_golden():
-    assert _golden_report("report_level4.json")
+    check_report("report_level4.json")
 
 
 def test_cross_project_report_matches_golden():
-    assert _golden_report("report_level2_cross_project_seed1.json")
+    check_report("report_level2_cross_project_seed1.json")
 
 
 @pytest.mark.parametrize("key", sorted(WEIGHT_RUNS))
