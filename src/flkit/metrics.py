@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
-
-from scipy import stats
 
 from .model import Ranking
 
@@ -54,24 +53,79 @@ def exam(ranking: Ranking, faulty: set, universe_size: int) -> Fraction:
     return expected_first_faulty_rank(ranking, faulty) / universe_size
 
 
+def _scaled(values: Sequence) -> list:
+    """The values times the lcm of their denominators: integers, same ratios."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 def r_squared(
-    xs: Sequence[float], ys: Sequence[float], q: int = 100
+    xs: Sequence[Fraction], ys: Sequence[Fraction], q: int = 100
 ) -> tuple[float, float]:
     """Coefficient of determination r^2 and its two-sided p-value.
 
     Only pairs with x <= q or y <= q are retained: positions past the
     threshold would never be inspected, so agreement there is irrelevant.
+    Coordinates may be ints, Fractions or finite floats; r^2 is computed
+    exactly and rounded to float once.
     """
     if len(xs) != len(ys):
         raise ValueError("coordinate sequences differ in length")
-    pairs = [(float(x), float(y)) for x, y in zip(xs, ys) if x <= q or y <= q]
-    if len(pairs) < 3:
+    pairs = [(x, y) for x, y in zip(xs, ys) if x <= q or y <= q]
+    n = len(pairs)
+    if n < 3:
         raise CorrelationUndefinedError(
-            f"only {len(pairs)} pairs retained after q={q} filter; need >= 3"
+            f"only {n} pairs retained after q={q} filter; need >= 3"
         )
-    rx = [p[0] for p in pairs]
-    ry = [p[1] for p in pairs]
-    if len(set(rx)) == 1 or len(set(ry)) == 1:
+    try:
+        rx = _scaled([p[0] for p in pairs])
+        ry = _scaled([p[1] for p in pairs])
+    except (OverflowError, ValueError):
+        raise ValueError("coordinates must be finite") from None
+    sx, sy = sum(rx), sum(ry)
+    sxx = n * sum(v * v for v in rx) - sx * sx
+    syy = n * sum(v * v for v in ry) - sy * sy
+    if sxx == 0 or syy == 0:
         raise CorrelationUndefinedError("zero variance in a retained coordinate")
-    r, p = stats.pearsonr(rx, ry)
-    return r * r, p
+    sxy = n * sum(a * b for a, b in zip(rx, ry)) - sx * sy
+    # n^2 times covariance and variances, in ints: r^2 and 1 - r^2 round once.
+    den = sxx * syy
+    r2 = sxy * sxy / den
+    return r2, _correlation_p(r2, (den - sxy * sxy) / den, n - 2)
+
+
+def _correlation_p(r2: float, x: float, nu: int) -> float:
+    """Two-sided p-value of Student's t for a sample correlation r on nu
+    degrees of freedom, given r^2 and x = 1 - r^2 (each rounded once).
+
+    With sin(theta) = |r| and cos^2(theta) = x, the finite series of Abramowitz
+    & Stegun 26.7.4 (even nu) and 26.7.3 (odd nu) give P(|T| <= t) as
+        even: |r| * sum_{k < nu/2} c_k x^k,  c_k = (2k-1)!!/(2k)!!
+        odd:  (2/pi) * (theta + |r| cos(theta) * sum_{k < (nu-1)/2} d_k x^k),
+              d_k = (2k)!!/(2k+1)!!
+    and the infinite series make it exactly 1, so p is the sum of the terms
+    past the head. That tail is summed directly when the head leaves p small,
+    where 1 - head would cancel.
+    """
+    if x == 0.0:
+        return 0.0
+    odd = nu % 2
+    r, c = math.sqrt(r2), math.sqrt(x)
+    # |r| * (2/pi) cos(theta) for odd nu: the series' common factor.
+    scale = 2.0 * r * c / math.pi if odd else r
+    start = 2.0 * math.atan2(r, c) / math.pi if odd else 0.0
+    term, head = 1.0, 0.0
+    for k in range(nu // 2):
+        head += term
+        term *= x * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    p = 1.0 - (start + scale * head)
+    if p >= 0.125:
+        return p
+    tail, k = 0.0, nu // 2
+    # Each term is at most x times the last, so the rest sums to term * x / (1 - x).
+    while term * x > tail * r2 * 2.0**-54:
+        tail += term
+        term *= x * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+        k += 1
+    return scale * (tail + term)

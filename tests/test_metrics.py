@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -180,3 +181,99 @@ class TestRSquared:
         xs = [1.0, 4.0, 2.0, 9.0, 5.0]
         ys = [2.0, 3.0, 8.0, 7.0, 1.0]
         assert r_squared(xs, ys)[0] == pytest.approx(r_squared(ys, xs)[0], abs=1e-12)
+
+
+# Oracle tolerances, fixed before these tests were first run. Do not loosen them.
+R2_ABS = 1e-12
+P_ABS = 1e-12
+P_REL = 1e-9  # checked where the oracle's p >= P_REL_FLOOR
+P_REL_FLOOR = 1e-290
+
+
+def exact_r2(a, b) -> Fraction:
+    """Oracle: r^2 of two integer sequences, exact, from n-scaled deviations."""
+    n, sa, sb = len(a), sum(a), sum(b)
+    da = [n * x - sa for x in a]
+    db = [n * y - sb for y in b]
+    sab = sum(x * y for x, y in zip(da, db))
+    return Fraction(sab * sab, sum(x * x for x in da) * sum(y * y for y in db))
+
+
+def t_test_p(r2: Fraction, n: int) -> float:
+    """Oracle: scipy's two-sided Student-t p at t^2 = (n - 2) r^2 / (1 - r^2)."""
+    t = math.inf if r2 == 1 else math.sqrt((n - 2) * r2 / (1 - r2))
+    return float(2 * stats.t.sf(t, n - 2))
+
+
+def oracle_samples(count: int, seed: int):
+    """Integer samples (a, b) with n log-uniform in 3..300 and r^2 spread over
+    [0, 1], exactly 1 included, passed to r_squared as Fractions a/d, b/e."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = round(3 * 100 ** rng.random())
+        a = [int(rng.random() * 601) - 300 for _ in range(n)]
+        slope = rng.choice([-3, -1, 1, 2, 0.37])
+        noise = 10 ** rng.uniform(-2, 4)
+        b = [round(slope * x + noise * (rng.random() - 0.5)) for x in a]
+        if len(set(a)) > 1 and len(set(b)) > 1:
+            d, e = rng.choice([1, 2, 3, 12]), rng.choice([1, 4, 6])
+            yield a, b, [Fraction(x, d) for x in a], [Fraction(y, e) for y in b]
+
+
+class TestRSquaredOracle:
+    """r^2 against scipy.stats.pearsonr; p against scipy's Student t at the
+    exact r^2. pearsonr's own p comes from its rounded r, and near |r| = 1 that
+    rounding dominates: for n = 3 an exactly collinear sample gets 1.3e-8."""
+
+    def test_matches_scipy(self):
+        seen = set()
+        for a, b, xs, ys in oracle_samples(2000, seed=20):
+            n = len(a)
+            r2, p = r_squared(xs, ys, q=10**6)
+            exact = exact_r2(a, b)
+            assert r2 == float(exact)
+            r, _ = stats.pearsonr([float(x) for x in xs], [float(y) for y in ys])
+            assert abs(r2 - float(r) ** 2) <= R2_ABS
+            want = t_test_p(exact, n)
+            assert abs(p - want) <= P_ABS, (n, exact, p, want)
+            if want >= P_REL_FLOOR:
+                assert abs(p - want) <= P_REL * want, (n, exact, p, want)
+            seen.add((n % 2, exact == 1, want < 1e-20))
+        assert seen == {(odd, one, tiny) for odd in (0, 1) for one, tiny in
+                        [(False, False), (False, True), (True, True)]}
+
+    def test_n3_closed_form(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            a = [rng.randint(-20, 20) for _ in range(3)]
+            b = [rng.randint(-20, 20) for _ in range(3)]
+            if len(set(a)) > 1 and len(set(b)) > 1:
+                r = math.sqrt(exact_r2(a, b))
+                assert abs(r_squared(a, b)[1] - (1 - 2 * math.asin(r) / math.pi)) <= P_ABS
+
+    def test_n4_closed_form(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            a = [rng.randint(-20, 20) for _ in range(4)]
+            b = [rng.randint(-20, 20) for _ in range(4)]
+            if len(set(a)) > 1 and len(set(b)) > 1:
+                r = math.sqrt(exact_r2(a, b))
+                assert abs(r_squared(a, b)[1] - (1 - r)) <= P_ABS
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [1, 2, 3],
+            [Fraction(5, 3), Fraction(7, 2), 11, Fraction(1, 6)],
+            [0.1 * i for i in range(1, 30)],
+        ],
+    )
+    def test_self_correlation_is_exact(self, xs):
+        assert r_squared(xs, xs) == (1.0, 0.0)
+
+    def test_uncorrelated(self):
+        assert r_squared([1, 2, 3, 4, 5], [2, 1, 3, 1, 2]) == (0.0, 1.0)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            r_squared([1.0, 2.0, math.inf], [1.0, 2.0, 3.0])
