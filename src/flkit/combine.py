@@ -92,6 +92,9 @@ def normalize(scored: ScoredList, universe: Iterable) -> dict:
             out[e] = 1.0 if v > 0 else 0.0
         elif hi == lo:
             out[e] = 0.0
+        elif math.isinf(hi - lo):
+            # The finite range overflows a float; halved, every term fits.
+            out[e] = (v / 2 - lo / 2) / (hi / 2 - lo / 2)
         else:
             out[e] = (v - lo) / (hi - lo)
     return out
@@ -189,10 +192,11 @@ class RankModel:
 
 
 def train(pairs: Sequence, techniques: Sequence[str], seed: int = 0) -> RankModel:
-    """Minimize sum hinge(1 - w.(x_faulty - x_correct)) + lambda ||w||^2.
+    """Minimize mean hinge(1 - w.(x_faulty - x_correct)) + lambda ||w||^2.
 
-    Deterministic seeded stochastic subgradient descent: 100 epochs,
-    step 0.1/sqrt(epoch).
+    Deterministic seeded stochastic subgradient descent: EPOCHS epochs,
+    step 0.1/sqrt(epoch). w decays on every pair, so the objective averages
+    the hinge over pairs rather than summing it.
     """
     if not pairs:
         raise CombineError("no training pairs")

@@ -83,6 +83,10 @@ class TestNormalize:
         with pytest.raises(CombineError):
             normalize(ScoredList("t", []), [])
 
+    def test_overflowing_finite_range(self):
+        scored = ScoredList("t", [("a", 1e308), ("b", -1e308), ("c", 0.0)])
+        assert normalize(scored, ["a", "b", "c"]) == {"a": 1.0, "b": 0.0, "c": 0.5}
+
 
 class TestFeatures:
     def test_build_features_shape_and_range(self):
@@ -93,6 +97,11 @@ class TestFeatures:
         feats = build_features("f1", scores, ("a", "b"), {"a"}, ("x", "y"))
         assert len(feats.matrix) == 2 and all(len(row) == 2 for row in feats.matrix)
         assert feats.matrix[feats.elements.index("b")] == (1.0, 1.0)  # y: b unscored 0 > -2
+
+    def test_overflowing_finite_range_accepted(self):
+        scores = {"x": ScoredList("x", [("a", 1e308), ("b", -1e308), ("c", 0.0)])}
+        feats = build_features("f1", scores, ("a", "b", "c"), {"a"}, ("x",))
+        assert feats.matrix == ((1.0,), (0.0,), (0.5,))
 
     def test_missing_technique_rejected(self):
         with pytest.raises(CombineError):
