@@ -1,10 +1,13 @@
-"""The package runs on its declared runtime dependencies alone.
+"""The package runs on the standard library alone.
 
-numpy is a test-only dependency (the tests' least-squares oracles use it), so
-no module under src/flkit may import it.
+numpy and scipy are test-only dependencies (the tests' least-squares and
+correlation oracles use them), so no module under src/flkit may import them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flkit"
@@ -25,3 +28,24 @@ def test_src_does_not_import_numpy():
     modules = sorted(SRC.rglob("*.py"))
     assert len(modules) > 10
     assert [str(p.relative_to(SRC)) for p in modules if "numpy" in imported_packages(p)] == []
+
+
+def test_src_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"flkit"}
+    outside = {
+        str(p.relative_to(SRC)): sorted(imported_packages(p) - allowed)
+        for p in sorted(SRC.rglob("*.py"))
+    }
+    assert {name: found for name, found in outside.items() if found} == {}
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    code = (
+        "import sys, flkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
