@@ -105,8 +105,8 @@ def _correlation_p(r2: float, x: float, nu: int) -> float:
         odd:  (2/pi) * (theta + |r| cos(theta) * sum_{k < (nu-1)/2} d_k x^k),
               d_k = (2k)!!/(2k+1)!!
     and the infinite series make it exactly 1, so p is the sum of the terms
-    past the head. That tail is summed directly when the head leaves p small,
-    where 1 - head would cancel.
+    past the head. That tail is summed directly when the head leaves p below
+    1/8, where 1 - head would lose relative precision to cancellation.
     """
     if x == 0.0:
         return 0.0
@@ -123,7 +123,8 @@ def _correlation_p(r2: float, x: float, nu: int) -> float:
     if p >= 0.125:
         return p
     tail, k = 0.0, nu // 2
-    # Each term is at most x times the last, so the rest sums to term * x / (1 - x).
+    # Each term is at most x times the last, so the terms after `term` sum to
+    # at most term * x / (1 - x).
     while term * x > tail * r2 * 2.0**-54:
         tail += term
         term *= x * (2 * k + 1 + odd) / (2 * k + 2 + odd)
