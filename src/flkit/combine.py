@@ -214,8 +214,8 @@ def train(pairs: Sequence, techniques: Sequence[str], seed: int = 0) -> RankMode
     MARGIN. Starting from w = 0, the solver visits the remaining differences
     in order of first appearance, once per epoch, and stops after the first
     epoch whose projected gradients (and 0) span at most TOLERANCE. If
-    EPOCH_CAP epochs pass first, the weights of the last iterate are
-    returned: finite, and as good as the solver got, but not certified.
+    EPOCH_CAP epochs pass first, it returns the last iterate uncertified:
+    w = sum_j alpha_j d_j for the feasible dual point the cap stopped at.
     `seed` is only recorded in the model.
     """
     if not pairs:
