@@ -258,7 +258,7 @@ def _solve(rows: list, bounds: list, dim: int) -> tuple:
             q += v * v
         coords.append((j, row, bound, q))
     gap = math.inf
-    for _epoch in range(EPOCH_CAP):
+    for _ in range(EPOCH_CAP):
         hi = lo = 0.0
         for j, row, bound, q in coords:
             g = -MARGIN
