@@ -22,10 +22,11 @@ from flkit.pipeline import emit_report, evaluate_corpus
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# Report file -> evaluate_corpus options (statement granularity throughout).
+# Report file -> evaluate_corpus options (statement granularity unless named).
 REPORT_FILES = {
     GOLDEN / "report_level3.json": {"level": 3},
     GOLDEN / "report_level4.json": {"level": 4},
+    GOLDEN / "report_level4_method.json": {"level": 4, "granularity": "method"},
     GOLDEN / "report_level2_cross_project_seed1.json": {
         "level": 2, "cv": "cross-project", "seed": 1,
     },
@@ -40,7 +41,7 @@ WEIGHT_RUNS = {
 
 
 def report_text(bundles, **options) -> str:
-    """Statement report as JSON, without the run-dependent timings."""
+    """Report as JSON, without the run-dependent timings."""
     results = evaluate_corpus(bundles, **options)
     del results["timings"]
     return emit_report(results, "json")
@@ -96,6 +97,10 @@ def test_report_matches_golden():
 
 def test_level4_report_matches_golden():
     check_report("report_level4.json")
+
+
+def test_level4_method_report_matches_golden():
+    check_report("report_level4_method.json")
 
 
 def test_cross_project_report_matches_golden():
