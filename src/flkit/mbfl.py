@@ -1,4 +1,4 @@
-"""Mutation-based scoring: outcome matrices, MUSE, Metallaxis, statement aggregation.
+"""Mutation-based scoring: per-mutant kill counts, MUSE, Metallaxis, statement aggregation.
 
 Kill notions differ: MUSE counts a failing test as killing a mutant only when
 it flips to passing; Metallaxis counts any output change (it may still fail).
@@ -7,94 +7,48 @@ it flips to passing; Metallaxis counts any output change (it may still fail).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .model import ScoredList
-
-SAME = "same-result"
-CHANGED = "output-changed"
-F2P = "fail-to-pass"
-P2F = "pass-to-fail"
+from .model import ProgramElement, ScoredList
 
 
-class MatrixError(Exception):
-    pass
+class MutantKills(NamedTuple):
+    """How the tests of one mutant differ from the original runs."""
 
-
-@dataclass(frozen=True)
-class MutantOutcomeMatrix:
-    classes: dict  # (mutant_id, test_id) -> outcome class
-    mutant_stmt: dict  # mutant_id -> statement element
-    originally_failed: frozenset  # test ids
-    originally_passed: frozenset
-    f2p: int  # fail->pass transitions over all mutants
-    p2f: int
-
-    @property
-    def total_failed(self) -> int:
-        return len(self.originally_failed)
-
-    def muse_counts(self, mutant_id) -> tuple[int, int]:
-        """(failed_m, passed_m): tests flipping fail->pass / pass->fail on this mutant."""
-        failed_m = sum(
-            1 for t in self.originally_failed if self.classes[(mutant_id, t)] == F2P
-        )
-        passed_m = sum(
-            1 for t in self.originally_passed if self.classes[(mutant_id, t)] == P2F
-        )
-        return failed_m, passed_m
-
-    def metallaxis_counts(self, mutant_id) -> tuple[int, int]:
-        """(failed_m, passed_m): tests whose output changed on this mutant."""
-        failed_m = sum(
-            1
-            for t in self.originally_failed
-            if self.classes[(mutant_id, t)] in (F2P, CHANGED)
-        )
-        passed_m = sum(
-            1
-            for t in self.originally_passed
-            if self.classes[(mutant_id, t)] in (P2F, CHANGED)
-        )
-        return failed_m, passed_m
-
-
-def classify(original_passed: bool, mutant_passed: bool, output_changed: bool) -> str:
-    if original_passed and not mutant_passed:
-        return P2F
-    if not original_passed and mutant_passed:
-        return F2P
-    return CHANGED if output_changed else SAME
+    stmt: ProgramElement  # the mutated statement
+    f2p: int  # originally failing tests that pass
+    p2f: int  # originally passing tests that fail
+    failed_changed: int  # originally failing tests whose output changed, f2p included
+    passed_changed: int  # originally passing tests whose output changed, p2f included
 
 
 def build_outcome_matrix(
     original: Mapping, mutants: Mapping, mutant_stmt: Mapping
-) -> MutantOutcomeMatrix:
-    """Classify every (mutant, test) pair.
+) -> tuple[int, dict]:
+    """Count each mutant's kills in one pass over its test runs.
 
     original maps test_id -> (passed, output signature); mutants maps
     mutant_id -> {test_id -> (passed, output signature)}. Output equality is
-    signature equality (outcome class plus result value / crash kind).
+    signature equality (outcome class plus result value / crash kind), and a
+    pass/fail flip is always a change. Returns the number of originally
+    failing tests and mutant_id -> MutantKills, in `mutants` order; a mutant
+    without a run for some test raises KeyError.
     """
-    classes = {}
-    f2p = p2f = 0
-    failed = frozenset(t for t, (passed, _) in original.items() if not passed)
-    passed_tests = frozenset(original) - failed
+    kills = {}
     for mid, per_test in mutants.items():
+        f2p = p2f = failed_changed = passed_changed = 0
         for test_id, (orig_passed, orig_sig) in original.items():
-            if test_id not in per_test:
-                raise MatrixError(f"mutant {mid} missing execution for test {test_id}")
-            mut_passed, mut_sig = per_test[test_id]
-            cls = classify(orig_passed, mut_passed, mut_sig != orig_sig)
-            classes[(mid, test_id)] = cls
-            if cls == F2P:
-                f2p += 1
-            elif cls == P2F:
-                p2f += 1
-    return MutantOutcomeMatrix(
-        classes, dict(mutant_stmt), failed, passed_tests, f2p, p2f
-    )
+            passed, sig = per_test[test_id]
+            changed = passed != orig_passed or sig != orig_sig
+            if orig_passed:
+                p2f += not passed
+                passed_changed += changed
+            else:
+                f2p += passed
+                failed_changed += changed
+        kills[mid] = MutantKills(mutant_stmt[mid], f2p, p2f, failed_changed, passed_changed)
+    total_failed = sum(1 for passed, _ in original.values() if not passed)
+    return total_failed, kills
 
 
 def muse_mutant_score(failed_m: int, passed_m: int, f2p: int, p2f: int) -> float:
@@ -111,35 +65,32 @@ def metallaxis_mutant_score(failed_m: int, passed_m: int, total_failed: int) -> 
     return failed_m / math.sqrt(total_failed * (failed_m + passed_m))
 
 
-def mutant_scores(matrix: MutantOutcomeMatrix, technique: str) -> dict:
-    out = {}
-    for mid in matrix.mutant_stmt:
-        if technique == "muse":
-            fm, pm = matrix.muse_counts(mid)
-            out[mid] = muse_mutant_score(fm, pm, matrix.f2p, matrix.p2f)
-        elif technique == "metallaxis":
-            fm, pm = matrix.metallaxis_counts(mid)
-            out[mid] = metallaxis_mutant_score(fm, pm, matrix.total_failed)
-        else:
-            raise ValueError(f"unknown MBFL technique {technique!r}")
-    return out
-
-
-def aggregate_to_statement(
-    technique: str, matrix: MutantOutcomeMatrix, universe
-) -> ScoredList:
-    """MUSE averages a statement's mutant scores; Metallaxis takes the maximum."""
-    per_mutant = mutant_scores(matrix, technique)
+def aggregate_to_statement(technique: str, matrix: tuple, universe) -> ScoredList:
+    """Score each mutant from `build_outcome_matrix`'s counts, then each
+    statement: MUSE averages its mutants' scores, Metallaxis takes the maximum.
+    Statements without mutants score 0."""
+    total_failed, kills = matrix
+    if technique == "muse":
+        f2p = sum(k.f2p for k in kills.values())
+        p2f = sum(k.p2f for k in kills.values())
+        scores = [muse_mutant_score(k.f2p, k.p2f, f2p, p2f) for k in kills.values()]
+    elif technique == "metallaxis":
+        scores = [
+            metallaxis_mutant_score(k.failed_changed, k.passed_changed, total_failed)
+            for k in kills.values()
+        ]
+    else:
+        raise ValueError(f"unknown MBFL technique {technique!r}")
     by_stmt: dict = {}
-    for mid, stmt in matrix.mutant_stmt.items():
-        by_stmt.setdefault(stmt, []).append(per_mutant[mid])
+    for k, score in zip(kills.values(), scores):
+        by_stmt.setdefault(k.stmt, []).append(score)
     entries = []
     for elem in universe:
-        scores = by_stmt.get(elem)
-        if not scores:
+        stmt_scores = by_stmt.get(elem)
+        if not stmt_scores:
             entries.append((elem, 0.0))
         elif technique == "muse":
-            entries.append((elem, sum(scores) / len(scores)))
+            entries.append((elem, sum(stmt_scores) / len(stmt_scores)))
         else:
-            entries.append((elem, max(scores)))
+            entries.append((elem, max(stmt_scores)))
     return ScoredList(technique, entries)

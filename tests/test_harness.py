@@ -246,17 +246,21 @@ class TestMutantExecution:
         (args, long_run), _ = runs
         assert args[1] == tests[0]
         assert long_run.outcome == run(noop.program, tests[0]).outcome
-        assert matrices[0][1].classes[(noop.mutant_id, "long")] == mbfl.SAME
+        # "long" is the only passing test, so it is the one that did not change.
+        ((_, (_, kills)),) = matrices
+        assert not traces["long"].failed and traces["bad"].failed
+        assert (kills[noop.mutant_id].p2f, kills[noop.mutant_id].passed_changed) == (0, 0)
 
     def test_changed_wrong_output_is_a_kill(self, bundles, monkeypatch):
-        # f02_maxof3 m007 turns `c > m` into `c == m`: t1 still fails, but
-        # returns 1 where the original returned 2.
+        # f02_maxof3 m007 turns `c > m` into `c == m`: the failing t1 and t2
+        # still fail, but return 1 where the original returned 2 and 3.
         bundle, traces = self.fault(bundles, "f02_maxof3")
         matrices = record(monkeypatch, mbfl, "build_outcome_matrix")
         pipeline._score_mbfl(bundle, traces)
-        ((_, matrix),) = matrices
-        assert (traces["t1"].value, matrix.mutant_stmt["m007"].line) == (2, 6)
-        assert matrix.classes[("m007", "t1")] == mbfl.CHANGED
+        ((_, (total_failed, kills)),) = matrices
+        m007 = kills["m007"]
+        assert (traces["t1"].value, traces["t2"].value, m007.stmt.line) == (2, 3, 6)
+        assert (total_failed, m007.f2p, m007.failed_changed) == (2, 0, 2)
 
     def test_repairing_mutant_of_early_exit_passes(self, monkeypatch):
         # The negated condition repairs the failing test, whose own 2-step run
@@ -266,7 +270,9 @@ class TestMutantExecution:
         monkeypatch.setattr(pipeline, "gen_mutants", lambda _program: [ncd])
         matrices = record(monkeypatch, mbfl, "build_outcome_matrix")
         pipeline._score_mbfl(bundle, traces)
-        assert matrices[0][1].classes[(ncd.mutant_id, "long")] == mbfl.F2P
+        # "long" is the only failing test.
+        ((_, (total_failed, kills)),) = matrices
+        assert (total_failed, kills[ncd.mutant_id].f2p) == (1, 1)
 
     def test_flip_of_early_exit_is_critical(self):
         bundle, traces = early_exit_fault()

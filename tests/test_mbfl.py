@@ -1,24 +1,76 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flkit.mbfl import (
-    CHANGED,
-    F2P,
-    P2F,
-    SAME,
-    MatrixError,
+    MutantKills,
     aggregate_to_statement,
     build_outcome_matrix,
-    classify,
     metallaxis_mutant_score,
     muse_mutant_score,
-    mutant_scores,
 )
 from flkit.model import ProgramElement
 
 S1 = ProgramElement("f", 1)
 S2 = ProgramElement("f", 2)
+S3 = ProgramElement("f", 3)
+S4 = ProgramElement("f", 4)
+
+# Oracle: classify every (mutant, test) pair, then count and score the classes.
+SAME, CHANGED, F2P, P2F = "same-result", "output-changed", "fail-to-pass", "pass-to-fail"
+
+
+def classify(original, mutant) -> str:
+    (orig_passed, orig_sig), (passed, sig) = original, mutant
+    if orig_passed and not passed:
+        return P2F
+    if passed and not orig_passed:
+        return F2P
+    return CHANGED if sig != orig_sig else SAME
+
+
+def oracle(original, mutants, mutant_stmt, universe):
+    """(total failed, mutant_id -> MutantKills, technique -> statement -> score)."""
+    classes = {
+        (mid, t): classify(original[t], runs[t]) for mid, runs in mutants.items() for t in original
+    }
+    failed = [t for t, (passed, _) in original.items() if not passed]
+    passed = [t for t in original if t not in failed]
+
+    def count(mid, tests, kinds):
+        return sum(1 for t in tests if classes[(mid, t)] in kinds)
+
+    kills = {
+        mid: MutantKills(
+            mutant_stmt[mid],
+            count(mid, failed, {F2P}),
+            count(mid, passed, {P2F}),
+            count(mid, failed, {F2P, CHANGED}),
+            count(mid, passed, {P2F, CHANGED}),
+        )
+        for mid in mutants
+    }
+    f2p = sum(1 for c in classes.values() if c == F2P)
+    p2f = sum(1 for c in classes.values() if c == P2F)
+    muse = {mid: muse_mutant_score(k.f2p, k.p2f, f2p, p2f) for mid, k in kills.items()}
+    metallaxis = {
+        mid: metallaxis_mutant_score(k.failed_changed, k.passed_changed, len(failed))
+        for mid, k in kills.items()
+    }
+    scores = {}
+    for tech, per_mutant in (("muse", muse), ("metallaxis", metallaxis)):
+        scores[tech] = {}
+        for elem in universe:
+            mine = [per_mutant[mid] for mid in mutants if mutant_stmt[mid] == elem]
+            if not mine:
+                scores[tech][elem] = 0.0
+            elif tech == "muse":
+                scores[tech][elem] = sum(mine) / len(mine)
+            else:
+                scores[tech][elem] = max(mine)
+    return len(failed), kills, scores
 
 
 def small_matrix():
@@ -50,6 +102,12 @@ def small_matrix():
     return build_outcome_matrix(original, mutants, {"m1": S1, "m2": S2})
 
 
+def pair_kills(original, mutant) -> tuple:
+    """(f2p, p2f, failed_changed, passed_changed) of one mutant run of one test."""
+    _, kills = build_outcome_matrix({"t": original}, {"m": {"t": mutant}}, {"m": S1})
+    return tuple(kills["m"])[1:]
+
+
 class TestFormulas:
     def test_muse_pinned_value(self):
         assert muse_mutant_score(2, 1, 4, 8) == pytest.approx(1.5, abs=1e-12)
@@ -72,42 +130,45 @@ class TestFormulas:
 
 class TestClassify:
     def test_transitions(self):
-        assert classify(True, False, True) == P2F
-        assert classify(False, True, True) == F2P
-        assert classify(False, False, True) == CHANGED
-        assert classify(True, True, False) == SAME
+        assert pair_kills((True, "a"), (False, "b")) == (0, 1, 0, 1)
+        assert pair_kills((False, "a"), (True, "b")) == (1, 0, 1, 0)
+        assert pair_kills((False, "a"), (False, "b")) == (0, 0, 1, 0)
+        assert pair_kills((True, "a"), (True, "a")) == (0, 0, 0, 0)
+        # A flip is a change even where the signatures agree.
+        assert pair_kills((True, "a"), (False, "a")) == (0, 1, 0, 1)
 
     def test_changed_requires_output_difference(self):
-        assert classify(False, False, False) == SAME
+        assert pair_kills((False, "a"), (False, "a")) == (0, 0, 0, 0)
+        assert pair_kills((True, 1), (True, 2)) == (0, 0, 0, 1)
 
 
 class TestMatrix:
     def test_counts_per_kill_notion(self):
-        m = small_matrix()
-        assert m.muse_counts("m1") == (2, 0)
-        assert m.muse_counts("m2") == (0, 1)
-        # Metallaxis also counts tf1's changed assertion site on m2
-        assert m.metallaxis_counts("m1") == (2, 0)
-        assert m.metallaxis_counts("m2") == (1, 1)
-        assert (m.f2p, m.p2f) == (2, 1)
+        total_failed, kills = small_matrix()
+        assert total_failed == 2
+        # MUSE reads the flips; Metallaxis also counts tf1's changed
+        # assertion site on m2.
+        assert kills["m1"] == MutantKills(S1, f2p=2, p2f=0, failed_changed=2, passed_changed=0)
+        assert kills["m2"] == MutantKills(S2, f2p=0, p2f=1, failed_changed=1, passed_changed=1)
 
     def test_missing_execution_rejected(self):
         original = {"t1": (False, "s")}
-        with pytest.raises(MatrixError):
+        with pytest.raises(KeyError):
             build_outcome_matrix(original, {"m1": {}}, {"m1": S1})
 
     def test_mutant_scores(self):
+        # One mutant per statement, so each statement scores as its mutant.
         m = small_matrix()
-        muse = mutant_scores(m, "muse")
-        assert muse["m1"] == pytest.approx(2.0, abs=1e-12)
-        assert muse["m2"] == pytest.approx(0 - 2.0 * 1, abs=1e-12)
-        met = mutant_scores(m, "metallaxis")
-        assert met["m1"] == pytest.approx(2 / math.sqrt(2 * 2), abs=1e-12)
-        assert met["m2"] == pytest.approx(1 / math.sqrt(2 * 2), abs=1e-12)
+        muse = aggregate_to_statement("muse", m, [S1, S2]).as_dict()
+        assert muse[S1] == pytest.approx(2.0, abs=1e-12)
+        assert muse[S2] == pytest.approx(0 - 2.0 * 1, abs=1e-12)
+        met = aggregate_to_statement("metallaxis", m, [S1, S2]).as_dict()
+        assert met[S1] == pytest.approx(2 / math.sqrt(2 * 2), abs=1e-12)
+        assert met[S2] == pytest.approx(1 / math.sqrt(2 * 2), abs=1e-12)
 
     def test_unknown_technique(self):
         with pytest.raises(ValueError):
-            mutant_scores(small_matrix(), "nope")
+            aggregate_to_statement("nope", small_matrix(), [S1])
 
 
 class TestAggregation:
@@ -126,6 +187,39 @@ class TestAggregation:
 
     def test_statement_without_mutants_scores_zero(self):
         m = small_matrix()
-        s3 = ProgramElement("f", 3)
-        scored = aggregate_to_statement("metallaxis", m, [S1, S2, s3]).as_dict()
-        assert scored[s3] == 0.0
+        scored = aggregate_to_statement("metallaxis", m, [S1, S2, S3]).as_dict()
+        assert scored[S3] == 0.0
+
+
+RUN = st.tuples(st.booleans(), st.integers(0, 2))
+
+
+@st.composite
+def outcomes(draw):
+    """Random original runs (at least one failing) and mutant runs."""
+    n_tests = draw(st.integers(1, 6))
+    tests = [f"t{i}" for i in range(n_tests)]
+    runs = draw(st.lists(RUN, min_size=n_tests, max_size=n_tests))
+    failing = draw(st.integers(0, n_tests - 1))
+    runs[failing] = (False, runs[failing][1])
+    original = dict(zip(tests, runs))
+    mutants, mutant_stmt = {}, {}
+    for i in range(draw(st.integers(0, 6))):
+        mid = f"m{i}"
+        mutants[mid] = dict(zip(tests, draw(st.lists(RUN, min_size=n_tests, max_size=n_tests))))
+        mutant_stmt[mid] = draw(st.sampled_from([S1, S2, S3]))
+    return original, mutants, mutant_stmt
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcomes())
+def test_counts_and_scores_match_pair_oracle(case):
+    original, mutants, mutant_stmt = case
+    universe = [S1, S2, S3, S4]
+    total_failed, kills, scores = oracle(original, mutants, mutant_stmt, universe)
+    matrix = build_outcome_matrix(original, mutants, mutant_stmt)
+    assert matrix == (total_failed, kills)
+    assert list(matrix[1]) == list(mutants)
+    for tech in ("muse", "metallaxis"):
+        scored = aggregate_to_statement(tech, matrix, universe)
+        assert scored.entries == tuple(scores[tech].items())
