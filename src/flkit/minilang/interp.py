@@ -67,17 +67,10 @@ CRASH = "crash"
 
 
 @dataclass(frozen=True)
-class StackFrameInfo:
-    method_id: str
-    element: ProgramElement  # crash site for depth 1, call site otherwise
-    depth: int
-
-
-@dataclass(frozen=True)
 class Outcome:
     status: str  # PASS | ASSERT_FAIL | CRASH
     crash_kind: Optional[str] = None
-    stack: tuple = ()  # StackFrameInfo, depth 1 first; crashes only
+    stack: tuple = ()  # method ids, innermost first; crashes only
 
 
 @dataclass(frozen=True)
@@ -150,7 +143,6 @@ class _Frame:
     env: dict
     var_events: dict  # name -> defining event index
     call_site_event: Optional[int]
-    call_site_elem: Optional[ProgramElement]
     control: list = field(default_factory=list)  # stack of branch event indices
 
     def control_parent(self) -> Optional[int]:
@@ -281,13 +273,11 @@ class _Interp:
             values.append(v)
             deps |= d
         call_event = self.current_event
-        caller_elem = self.current_stmt.elem if self.current_stmt is not None else None
         frame = _Frame(
             fn.name,
             dict(zip(fn.params, values)),
             {p: call_event for p in fn.params},
             call_event,
-            caller_elem,
         )
         if len(self.frames) >= MAX_CALL_DEPTH:
             raise _Crash("stack-overflow")
@@ -413,14 +403,7 @@ class _Interp:
             raise AssertionError(f"unhandled statement {stmt!r}")
 
     def crash_stack(self) -> tuple:
-        frames = []
-        depth = 1
-        site = self.current_stmt.elem if self.current_stmt is not None else None
-        for frame in reversed(self.frames):
-            frames.append(StackFrameInfo(frame.function, site, depth))
-            depth += 1
-            site = frame.call_site_elem
-        return tuple(frames)
+        return tuple(frame.function for frame in reversed(self.frames))
 
 
 def run(
@@ -438,7 +421,7 @@ def run(
         raise ValueError(f"{test.entry} expects {len(fn.params)} args, got {len(test.args)}")
     args = [list(a) if isinstance(a, (list, tuple)) else a for a in test.args]
     interp.frames.append(
-        _Frame(fn.name, dict(zip(fn.params, args)), {}, None, None)
+        _Frame(fn.name, dict(zip(fn.params, args)), {}, None)
     )
     interp.current_event = None
     value = None

@@ -9,13 +9,14 @@ from .model import ProgramElement, ScoredList
 
 
 def method_scores_from_frames(frame_lists: Iterable[Iterable]) -> dict:
-    """Max over failed tests of 1/depth per method. Non-crash lists are empty."""
+    """Max over failed tests of 1/depth per method, where a crash stack lists
+    method ids innermost first (depth 1). Non-crash lists are empty."""
     scores: dict = {}
     for frames in frame_lists:
-        for frame in frames:
-            score = 1.0 / frame.depth
-            if score > scores.get(frame.method_id, 0.0):
-                scores[frame.method_id] = score
+        for depth, method_id in enumerate(frames, 1):
+            score = 1.0 / depth
+            if score > scores.get(method_id, 0.0):
+                scores[method_id] = score
     return scores
 
 
