@@ -326,29 +326,27 @@ def kfold_cv(faults: Sequence[FaultFeatures], k: int = 10, seed: int = 0) -> dic
         raise CombineError(f"need at least k={k} faults, got {len(faults)}")
     order = list(range(len(faults)))
     random.Random(seed).shuffle(order)
-    folds = [order[i::k] for i in range(k)]
-    results = {}
-    for fold in folds:
-        test_set = {faults[i].fault_id for i in fold}
-        train_faults = [f for f in faults if f.fault_id not in test_set]
-        pairs = build_pairwise_constraints(train_faults, seed=seed)
-        model = train(pairs, faults[0].techniques, seed=seed)
-        for i in fold:
-            results[faults[i].fault_id] = combined_e_inspect(model, faults[i])
-    return results
+    return _cross_validate(faults, [order[i::k] for i in range(k)], seed)
 
 
 def cross_project_cv(faults: Sequence[FaultFeatures], seed: int = 0) -> dict:
     """Leave-one-project-out cross-validation; returns fault_id -> E_inspect."""
+    faults = list(faults)
     projects = sorted({f.project for f in faults})
     if len(projects) < 2:
         raise CombineError("cross-project validation needs at least two projects")
+    folds = [[i for i, f in enumerate(faults) if f.project == p] for p in projects]
+    return _cross_validate(faults, folds, seed)
+
+
+def _cross_validate(faults: list, folds: list, seed: int) -> dict:
+    """Per fold (a list of indices into `faults`), train on the other faults
+    and score the fold's; results are in fold order."""
     results = {}
-    for project in projects:
-        train_faults = [f for f in faults if f.project != project]
-        test_faults = [f for f in faults if f.project == project]
+    for fold in folds:
+        train_faults = [f for i, f in enumerate(faults) if i not in fold]
         pairs = build_pairwise_constraints(train_faults, seed=seed)
-        model = train(pairs, train_faults[0].techniques, seed=seed)
-        for fault in test_faults:
-            results[fault.fault_id] = combined_e_inspect(model, fault)
+        model = train(pairs, faults[0].techniques, seed=seed)
+        for i in fold:
+            results[faults[i].fault_id] = combined_e_inspect(model, faults[i])
     return results
