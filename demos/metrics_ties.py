@@ -10,7 +10,7 @@ closed form agrees with brute-force enumeration over tie orderings.
 import itertools
 from fractions import Fraction
 
-from flkit.metrics import exam, expected_first_faulty_rank
+from flkit.metrics import expected_first_faulty_rank
 from flkit.model import ProgramElement, ScoredList, rank_elements
 
 
@@ -35,7 +35,7 @@ def main():
     value = expected_first_faulty_rank(ranking, faulty)
     print(f"expected first-faulty rank: {value} "
           f"(best case 1, worst case {len(ranking.groups[0])})")
-    print(f"EXAM over {len(elems)} statements: {exam(ranking, faulty, len(elems))}")
+    print(f"EXAM over {len(elems)} statements: {value / len(elems)}")
 
     # brute force: average the faulty position over all orderings of the group
     group = sorted(ranking.groups[0], key=lambda e: e.line)

@@ -18,7 +18,6 @@ from .metrics import (
     CorrelationUndefinedError,
     NotLocalizedError,
     e_inspect_at_n,
-    exam,
     expected_first_faulty_rank,
     r_squared,
 )

@@ -39,7 +39,6 @@ def _add_common(parser):
     parser.add_argument("--corpus", required=True, help="corpus directory")
     parser.add_argument("--preset", type=_parse_preset, default=2, help="level1..level4")
     parser.add_argument("--granularity", choices=("statement", "method"), default="statement")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the preset over a corpus with cross-validation")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--cv", choices=("kfold", "cross-project"), default="kfold")
     p.add_argument("--format", choices=("text-table", "json", "csv"), default="text-table")
@@ -72,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("combine", help="train, save, or apply a rank-combination model")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save", help="train on the corpus and write the model JSON here")
     p.add_argument("--load", help="apply a previously saved model")
     p.add_argument("--fault", help="with --load: fault to score")

@@ -46,13 +46,6 @@ def e_inspect_at_n(values: Iterable[Fraction], n: int) -> int:
     return sum(1 for v in values if v <= n)
 
 
-def exam(ranking: Ranking, faulty: set, universe_size: int) -> Fraction:
-    """Fraction of the element universe inspected before the first faulty element."""
-    if universe_size < ranking.total:
-        raise ValueError("universe smaller than the ranked element count")
-    return expected_first_faulty_rank(ranking, faulty) / universe_size
-
-
 def _scaled(values: Sequence) -> list:
     """The values times the lcm of their denominators: integers, same ratios."""
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]

@@ -97,10 +97,6 @@ class Ranking:
             if not a > b:
                 raise ModelError("group scores must strictly decrease")
 
-    @property
-    def total(self) -> int:
-        return sum(len(g) for g in self.groups)
-
 
 def rank_elements(scored: ScoredList) -> Ranking:
     """Group elements by exact score equality, ordered by decreasing score.

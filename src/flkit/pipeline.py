@@ -366,7 +366,7 @@ def emit_report(results: dict, fmt: str = "text-table") -> str:
         return json.dumps(results, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         return _emit_csv(results)
-    if fmt in ("text", "text-table"):
+    if fmt == "text-table":
         return _emit_text(results)
     raise PipelineError(f"unknown report format {fmt!r}")
 

@@ -421,6 +421,13 @@ class TestCli:
         assert rc == 0
         assert "Correlation" in out
 
+    def test_correlate_takes_no_seed(self, capsys):
+        # correlate trains nothing, so a seed could never change its output.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["correlate", "--corpus", str(CORPUS), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_correlate_trains_nothing(self, capsys, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("correlate must not train a model")

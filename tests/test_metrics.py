@@ -13,11 +13,11 @@ from flkit.metrics import (
     CorrelationUndefinedError,
     NotLocalizedError,
     e_inspect_at_n,
-    exam,
     expected_first_faulty_rank,
     r_squared,
 )
 from flkit.model import ProgramElement, Ranking, ScoredList, rank_elements
+from flkit.pipeline import _summary
 
 
 def enumerate_expected_rank(t: int, t_f: int, start: int) -> Fraction:
@@ -116,13 +116,14 @@ class TestAtNAndExam:
             e_inspect_at_n([], 0)
 
     def test_exam_is_expected_rank_over_universe(self):
+        # The report's EXAM mean: each localized fault's expected rank over
+        # its universe size, averaged; unlocalized faults are left out.
         ranking, faulty = ranking_with_tied_group(4, 2, 1)
-        assert exam(ranking, faulty, 10) == Fraction(5, 3) / 10
-
-    def test_exam_rejects_small_universe(self):
-        ranking, faulty = ranking_with_tied_group(4, 2, 1)
-        with pytest.raises(ValueError):
-            exam(ranking, faulty, 3)
+        values = {"a": expected_first_faulty_rank(ranking, faulty), "b": Fraction(1), "c": None}
+        summary = _summary(values, {"a": 10, "b": 4, "c": 7})
+        assert values["a"] == Fraction(5, 3)
+        assert summary["exam_mean"] == (5 / 30 + 1 / 4) / 2
+        assert summary["not_localized"] == 1
 
 
 def least_squares_r2(xs, ys):
