@@ -16,8 +16,10 @@ import pytest
 
 from flkit.cli import main as cli_main
 from flkit.corpus import load_corpus
-from flkit.minilang import gen_mutants
+from flkit.minilang import gen_mutants, run
+from flkit.minilang.interp import reexec_step_budget
 from flkit.pipeline import emit_report, evaluate_corpus
+from flkit.predswitch import INSTANCE_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -32,6 +34,7 @@ REPORT_FILES = {
     },
 }
 MUTANTS_FILE = GOLDEN / "mutants.tsv"
+TRACES_FILE = GOLDEN / "traces.tsv"
 WEIGHTS_FILE = GOLDEN / "weights.json"
 # Weights key -> `flkit combine --seed 0` arguments.
 WEIGHT_RUNS = {
@@ -86,6 +89,54 @@ def mutants_text(bundles) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trace_text(trace) -> str:
+    """Every field of an ExecutionTrace, in a canonical order."""
+    outcome = trace.outcome
+    lines = [
+        repr((trace.test_id, outcome.status, outcome.crash_kind, outcome.stack)),
+        " ".join(sorted(e.key for e in trace.covered)),
+    ]
+    lines += [f"{ev.element.key} {sorted(ev.deps)} {ev.control}" for ev in trace.events]
+    lines.append(repr(trace.predicate_instances))
+    lines.append(repr((trace.criterion_event, trace.value, trace.flip_applied, trace.signature())))
+    return "\n".join(lines) + "\n"
+
+
+def fault_runs(bundle) -> dict:
+    """Run kind -> the traces the families take: each test's original run,
+    each mutant on each test that covers its statement, and each predicate
+    flip of each failing test, both at the fault's re-execution budget."""
+    program, tests = bundle.program, bundle.tests
+    originals = [run(program, t) for t in tests]
+    budget = reexec_step_budget(originals)
+    mutants = [
+        run(m.program, t, step_budget=budget)
+        for m in gen_mutants(program)
+        for t, tr in zip(tests, originals)
+        if m.element in tr.covered
+    ]
+    flips = [
+        run(program, t, flip=(pred_id, occurrence), step_budget=budget)
+        for t, tr in zip(tests, originals)
+        if tr.failed
+        for pred_id, occurrence, _ in tr.predicate_instances[:INSTANCE_BUDGET]
+    ]
+    return {"original": originals, "mutant": mutants, "flip": flips}
+
+
+def traces_text(bundles) -> str:
+    """One tab-separated line per (fault, run kind): run count and a SHA-256
+    over the canonical text of its traces."""
+    lines = []
+    for bundle in bundles:
+        for kind, traces in fault_runs(bundle).items():
+            digest = hashlib.sha256()
+            for trace in traces:
+                digest.update(trace_text(trace).encode())
+            lines.append("\t".join((bundle.fault_id, kind, str(len(traces)), digest.hexdigest())))
+    return "\n".join(lines) + "\n"
+
+
 def check_report(name: str):
     path = GOLDEN / name
     assert report_text(load_corpus(CORPUS), **REPORT_FILES[path]) == path.read_text()
@@ -119,11 +170,18 @@ def test_mutants_match_golden():
     assert text == MUTANTS_FILE.read_text()
 
 
+def test_traces_match_golden():
+    text = traces_text(load_corpus(CORPUS))
+    assert sum(int(line.split("\t")[2]) for line in text.splitlines()) == 1068
+    assert text == TRACES_FILE.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     bundles = load_corpus(CORPUS)
     for path, options in REPORT_FILES.items():
         path.write_text(report_text(bundles, **options))
     MUTANTS_FILE.write_text(mutants_text(bundles))
+    TRACES_FILE.write_text(traces_text(bundles))
     weights = {key: combine_weights(key) for key in sorted(WEIGHT_RUNS)}
     WEIGHTS_FILE.write_text(json.dumps(weights, indent=2) + "\n")
