@@ -9,7 +9,7 @@ for predicate switching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..model import ProgramElement
@@ -142,11 +142,7 @@ class _Frame:
     function: str
     env: dict
     var_events: dict  # name -> defining event index
-    call_site_event: Optional[int]
-    control: list = field(default_factory=list)  # stack of branch event indices
-
-    def control_parent(self) -> Optional[int]:
-        return self.control[-1] if self.control else self.call_site_event
+    control: list  # the call-site event, then the enclosing branch events
 
 
 class _Interp:
@@ -155,60 +151,68 @@ class _Interp:
         self.flip = flip  # (pred_id, occurrence) or None
         self.flip_applied = False
         self.step_budget = step_budget
-        self.steps = 0
-        self.events: list[Event] = []
+        # An Event per finished statement; a pending (element, control) pair
+        # while its dependences are still being evaluated.
+        self.events: list = []
         self.predicate_instances: list[tuple] = []
         self.pred_counts: dict[str, int] = {}
         self.frames: list[_Frame] = []
-        self.current_stmt: Optional[Stmt] = None
 
     # -- event bookkeeping --
 
     def new_event(self, elem: ProgramElement) -> int:
-        self.steps += 1
-        if self.steps > self.step_budget:
+        events = self.events
+        idx = len(events)
+        if idx >= self.step_budget:
             raise _Crash("budget")
-        idx = len(self.events)
-        self.events.append(Event(elem, frozenset(), self.frames[-1].control_parent()))
+        events.append((elem, self.frames[-1].control[-1]))
         return idx
 
     def finish_event(self, idx: int, deps):
-        ev = self.events[idx]
-        self.events[idx] = Event(ev.element, frozenset(deps), ev.control)
+        elem, control = self.events[idx]
+        self.events[idx] = Event(elem, frozenset(deps), control)
+
+    def settle_events(self):
+        """Give each statement an exception left pending an Event with no deps."""
+        events = self.events
+        for idx, ev in enumerate(events):
+            if type(ev) is tuple:
+                events[idx] = Event(ev[0], frozenset(), ev[1])
 
     # -- expression evaluation: returns (value, deps) --
 
     def eval(self, expr: Expr):
-        if isinstance(expr, (Num, BoolLit)):
-            return expr.value, set()
-        if isinstance(expr, Var):
+        kind = type(expr)
+        if kind is Var:
             frame = self.frames[-1]
-            if expr.name not in frame.env:
+            name = expr.name
+            if name not in frame.env:
                 raise _Crash("undefined-var")
-            deps = set()
-            if expr.name in frame.var_events:
-                deps.add(frame.var_events[expr.name])
-            return frame.env[expr.name], deps
-        if isinstance(expr, Unary):
+            defined = frame.var_events.get(name)
+            return frame.env[name], (set() if defined is None else {defined})
+        if kind is Num or kind is BoolLit:
+            return expr.value, set()
+        if kind is Binary:
+            return self.eval_binary(expr)
+        if kind is Index:
+            base, deps = self.eval(expr.base)
+            idx, d2 = self.eval(expr.index)
+            deps |= d2
+            if type(base) is not list or type(idx) is not int:
+                raise _Crash("type")
+            if idx < 0 or idx >= len(base):
+                raise _Crash("bounds")
+            return base[idx], deps
+        if kind is Unary:
             value, deps = self.eval(expr.operand)
             if expr.op == "-":
                 self.require_int(value)
                 return -value, deps
             self.require_bool(value)
             return (not value), deps
-        if isinstance(expr, Binary):
-            return self.eval_binary(expr)
-        if isinstance(expr, Index):
-            base, deps = self.eval(expr.base)
-            idx, d2 = self.eval(expr.index)
-            deps |= d2
-            if not isinstance(base, list):
-                raise _Crash("type")
-            self.require_int(idx)
-            if idx < 0 or idx >= len(base):
-                raise _Crash("bounds")
-            return base[idx], deps
-        if isinstance(expr, ArrayLit):
+        if kind is Call:
+            return self.eval_call(expr)
+        if kind is ArrayLit:
             items = []
             deps: set = set()
             for item in expr.items:
@@ -216,15 +220,14 @@ class _Interp:
                 items.append(v)
                 deps |= d
             return items, deps
-        if isinstance(expr, Call):
-            return self.eval_call(expr)
         raise AssertionError(f"unhandled expr {expr!r}")
 
     def eval_binary(self, expr: Binary):
-        if expr.op in ("&&", "||"):
+        op = expr.op
+        if op == "&&" or op == "||":
             left, deps = self.eval(expr.left)
             self.require_bool(left)
-            if (expr.op == "&&" and not left) or (expr.op == "||" and left):
+            if (op == "&&" and not left) or (op == "||" and left):
                 return left, deps
             right, d2 = self.eval(expr.right)
             self.require_bool(right)
@@ -232,16 +235,23 @@ class _Interp:
         left, deps = self.eval(expr.left)
         right, d2 = self.eval(expr.right)
         deps |= d2
-        op = expr.op
         if op in ("==", "!="):
             eq = left == right
             return (eq if op == "==" else not eq), deps
-        self.require_int(left)
-        self.require_int(right)
+        if type(left) is not int or type(right) is not int:
+            raise _Crash("type")
         if op == "+":
             return self.checked(left + right), deps
         if op == "-":
             return self.checked(left - right), deps
+        if op == "<":
+            return left < right, deps
+        if op == "<=":
+            return left <= right, deps
+        if op == ">":
+            return left > right, deps
+        if op == ">=":
+            return left >= right, deps
         if op == "*":
             return self.checked(left * right), deps
         if op == "/":
@@ -252,14 +262,6 @@ class _Interp:
             if right == 0:
                 raise _Crash("div0")
             return left - right * (int(left / right) if (left < 0) != (right < 0) else left // right), deps
-        if op == "<":
-            return left < right, deps
-        if op == "<=":
-            return left <= right, deps
-        if op == ">":
-            return left > right, deps
-        if op == ">=":
-            return left >= right, deps
         raise AssertionError(f"unhandled operator {op}")
 
     def eval_call(self, expr: Call):
@@ -277,23 +279,20 @@ class _Interp:
             fn.name,
             dict(zip(fn.params, values)),
             {p: call_event for p in fn.params},
-            call_event,
+            [call_event],
         )
         if len(self.frames) >= MAX_CALL_DEPTH:
             raise _Crash("stack-overflow")
         self.frames.append(frame)
-        saved_stmt = self.current_stmt
         try:
             self.exec_body(fn.body)
         except _ReturnSignal as ret:
             self.frames.pop()
-            self.current_stmt = saved_stmt
             deps.add(ret.event_index)
             return ret.value, deps
         # A crash propagates past this point without unwinding self.frames,
         # deliberately: crash_stack() needs the frames as they were.
         self.frames.pop()
-        self.current_stmt = saved_stmt
         # fell off the end of the function: implicit return 0 with no event
         return 0, deps
 
@@ -305,12 +304,12 @@ class _Interp:
 
     @staticmethod
     def require_int(value):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:  # excludes bool: type(True) is bool
             raise _Crash("type")
 
     @staticmethod
     def require_bool(value):
-        if not isinstance(value, bool):
+        if type(value) is not bool:
             raise _Crash("type")
 
     # -- statements --
@@ -322,49 +321,58 @@ class _Interp:
     def eval_predicate(self, stmt) -> tuple[bool, set]:
         value, deps = self.eval(stmt.cond)
         self.require_bool(value)
-        occurrence = self.pred_counts.get(stmt.pred_id, 0)
-        self.pred_counts[stmt.pred_id] = occurrence + 1
-        if self.flip is not None and self.flip == (stmt.pred_id, occurrence):
+        pred_id = stmt.pred_id
+        occurrence = self.pred_counts.get(pred_id, 0)
+        self.pred_counts[pred_id] = occurrence + 1
+        if self.flip is not None and self.flip == (pred_id, occurrence):
             value = not value
             self.flip_applied = True
-        self.predicate_instances.append((stmt.pred_id, occurrence, value))
+        self.predicate_instances.append((pred_id, occurrence, value))
         return value, deps
 
     def exec_stmt(self, stmt: Stmt):
-        self.current_stmt = stmt
         frame = self.frames[-1]
-        idx = self.new_event(stmt.elem)
-        self.current_event = idx
-        if isinstance(stmt, VarDecl):
-            value, deps = self.eval(stmt.init) if stmt.init is not None else (0, ())
-            frame.env[stmt.name] = value
-            frame.var_events[stmt.name] = idx
-            self.finish_event(idx, deps)
-        elif isinstance(stmt, Assign):
+        idx = self.current_event = self.new_event(stmt.elem)
+        kind = type(stmt)
+        if kind is Assign:
             value, deps = self.eval(stmt.value)
+            target = stmt.target
             if stmt.index is not None:
                 pos, d2 = self.eval(stmt.index)
                 deps |= d2
-                if stmt.target not in frame.env:
+                if target not in frame.env:
                     raise _Crash("undefined-var")
-                if stmt.target in frame.var_events:
-                    deps.add(frame.var_events[stmt.target])
-                arr = frame.env[stmt.target]
-                if not isinstance(arr, list):
+                if target in frame.var_events:
+                    deps.add(frame.var_events[target])
+                arr = frame.env[target]
+                if type(arr) is not list:
                     raise _Crash("type")
                 self.require_int(pos)
                 if pos < 0 or pos >= len(arr):
                     raise _Crash("bounds")
                 arr = list(arr)
                 arr[pos] = value
-                frame.env[stmt.target] = arr
+                frame.env[target] = arr
             else:
-                if stmt.target not in frame.env:
+                if target not in frame.env:
                     raise _Crash("undefined-var")
-                frame.env[stmt.target] = value
-            frame.var_events[stmt.target] = idx
+                frame.env[target] = value
+            frame.var_events[target] = idx
             self.finish_event(idx, deps)
-        elif isinstance(stmt, If):
+        elif kind is While:
+            value, deps = self.eval_predicate(stmt)
+            self.finish_event(idx, deps)
+            control = frame.control
+            while value:
+                control.append(idx)
+                try:
+                    self.exec_body(stmt.body)
+                finally:
+                    control.pop()
+                idx = self.current_event = self.new_event(stmt.elem)
+                value, deps = self.eval_predicate(stmt)
+                self.finish_event(idx, deps)
+        elif kind is If:
             value, deps = self.eval_predicate(stmt)
             self.finish_event(idx, deps)
             frame.control.append(idx)
@@ -372,31 +380,22 @@ class _Interp:
                 self.exec_body(stmt.then_body if value else stmt.else_body)
             finally:
                 frame.control.pop()
-        elif isinstance(stmt, While):
-            value, deps = self.eval_predicate(stmt)
+        elif kind is VarDecl:
+            value, deps = self.eval(stmt.init) if stmt.init is not None else (0, ())
+            frame.env[stmt.name] = value
+            frame.var_events[stmt.name] = idx
             self.finish_event(idx, deps)
-            while value:
-                frame.control.append(idx)
-                try:
-                    self.exec_body(stmt.body)
-                finally:
-                    frame.control.pop()
-                self.current_stmt = stmt
-                idx = self.new_event(stmt.elem)
-                self.current_event = idx
-                value, deps = self.eval_predicate(stmt)
-                self.finish_event(idx, deps)
-        elif isinstance(stmt, Return):
+        elif kind is Return:
             value, deps = self.eval(stmt.value) if stmt.value is not None else (0, ())
             self.finish_event(idx, deps)
             raise _ReturnSignal(value, idx)
-        elif isinstance(stmt, Assert):
+        elif kind is Assert:
             value, deps = self.eval(stmt.cond)
             self.require_bool(value)
             self.finish_event(idx, deps)
             if not value:
                 raise _AssertFailed()
-        elif isinstance(stmt, ExprStmt):
+        elif kind is ExprStmt:
             _, deps = self.eval(stmt.expr)
             self.finish_event(idx, deps)
         else:
@@ -420,9 +419,7 @@ def run(
     if len(test.args) != len(fn.params):
         raise ValueError(f"{test.entry} expects {len(fn.params)} args, got {len(test.args)}")
     args = [list(a) if isinstance(a, (list, tuple)) else a for a in test.args]
-    interp.frames.append(
-        _Frame(fn.name, dict(zip(fn.params, args)), {}, None)
-    )
+    interp.frames.append(_Frame(fn.name, dict(zip(fn.params, args)), {}, [None]))
     interp.current_event = None
     value = None
     criterion = None
@@ -448,12 +445,16 @@ def run(
             # wrong result: the harness assertion fails (not a crash)
             outcome = Outcome(ASSERT_FAIL)
     except _AssertFailed:
+        # An assert inside a callee leaves the caller's statements pending.
+        interp.settle_events()
         outcome = Outcome(ASSERT_FAIL)
         criterion = len(interp.events) - 1
     except _Crash as crash:
+        interp.settle_events()
         outcome = Outcome(CRASH, crash_kind=crash.kind, stack=interp.crash_stack())
         criterion = len(interp.events) - 1 if interp.events else None
-    covered = frozenset(ev.element for ev in interp.events)
+    # Hash each distinct element object once, not once per event.
+    covered = frozenset({id(ev.element): ev.element for ev in interp.events}.values())
     return ExecutionTrace(
         test_id=test.test_id,
         outcome=outcome,

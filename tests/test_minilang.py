@@ -243,6 +243,58 @@ class TestDependences:
         assert pos[2] in tr.events[pos[5]].deps  # var x depends on g's return event
 
 
+class TestPendingEvents:
+    """A statement whose evaluation raises keeps its event, with no deps."""
+
+    @staticmethod
+    def at(tr, line):
+        return [i for i, e in enumerate(tr.events) if e.element.line == line]
+
+    def test_crash_mid_expression(self):
+        prog = parse("func f(y) {\n if (y > 0) {\n  var x = 1 / 0;\n }\n return 0;\n}")
+        tr = run(prog, MLTest("t", "f", (1,), 0))
+        assert (tr.outcome.crash_kind, tr.outcome.stack) == ("div0", ("f",))
+        [branch], [crashed] = self.at(tr, 2), self.at(tr, 3)
+        assert tr.criterion_event == crashed == len(tr.events) - 1
+        assert tr.events[crashed].deps == frozenset()
+        assert tr.events[crashed].control == branch
+        assert tr.signature() == (CRASH, "div0")
+
+    def test_crash_inside_callee_leaves_call_statement_pending(self):
+        prog = parse(
+            "func g(a) {\n return a[3];\n}\n"
+            "func f(y) {\n var a = [y];\n if (y > 0) {\n  var x = g(a) + y;\n }\n return 0;\n}"
+        )
+        tr = run(prog, MLTest("t", "f", (1,), 0))
+        assert (tr.outcome.crash_kind, tr.outcome.stack) == ("bounds", ("g", "f"))
+        [branch], [call], [inner] = self.at(tr, 6), self.at(tr, 7), self.at(tr, 2)
+        assert tr.criterion_event == inner == len(tr.events) - 1
+        assert tr.events[call].deps == frozenset()
+        assert tr.events[call].control == branch
+        assert tr.events[inner].deps == frozenset()
+        assert tr.events[inner].control == call
+
+    def test_budget_crash_at_while_head(self):
+        prog = parse(
+            "func g(n) {\n var i = 0;\n while (i < n) {\n  i = i + 1;\n }\n return i;\n}\n"
+            "func f() {\n var x = g(100);\n return x;\n}"
+        )
+        # Events: f's call, g's declaration, then head and body in turn; the
+        # seventh event would be a loop head.
+        tr = run(prog, MLTest("t", "f", (), 100), step_budget=6)
+        assert (tr.outcome.crash_kind, tr.outcome.stack) == ("budget", ("g", "f"))
+        assert len(tr.events) == 6
+        [call], heads, body = self.at(tr, 9), self.at(tr, 3), self.at(tr, 4)
+        assert (call, heads, body) == (0, [2, 4], [3, 5])
+        assert tr.events[call].deps == frozenset()
+        assert tr.events[call].control is None
+        assert tr.criterion_event == 5
+        assert tr.events[5].deps == {3}
+        assert tr.events[5].control == 4
+        assert tr.events[4].deps == {call, 3}  # n is defined by the call
+        assert tr.events[4].control == call
+
+
 class TestPredicateFlips:
     def test_flip_inverts_one_instance(self):
         prog = parse(COLLATZ)
