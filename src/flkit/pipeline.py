@@ -247,6 +247,13 @@ def _cross_validate(
     if with_ablation and len(families) > 1:
         techniques = features[0].techniques
         for family in (f for f in cmb.FAMILIES if f.name in families):
+            dropped = [techniques.index(t) for t in family.techniques]
+            if all(len({row[i] for row in f.matrix}) == 1 for f in features for i in dropped):
+                # Columns constant within every fault give all-zero pair
+                # differences, which `train` drops: the fits would be the
+                # combined ones, with weight 0.0 on these columns.
+                ablation[family.name] = combined
+                continue
             kept = [t for t in techniques if t not in family.techniques]
             columns = [techniques.index(t) for t in kept]
             reduced = [

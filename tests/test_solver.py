@@ -4,6 +4,7 @@ convergence of every corpus fit, and degenerate and capped inputs.
 scipy is a test-only oracle here, as in test_metrics.
 """
 
+import dataclasses
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -113,23 +114,59 @@ class TestOptimality:
         assert abs(found - slsqp_optimum(pairs, len(techniques))) <= 1e-6
 
 
+# Cross-validated models per `evaluate` at (statement, method) granularity: the
+# combined one and one per left-out family, less those of history and ir (and
+# of sbfl at method granularity from level 2), whose columns are constant
+# within every corpus fault, so they reuse the combined model's fits.
+CORPUS_MODELS = {1: (2, 2), 2: (4, 3), 3: (5, 4), 4: (6, 5)}
+
+
+def use_analyses(monkeypatch, level: int) -> list:
+    """Make `evaluate_corpus` reuse the cached level analyses; returns the bundles."""
+    analyses = corpus_analyses(level)
+    monkeypatch.setattr(pipeline, "analyze_corpus", lambda bundles, lvl: list(analyses))
+    return [a.bundle for a in analyses]
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_every_corpus_fit_converges(level, monkeypatch):
     """Every fit of `evaluate` (combined and ablation, both CV modes, both
     granularities, seeds 0-4) ends on the stopping rule, not on the cap."""
-    analyses = corpus_analyses(level)
-    monkeypatch.setattr(pipeline, "analyze_corpus", lambda bundles, lvl: list(analyses))
+    bundles = use_analyses(monkeypatch, level)
     gaps = recorded_gaps(monkeypatch)
-    bundles = [a.bundle for a in analyses]
     for granularity in ("statement", "method"):
         for cv in ("kfold", "cross-project"):
             for seed in range(5):
                 pipeline.evaluate_corpus(
                     bundles, level=level, granularity=granularity, seed=seed, cv=cv
                 )
-    families = len(cmb.preset_families(level))
-    assert len(gaps) == 2 * 2 * 5 * 10 * (1 + families)
+    assert len(gaps) == 2 * 5 * 10 * sum(CORPUS_MODELS[level])
     assert max(gaps) <= cmb.TOLERANCE
+
+
+def test_constant_families_reuse_the_combined_fits(monkeypatch):
+    """Leaving out history or ir fits nothing at level 4: their rows are the
+    combined row, which is also what fitting without their columns gives."""
+    bundles = use_analyses(monkeypatch, 4)
+    fits = []
+    train_once = cmb.train
+    monkeypatch.setattr(cmb, "train", lambda *a, **kw: fits.append(a) or train_once(*a, **kw))
+    results = pipeline.evaluate_corpus(bundles, level=4)
+    assert len(fits) == 60
+    features = pipeline.corpus_features(corpus_analyses(4), cmb.preset_techniques(4), "statement")
+    sizes = {f.fault_id: len(f.elements) for f in features}
+    for family in ("history", "ir"):
+        kept = [i for i, t in enumerate(features[0].techniques) if t != family]
+        reduced = [
+            dataclasses.replace(
+                f,
+                techniques=tuple(f.techniques[i] for i in kept),
+                matrix=tuple(tuple(row[i] for i in kept) for row in f.matrix),
+            )
+            for f in features
+        ]
+        refit = pipeline._summary(cmb.kfold_cv(reduced, k=10, seed=0), sizes)
+        assert results["ablation"][family] == results["combined"] == refit
 
 
 class TestDegenerateAndBounded:
