@@ -173,7 +173,7 @@ class _Interp:
         self.events[idx] = Event(elem, frozenset(deps), control)
 
     def settle_events(self):
-        """Give each statement an exception left pending an Event with no deps."""
+        """Turn each pair an exception left pending into an Event with no deps."""
         events = self.events
         for idx, ev in enumerate(events):
             if type(ev) is tuple:
