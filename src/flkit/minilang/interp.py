@@ -286,15 +286,16 @@ class _Interp:
         self.frames.append(frame)
         try:
             self.exec_body(fn.body)
+            value = 0  # fell off the end of the function: implicit return 0 with no event
         except _ReturnSignal as ret:
-            self.frames.pop()
+            value = ret.value
             deps.add(ret.event_index)
-            return ret.value, deps
         # A crash propagates past this point without unwinding self.frames,
         # deliberately: crash_stack() needs the frames as they were.
         self.frames.pop()
-        # fell off the end of the function: implicit return 0 with no event
-        return 0, deps
+        # A later call in the same statement has the same call site.
+        self.current_event = call_event
+        return value, deps
 
     @staticmethod
     def checked(value: int) -> int:

@@ -242,6 +242,14 @@ class TestDependences:
         pos = {e.element.line: i for i, e in enumerate(tr.events)}
         assert pos[2] in tr.events[pos[5]].deps  # var x depends on g's return event
 
+    def test_second_call_in_statement_has_statement_as_call_site(self):
+        prog = parse("func g(a) {\n return a;\n}\nfunc f() {\n var x = g(1) + g(2);\n return x;\n}")
+        tr = run(prog, MLTest("t", "f", (), 3))
+        returns = [e for e in tr.events if e.element.line == 2]
+        assert tr.events[0].element.line == 5
+        assert [(e.control, e.deps) for e in returns] == [(0, {0}), (0, {0})]
+        assert tr.events[0].deps == {1, 2}
+
 
 class TestPendingEvents:
     """A statement whose evaluation raises keeps its event, with no deps."""
