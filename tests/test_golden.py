@@ -170,10 +170,19 @@ def test_mutants_match_golden():
     assert text == MUTANTS_FILE.read_text()
 
 
+def traces_by_run(text: str) -> dict:
+    """(fault, run kind) -> (run count, digest), from traces_text lines."""
+    rows = (line.split("\t") for line in text.splitlines())
+    return {(fault, kind): (count, digest) for fault, kind, count, digest in rows}
+
+
 def test_traces_match_golden():
     text = traces_text(load_corpus(CORPUS))
+    golden = TRACES_FILE.read_text()
     assert sum(int(line.split("\t")[2]) for line in text.splitlines()) == 1068
-    assert text == TRACES_FILE.read_text()
+    # Keyed by (fault, kind) first, so a failure names the lines that differ.
+    assert traces_by_run(text) == traces_by_run(golden)
+    assert text == golden
 
 
 if __name__ == "__main__":
