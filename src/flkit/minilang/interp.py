@@ -5,6 +5,14 @@ trace event recording its element, the trace positions of the events it
 depends on (dynamic data dependences, including values returned by calls), and
 its dynamic control parent. Predicate evaluations can be individually inverted
 for predicate switching.
+
+A loop whose variables repeat at its head ends as a "budget" crash there, as it
+would after running out of steps. Nothing else can change while it runs: there
+are no globals, arrays are never changed in place, callees see only their
+arguments and outer frames are suspended. So the loop's future depends only on
+its frame's variables, and a repeat can never end. Each loop execution keeps
+one snapshot, re-saved on laps 1, 2, 4, 8, ... (Brent's cycle detection), and
+the rule is off while a requested predicate flip is still pending.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from .parse import (
     While,
 )
 
+# Steps before a run crashes with "budget". A loop whose variables repeat at
+# its head crashes with "budget" at once (see the module docstring).
 STEP_BUDGET = 10**6
 
 # Re-executions (mutants, predicate flips) can loop forever, so each gets
@@ -114,6 +124,14 @@ class ExecutionTrace:
             elem = self.events[self.criterion_event].element if self.criterion_event is not None else None
             return (ASSERT_FAIL, elem, _freeze(self.value))
         return (PASS, _freeze(self.value))
+
+
+def _same_types(a, b) -> bool:
+    """Whether two values that compare equal also match in type throughout:
+    1 == True in Python, but not in the language."""
+    if type(a) is not type(b):
+        return False
+    return type(a) is not list or all(map(_same_types, a, b))
 
 
 def _freeze(value):
@@ -363,8 +381,18 @@ class _Interp:
         elif kind is While:
             value, deps = self.eval_predicate(stmt)
             self.finish_event(idx, deps)
-            control = frame.control
+            control, env = frame.control, frame.env
+            lap, next_save, saved = 0, 1, None
             while value:
+                # Variables repeated at the head loop forever (module docstring).
+                if env == saved and all(_same_types(v, saved[k]) for k, v in env.items()):
+                    raise _Crash("budget")
+                lap += 1
+                if lap == next_save:
+                    next_save *= 2
+                    # While a flip is pending, pred_counts matter too: no snapshot.
+                    if self.flip is None or self.flip_applied:
+                        saved = dict(env)
                 control.append(idx)
                 try:
                     self.exec_body(stmt.body)

@@ -23,6 +23,7 @@ func collatz(x) { var res = 0;
 """
 
 RECURSIVE = "func f(n) { if (n == 0) { return 0; } return 1 + f(n - 1); }"
+SPIN = "func f() { while (true) { var x = 1; } return 0; }"
 
 
 def lines(elements):
@@ -150,7 +151,7 @@ class TestInterpreter:
             ("func f(a) { return a[5]; }", ([1, 2],), "bounds"),
             ("func f(a) { return a + 1; }", ([1],), "type"),
             ("func f() { return x; }", (), "undefined-var"),
-            ("func f() { while (true) { var x = 1; } return 0; }", (), "budget"),
+            (SPIN, (), "budget"),
             ("func f(x) { return f(x); }", (1,), "stack-overflow"),
         ],
     )
@@ -184,6 +185,29 @@ class TestInterpreter:
         tr = run(prog, MLTest("t", "f", (100,), "pass"))
         assert tr.outcome.status == CRASH
         assert tr.outcome.crash_kind == "overflow"
+
+    def test_repeated_loop_state_stops_at_head(self):
+        # run() defaults to STEP_BUDGET; the variables repeat on the third lap.
+        tr = run(parse(SPIN), MLTest("t", "f", (), "pass"))
+        assert (tr.outcome.status, tr.outcome.crash_kind, tr.outcome.stack) == (CRASH, "budget", ("f",))
+        assert len(tr.events) < 10
+        assert tr.criterion_event == len(tr.events) - 1
+        assert tr.events[tr.criterion_event].element == tr.events[0].element  # the loop head
+
+    def test_pending_flip_disables_repeat_stop(self):
+        tr = run(parse(SPIN), MLTest("t", "f", (), "pass"), flip=("p0", 5))
+        assert tr.outcome.status == PASS
+        assert tr.flip_applied and tr.value == 0
+
+    def test_repeat_is_type_strict(self):
+        # At the third head x is 1 where it was true at the second, so the two
+        # states are equal only under Python's ==; the third lap then tests if (1).
+        prog = parse(
+            "func f() { var x = true; var k = 0; while (true) {"
+            " if (k == 0) { k = 1; } else { if (x) { x = 1; } } } return 0; }"
+        )
+        tr = run(prog, MLTest("t", "f", (), "pass"))
+        assert (tr.outcome.status, tr.outcome.crash_kind) == (CRASH, "type")
 
     def test_coverage_per_branch(self):
         prog = parse(COLLATZ)
