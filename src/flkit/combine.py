@@ -31,7 +31,9 @@ PAIR_CAP = 50  # correct elements sampled per faulty element
 L2_LAMBDA = 0.01
 MARGIN = 1.0
 TOLERANCE = 1e-6  # stopping bound on the projected-gradient spread
-EPOCH_CAP = 20_000  # bounds the solver; corpus fits need at most ~2,300 epochs
+EPOCH_CAP = 20_000  # bounds coordinate descent where the exact finish fails
+WARMUP_EPOCHS = 10  # coordinate-descent epochs before the exact finish
+INDEPENDENCE = 1e-9  # a basis row's least squared pivot, relative to its squared norm
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -241,13 +243,15 @@ def train(pairs: Sequence, techniques: Sequence[str], seed: int = 0) -> RankMode
 
 
 def _solve(rows: list, bounds: list, dim: int) -> tuple:
-    """Dual coordinate descent for the bias-free hinge SVM.
+    """Dual coordinate descent for the bias-free hinge SVM, finished exactly.
 
     `rows` are sparse (column, value) lists, none empty; `bounds` are their
     dual upper bounds. Returns (w, gap): the weight list and the spread of
-    the last epoch's projected gradients, taken together with 0, so every
-    |projected gradient| of that epoch is at most gap. Sums run left to
-    right, as in `_dot`, so the weights do not depend on the Python version.
+    the projected gradients, taken together with 0, so every |projected
+    gradient| is at most gap. After WARMUP_EPOCHS epochs, or at an earlier
+    stop, `_finish` makes one exact attempt from a copy of the iterate; if it
+    fails, descent goes on from the iterate. Sums run left to right, as in
+    `_dot`, so the weights do not depend on the Python version.
     """
     w = [0.0] * dim
     alpha = [0.0] * len(rows)
@@ -258,7 +262,7 @@ def _solve(rows: list, bounds: list, dim: int) -> tuple:
             q += v * v
         coords.append((j, row, bound, q))
     gap = math.inf
-    for _ in range(EPOCH_CAP):
+    for epoch in range(1, EPOCH_CAP + 1):
         hi = lo = 0.0
         for j, row, bound, q in coords:
             g = -MARGIN
@@ -289,9 +293,148 @@ def _solve(rows: list, bounds: list, dim: int) -> tuple:
             for col, v in row:
                 w[col] += step * v
         gap = hi - lo
+        if epoch <= WARMUP_EPOCHS and (gap <= TOLERANCE or epoch == WARMUP_EPOCHS):
+            exact = _finish(rows, bounds, dim, alpha[:])
+            if exact is not None:
+                return exact
         if gap <= TOLERANCE:
             break
     return w, gap
+
+
+def _finish(rows: list, bounds: list, dim: int, alpha: list) -> Optional[tuple]:
+    """Primal active-set solve (Nocedal & Wright, ch. 16.5) of the dual
+    min 1/2 ||sum_j alpha_j d_j||^2 - MARGIN sum_j alpha_j, 0 <= alpha_j <= bound_j,
+    from the feasible `alpha`, which it overwrites.
+
+    The free set starts as the strictly free alpha. Each iteration takes, in
+    index order, the free rows independent of those before them (the basis,
+    by incremental Cholesky of their Gram matrix) and makes the Newton step
+    that zeroes their gradients with every other alpha fixed, cut at the
+    first bound it meets, which fixes that alpha. After a full step it
+    returns (w, gap) if the projected gradients at w = sum_j alpha_j d_j span
+    at most TOLERANCE, the test of `_solve`. Otherwise it takes the alpha with
+    the worst projected gradient: a fixed one is freed, and a free one in the
+    basis' span moves against its gradient, with the basis moving so that w
+    stays put, until a bound blocks. It returns None after 2 x len(rows) + dim
+    iterations.
+    """
+    dense = []
+    for row in rows:
+        d = [0.0] * dim
+        for col, v in row:
+            d[col] = v
+        dense.append(d)
+    free = [j for j, a in enumerate(alpha) if 0.0 < a < bounds[j]]
+    w, grads = _gradients(rows, alpha, dim)
+    for _ in range(2 * len(rows) + dim):
+        basis, factor, spans = [], [], {}
+        for k in free:
+            # Row k of the Cholesky factor: solve L l = (d_s . d_k) for s in basis.
+            l = []
+            for i, s in enumerate(basis):
+                x = _dot(dense[s], dense[k])
+                li = factor[i]
+                for m in range(i):
+                    x -= li[m] * l[m]
+                l.append(x / li[i])
+            norm = _dot(dense[k], dense[k])
+            pivot = norm
+            for x in l:
+                pivot -= x * x
+            if pivot > INDEPENDENCE * norm:
+                l.append(math.sqrt(pivot))
+                factor.append(l)
+                basis.append(k)
+            else:
+                spans[k] = l
+        step = _back_solve(factor, _forward_solve(factor, [-grads[s] for s in basis]))
+        blocker = _advance(basis, step, alpha, bounds, 1.0)
+        w, grads = _gradients(rows, alpha, dim)
+        if blocker is not None:
+            free.remove(blocker)
+            continue
+        hi = lo = 0.0
+        for j, g in enumerate(grads):
+            if g < lo and alpha[j] != bounds[j]:
+                lo, low = g, j
+            elif g > hi and alpha[j] != 0.0:
+                hi, high = g, j
+        if hi - lo <= TOLERANCE:
+            return w, hi - lo
+        worst = high if hi >= -lo else low
+        if worst in spans:
+            # d_worst = sum_s c_s d_s over the basis, so raising alpha_worst by
+            # t and lowering each alpha_s by t c_s keeps w, and every gradient.
+            sign = 1.0 if grads[worst] < 0.0 else -1.0
+            coords = [worst] + basis
+            direction = [sign] + [-sign * c for c in _back_solve(factor, spans[worst])]
+            free.remove(_advance(coords, direction, alpha, bounds, math.inf))
+            w, grads = _gradients(rows, alpha, dim)
+        elif worst not in free:
+            free.append(worst)
+            free.sort()
+        # A basis row is left to the next Newton step, which refines it.
+    return None
+
+
+def _gradients(rows: list, alpha: list, dim: int) -> tuple:
+    """w = sum_j alpha_j d_j and every gradient d_j . w - MARGIN."""
+    w = [0.0] * dim
+    for row, a in zip(rows, alpha):
+        if a:
+            for col, v in row:
+                w[col] += a * v
+    grads = []
+    for row in rows:
+        g = -MARGIN
+        for col, v in row:
+            g += w[col] * v
+        grads.append(g)
+    return w, grads
+
+
+def _advance(coords: list, direction: list, alpha: list, bounds: list, limit: float):
+    """Move alpha[coords] by t x direction for the largest t <= limit that
+    keeps every alpha in its box. Returns the first coordinate whose bound
+    cut the step, set exactly to that bound, or None."""
+    t, blocker = limit, None
+    for s, p in zip(coords, direction):
+        if p < 0.0:
+            ts = alpha[s] / -p
+        elif p > 0.0:
+            ts = (bounds[s] - alpha[s]) / p
+        else:
+            continue
+        if ts < t or (ts == t and blocker is None):
+            t, blocker, edge = ts, s, 0.0 if p < 0.0 else bounds[s]
+    for s, p in zip(coords, direction):
+        alpha[s] += t * p
+    if blocker is not None:
+        alpha[blocker] = edge
+    return blocker
+
+
+def _forward_solve(factor: list, rhs: list) -> list:
+    """Solve L y = rhs for the lower-triangular rows `factor`."""
+    y = []
+    for i, li in enumerate(factor):
+        x = rhs[i]
+        for m in range(i):
+            x -= li[m] * y[m]
+        y.append(x / li[i])
+    return y
+
+
+def _back_solve(factor: list, y: list) -> list:
+    """Solve L^T x = y for the lower-triangular rows `factor`."""
+    x = [0.0] * len(y)
+    for i in range(len(y) - 1, -1, -1):
+        v = y[i]
+        for m in range(i + 1, len(y)):
+            v -= factor[m][i] * x[m]
+        x[i] = v / factor[i][i]
+    return x
 
 
 def violations(model: RankModel, pairs: Sequence) -> int:
