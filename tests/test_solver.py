@@ -22,6 +22,8 @@ from flkit.synthetic import TECHNIQUES, complementary_corpus
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 # The level-4 objective of the fixed 100-epoch SGD trainer this solver replaced.
 SGD_LEVEL4_OBJECTIVE = 0.20529
+# A gap the exact finish reaches and coordinate descent, stopping at TOLERANCE, does not.
+EXACT_GAP = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +146,40 @@ def test_every_corpus_fit_converges(level, monkeypatch):
     assert max(gaps) <= cmb.TOLERANCE
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_every_corpus_fit_is_finished_exactly(level, monkeypatch):
+    """The fits of `test_every_corpus_fit_converges` end far inside TOLERANCE,
+    where coordinate descent stops: the exact finish certified each of them."""
+    bundles = use_analyses(monkeypatch, level)
+    gaps = recorded_gaps(monkeypatch)
+    for granularity in ("statement", "method"):
+        for cv in ("kfold", "cross-project"):
+            for seed in range(5):
+                pipeline.evaluate_corpus(
+                    bundles, level=level, granularity=granularity, seed=seed, cv=cv
+                )
+    assert len(gaps) == 2 * 5 * 10 * sum(CORPUS_MODELS[level])
+    assert max(gaps) <= EXACT_GAP
+
+
+def test_ill_conditioned_corpus_fit_matches_slsqp():
+    """Level 3, seed 1, without predswitch, the first k-fold fold: one of the
+    fits that coordinate descent alone takes about 2,300 epochs to certify."""
+    techniques = cmb.preset_techniques(3)
+    features = pipeline.corpus_features(corpus_analyses(3), techniques, "statement")
+    order = list(range(len(features)))
+    random.Random(1).shuffle(order)
+    kept = [i for i, t in enumerate(techniques) if t != "predswitch"]
+    pairs = [
+        (tuple(f[i] for i in kept), tuple(c[i] for i in kept))
+        for f, c in build_pairwise_constraints(
+            [f for i, f in enumerate(features) if i != order[0]], seed=1
+        )
+    ]
+    found = objective(train(pairs, [techniques[i] for i in kept]).weights, pairs)
+    assert abs(found - slsqp_optimum(pairs, len(kept))) <= 1e-6
+
+
 def test_constant_families_reuse_the_combined_fits(monkeypatch):
     """Leaving out history or ir fits nothing at level 4: their rows are the
     combined row, which is also what fitting without their columns gives."""
@@ -202,6 +238,43 @@ class TestDegenerateAndBounded:
         gaps = recorded_gaps(monkeypatch)
         assert train(self.CAP_PAIRS, ("x", "y")).weights == pytest.approx((1.2, 0.4), abs=1e-12)
         assert gaps == [1.0]
+
+    # Differences s x (1, 0.5) for s = 1, 0.5, 0.25, -0.5, -1, taken 1, 4, 1, 2
+    # and 1 times: their Gram matrix has rank 1, so the finish has to move
+    # free rows of one span to their bounds with w held fixed.
+    PARALLEL_PAIRS = [
+        (tuple(s * v for v in (1.0, 0.5)), (0.0, 0.0)) if s > 0 else
+        ((0.0, 0.0), tuple(-s * v for v in (1.0, 0.5)))
+        for s, count in ((1.0, 1), (0.5, 4), (0.25, 1), (-0.5, 2), (-1.0, 1))
+        for _ in range(count)
+    ]
+
+    def test_rank_deficient_input_is_finished_exactly(self, monkeypatch):
+        finish, finished = cmb._finish, []
+        monkeypatch.setattr(cmb, "_finish", lambda *args: finished.append(finish(*args)) or finished[-1])
+        weights = train(self.PARALLEL_PAIRS, ("x", "y")).weights
+        assert len(finished) == 1 and finished[0] is not None
+        assert finished[0][1] <= EXACT_GAP and tuple(finished[0][0]) == weights
+        found = objective(weights, self.PARALLEL_PAIRS)
+        assert abs(found - slsqp_optimum(self.PARALLEL_PAIRS, 2)) <= 1e-6
+
+    def test_failed_finish_falls_back_to_descent(self, monkeypatch):
+        """Descent goes on from the iterate the finish started from, untouched."""
+        exact = train(self.PARALLEL_PAIRS, ("x", "y")).weights
+        finish = cmb._finish
+
+        def failing(rows, bounds, dim, alpha):
+            finish(rows, bounds, dim, alpha)
+            return None
+
+        monkeypatch.setattr(cmb, "_finish", lambda *args: None)
+        skipped = train(self.PARALLEL_PAIRS, ("x", "y")).weights
+        monkeypatch.setattr(cmb, "_finish", failing)
+        gaps = recorded_gaps(monkeypatch)
+        fallback = train(self.PARALLEL_PAIRS, ("x", "y")).weights
+        assert gaps[0] <= cmb.TOLERANCE
+        assert fallback == skipped
+        assert fallback == pytest.approx(exact, abs=1e-5)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_pairs_rejected(self, bad):
