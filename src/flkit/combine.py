@@ -7,13 +7,16 @@ The ranker is RankSVM (Joachims, KDD 2002) without a bias: over the n
     F(w) = (1/n) sum_i max(0, MARGIN - w.d_i) + L2_LAMBDA ||w||^2,
 
 which equals 2 L2_LAMBDA (1/2 ||w||^2 + C sum_i hinge_i) with
-C = 1/(2 L2_LAMBDA n). `train` solves that problem by dual coordinate descent
-(Hsieh et al., ICML 2008, LIBLINEAR's solver): each distinct non-zero
-difference has one dual variable in [0, C x its count], the variables are
-visited in a fixed cyclic order, and the solver stops once the spread of the
-projected gradients over an epoch is at most TOLERANCE, or after EPOCH_CAP
-epochs. Since L2_LAMBDA > 0 the optimum is unique, so a model depends only on
-its pairs; the seed only samples pairs and orders folds."""
+C = 1/(2 L2_LAMBDA n). `train` solves its dual, where each distinct non-zero
+difference has one variable in [0, C x its count]. WARMUP_EPOCHS epochs of
+dual coordinate descent (Hsieh et al., ICML 2008, LIBLINEAR's solver), in a
+fixed cyclic order, bring it near the optimum's face; a primal active-set
+solve (Nocedal & Wright, ch. 16.5) then finds the optimum exactly, as OSQP's
+solution polishing does (Stellato et al., 2020). A result is certified once
+its projected gradients span at most TOLERANCE. If the finish does not
+certify, descent goes on until they do or EPOCH_CAP epochs have run. Since
+L2_LAMBDA > 0 the optimum is unique, so a model depends only on its pairs;
+the seed only samples pairs and orders folds."""
 
 from __future__ import annotations
 
@@ -213,12 +216,14 @@ def train(pairs: Sequence, techniques: Sequence[str], seed: int = 0) -> RankMode
     The problem is solved in its dual, with C = 1/(2 L2_LAMBDA n) for n pairs.
     Identical differences share one dual variable bounded by C x their count;
     all-zero differences are dropped, since their hinge is a constant
-    MARGIN. Starting from w = 0, the solver visits the remaining differences
-    in order of first appearance, once per epoch, and stops after the first
-    epoch whose projected gradients (and 0) span at most TOLERANCE. If
-    EPOCH_CAP epochs pass first, it returns the last iterate uncertified:
-    w = sum_j alpha_j d_j for the feasible dual point the cap stopped at.
-    `seed` is only recorded in the model.
+    MARGIN. Starting from w = 0, coordinate descent visits the remaining
+    differences in order of first appearance, once per epoch. After
+    WARMUP_EPOCHS epochs, or an earlier epoch whose projected gradients (and
+    0) span at most TOLERANCE, the exact finish of `_solve` runs once and
+    returns the optimum, certified by the same test. If it fails, descent
+    goes on until that test passes; if EPOCH_CAP epochs pass first, the last
+    iterate is returned uncertified: w = sum_j alpha_j d_j for the feasible
+    dual point the cap stopped at. `seed` is only recorded in the model.
     """
     if not pairs:
         raise CombineError("no training pairs")
@@ -330,14 +335,8 @@ def _finish(rows: list, bounds: list, dim: int, alpha: list) -> Optional[tuple]:
     for _ in range(2 * len(rows) + dim):
         basis, factor, spans = [], [], {}
         for k in free:
-            # Row k of the Cholesky factor: solve L l = (d_s . d_k) for s in basis.
-            l = []
-            for i, s in enumerate(basis):
-                x = _dot(dense[s], dense[k])
-                li = factor[i]
-                for m in range(i):
-                    x -= li[m] * l[m]
-                l.append(x / li[i])
+            # Row k of the Cholesky factor solves L l = (d_s . d_k) over the basis.
+            l = _forward_solve(factor, [_dot(dense[s], dense[k]) for s in basis])
             norm = _dot(dense[k], dense[k])
             pivot = norm
             for x in l:
