@@ -251,7 +251,12 @@ class TestDegenerateAndBounded:
 
     def test_rank_deficient_input_is_finished_exactly(self, monkeypatch):
         finish, finished = cmb._finish, []
-        monkeypatch.setattr(cmb, "_finish", lambda *args: finished.append(finish(*args)) or finished[-1])
+
+        def recording(*args):
+            finished.append(finish(*args))
+            return finished[-1]
+
+        monkeypatch.setattr(cmb, "_finish", recording)
         weights = train(self.PARALLEL_PAIRS, ("x", "y")).weights
         assert len(finished) == 1 and finished[0] is not None
         assert finished[0][1] <= EXACT_GAP and tuple(finished[0][0]) == weights
