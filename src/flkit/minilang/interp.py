@@ -13,6 +13,22 @@ arguments and outer frames are suspended. So the loop's future depends only on
 its frame's variables, and a repeat can never end. Each loop execution keeps
 one snapshot, re-saved on laps 1, 2, 4, 8, ... (Brent's cycle detection), and
 the rule is off while a requested predicate flip is still pending.
+
+The comparison leaves out the loop's accumulators: variables assigned in its
+body, at any depth, only as `v = v + e` or `v = v - e`, never declared there,
+and read nowhere else in the loop (not by the predicate, a condition, an index,
+a call argument, a return or a right-hand side, another accumulator's e
+included). The one exception, the drift variable, is read by the predicate as
+`v REL e` or `!(v REL e)`, with REL one of < <= > >= and e reading no
+accumulator. Once the rest of the state repeats, every later period repeats its
+branches, calls and crashes and adds the same amount to each accumulator. So
+the loop stops only if neither new outcome can come: no overflow, because each
+accumulator has |v| + steps left × M <= INT_LIMIT, where M is the largest |e|
+any accumulator site has added in the run; and no exit, because the drift
+variable has moved since the snapshot the way that keeps the predicate true
+(down or not at all under < and <=, up under > and >=, the reverse under !).
+Each While node is classified once, by one recursive walk, and the result is
+cached on the node.
 """
 
 from __future__ import annotations
@@ -134,6 +150,52 @@ def _same_types(a, b) -> bool:
     return type(a) is not list or all(map(_same_types, a, b))
 
 
+# Under `v REL e`, the sign of a drift of v that keeps the predicate true.
+_HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
+
+
+def _loop_shape(loop: While) -> tuple:
+    """(accumulators, their sites, drift variable or None, its holding sign) of
+    a loop (module docstring), cached on the node."""
+    shape = getattr(loop, "_shape", None)
+    if shape is None:
+        reads, sites, fixed = set(), [], set()
+        cond, sign, drift = loop.cond, 1, None
+        if type(cond) is Unary and cond.op == "!":
+            cond, sign = cond.operand, -1
+        if type(cond) is Binary and cond.op in _HOLDING_DRIFT and type(cond.left) is Var:
+            drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
+        _scan([cond, loop.body], reads, sites, fixed)
+        growing = {site.target for site in sites} - fixed - reads
+        sites = [site for site in sites if site.target in growing]
+        shape = loop._shape = (sorted(growing), sites, drift if drift in growing else None, sign)
+    return shape
+
+
+def _scan(node, reads: set, sites: list, fixed: set):
+    """Add the names node reads to reads, its `v = v + e` and `v = v - e`
+    statements to sites, and the names it otherwise assigns or declares to fixed."""
+    kind = type(node)
+    if kind is Var:
+        reads.add(node.name)
+    elif kind is list:
+        for item in node:
+            _scan(item, reads, sites, fixed)
+    elif isinstance(node, (Expr, Stmt)):
+        if kind is Assign:
+            value = node.value
+            step = node.index is None and type(value) is Binary and value.op in ("+", "-")
+            if step and type(value.left) is Var and value.left.name == node.target:
+                sites.append(node)
+                _scan(value.right, reads, sites, fixed)
+                return
+            fixed.add(node.target)
+        elif kind is VarDecl:
+            fixed.add(node.name)
+        for value in vars(node).values():
+            _scan(value, reads, sites, fixed)
+
+
 def _freeze(value):
     if isinstance(value, list):
         return tuple(_freeze(v) for v in value)
@@ -175,6 +237,8 @@ class _Interp:
         self.predicate_instances: list[tuple] = []
         self.pred_counts: dict[str, int] = {}
         self.frames: list[_Frame] = []
+        self.sites: set = set()  # ids of the accumulator sites of the loops entered
+        self.largest_step = 0  # M: the largest |e| any of them has added
 
     # -- event bookkeeping --
 
@@ -375,6 +439,8 @@ class _Interp:
             else:
                 if target not in frame.env:
                     raise _Crash("undefined-var")
+                if id(stmt) in self.sites:
+                    self.largest_step = max(self.largest_step, abs(value - frame.env[target]))
                 frame.env[target] = value
             frame.var_events[target] = idx
             self.finish_event(idx, deps)
@@ -382,17 +448,26 @@ class _Interp:
             value, deps = self.eval_predicate(stmt)
             self.finish_event(idx, deps)
             control, env = frame.control, frame.env
-            lap, next_save, saved = 0, 1, None
+            growing, sites, drift, sign = _loop_shape(stmt)
+            self.sites.update(map(id, sites))
+            # Nothing in the body declares an accumulator, so none appears later.
+            growing = [name for name in growing if name in env]
+            lap, next_save, saved, start = 0, 1, None, None
             while value:
-                # Variables repeated at the head loop forever (module docstring).
-                if env == saved and all(_same_types(v, saved[k]) for k, v in env.items()):
-                    raise _Crash("budget")
+                # A repeat loops forever unless an accumulator could overflow or
+                # the drift variable is heading for the exit (module docstring).
+                if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
+                    for name in growing:
+                        saved[name] = env[name]
+                    same = env == saved and all(_same_types(v, saved[k]) for k, v in env.items())
+                    if same and self.cannot_overflow(env, growing):
+                        raise _Crash("budget")
                 lap += 1
                 if lap == next_save:
                     next_save *= 2
                     # While a flip is pending, pred_counts matter too: no snapshot.
                     if self.flip is None or self.flip_applied:
-                        saved = dict(env)
+                        saved, start = dict(env), env.get(drift)
                 control.append(idx)
                 try:
                     self.exec_body(stmt.body)
@@ -429,6 +504,12 @@ class _Interp:
             self.finish_event(idx, deps)
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
+
+    def cannot_overflow(self, env, growing) -> bool:
+        """Whether no accumulator can pass INT_LIMIT in the steps left, at M a step.
+        One that is not an int is never added to: adding to it crashes."""
+        limit = INT_LIMIT - (self.step_budget - len(self.events)) * self.largest_step
+        return all(type(env[name]) is not int or abs(env[name]) <= limit for name in growing)
 
     def crash_stack(self) -> tuple:
         return tuple(frame.function for frame in reversed(self.frames))
