@@ -1,5 +1,6 @@
 import pytest
 
+from flkit.minilang import interp
 from flkit.minilang.interp import (
     ASSERT_FAIL,
     CRASH,
@@ -9,7 +10,7 @@ from flkit.minilang.interp import (
     run,
 )
 from flkit.minilang.mutate import gen_mutants
-from flkit.minilang.parse import MAX_NESTING, MiniSyntaxError, parse
+from flkit.minilang.parse import MAX_NESTING, MiniSyntaxError, While, parse
 from flkit.model import ProgramElement
 
 COLLATZ = """\
@@ -243,6 +244,131 @@ class TestInterpreter:
         b = run(prog, MLTest("t", "collatz", (7,), "pass"))
         assert a.events == b.events
         assert a.predicate_instances == b.predicate_instances
+
+
+ISEVEN = "func iseven(x) { return (x % 2) == 0; }\n"
+
+
+class TestAccumulatorStop:
+    """A loop whose state repeats except for its accumulators and drift variable
+    (the interp module docstring defines them) stops at the repeat, under the
+    default STEP_BUDGET, unless the stop could hide another outcome."""
+
+    @pytest.mark.parametrize(
+        "src,args",
+        [
+            # The sum grows while the counter is stuck.
+            (
+                "func f(a, n) { var s = 0; var i = 0;"
+                " while (i < n) { s = s + a[0]; i = i * 1; } return s; }",
+                ([1, 2], 2),
+            ),
+            # The count grows inside an if whose condition calls a function.
+            (
+                ISEVEN + "func f(a, n) { var c = 0; var i = 0;"
+                " while (i < n) { if (iseven(a[i])) { c = c + 1; } i = i / 1; } return c; }",
+                ([2, 4], 2),
+            ),
+            # The counter falls under <, away from its bound.
+            ("func f(n) { var i = 0; while (i < n) { i = i - 1; } return i; }", (3,)),
+            # The counter rises under !(<).
+            ("func f(n) { var i = 0; while (!(i < n)) { i = i + 1; } return i; }", (-1,)),
+            # Both at once: the sum grows and the counter rises under >=.
+            (
+                "func f(a, n) { var s = 0; var i = 0;"
+                " while (i >= n) { s = s - a[1]; i = i + 1; } return s; }",
+                ([1, 2], 0),
+            ),
+            # A period of two laps that falls by one under <=, rising on every other lap.
+            (
+                "func f(n) { var i = 0; var k = 0; while (i <= n) {"
+                " if (k == 0) { i = i - 2; k = 1; } else { i = i + 1; k = 0; } } return i; }",
+                (5,),
+            ),
+        ],
+    )
+    def test_stops_at_repeat(self, src, args):
+        prog = parse(src)
+        tr = run(prog, MLTest("t", "f", args, "pass"))
+        assert (tr.outcome.status, tr.outcome.crash_kind, tr.outcome.stack) == (CRASH, "budget", ("f",))
+        assert len(tr.events) <= 30
+        [loop] = [s.elem for s in prog.statements() if isinstance(s, While)]
+        assert tr.events[tr.criterion_event].element == loop  # the loop head
+
+    @pytest.mark.parametrize(
+        "src,args,outcome",
+        [
+            # The if reads the sum, so the sum is not an accumulator.
+            (
+                "func f(n) { var s = 0; var i = 0;"
+                " while (i < n) { s = s + 1; if (s > 40) { return s; } i = i * 1; } return 0; }",
+                (1,),
+                (PASS, None, 41),
+            ),
+            # The sum is an index.
+            (
+                "func f(a) { var s = 0; var x = 0;"
+                " while (x < 1) { s = s + 1; x = a[s]; } return x; }",
+                ([0, 0, 0, 0, 0],),
+                (CRASH, "bounds", None),
+            ),
+            # The sum is a call argument.
+            (
+                "func g(x) { return 1 / (x - 20); }"
+                " func f() { var s = 0; while (true) { s = s + 1; g(s); } return 0; }",
+                (),
+                (CRASH, "div0", None),
+            ),
+            # != is not a drift shape: the counter falls onto its bound.
+            ("func f(n) { var i = 0; while (i != n) { i = i - 1; } return i; }", (-20,), (PASS, None, -20)),
+            # The bound reads s, so s is not an accumulator, and it falls faster than i.
+            (
+                "func f(n) { var i = 0; var s = n; while (i < s) { i = i - 1; s = s - 2; } return i; }",
+                (10,),
+                (PASS, None, -10),
+            ),
+            # The counter heads for the exit, one down and two up per two laps.
+            (
+                "func f(n) { var i = 0; var k = 0; while (i <= n) {"
+                " if (k == 0) { i = i - 1; k = 1; } else { i = i + 2; k = 0; } } return i; }",
+                (5,),
+                (PASS, None, 6),
+            ),
+            # 2**60 a lap passes INT_LIMIT on the ninth lap, long before the budget.
+            (
+                "func f() { var s = 0; while (true) { s = s + 1152921504606846976; } return s; }",
+                (),
+                (CRASH, "overflow", None),
+            ),
+        ],
+    )
+    def test_keeps_real_outcome(self, src, args, outcome):
+        tr = run(parse(src), MLTest("t", "f", args, "pass"))
+        assert (tr.outcome.status, tr.outcome.crash_kind, tr.value) == outcome
+
+    def test_small_steps_cannot_overflow_within_budget(self):
+        # 10**12 a step for the 10**6 steps of STEP_BUDGET stays below INT_LIMIT.
+        src = "func f() { var s = 0; while (true) { s = s + 1000000000000; } return s; }"
+        tr = run(parse(src), MLTest("t", "f", (), "pass"))
+        assert (tr.outcome.status, tr.outcome.crash_kind) == (CRASH, "budget")
+        assert len(tr.events) <= 30
+
+    def test_pending_flip_disables_accumulator_stop(self):
+        src = "func f(a, n) { var s = 0; var i = 0; while (i < n) { s = s + a[0]; i = i * 1; } return s; }"
+        tr = run(parse(src), MLTest("t", "f", ([3, 2], 2), "pass"), flip=("p0", 4))
+        assert tr.outcome.status == PASS
+        assert tr.flip_applied and tr.value == 12
+
+    def test_each_loop_is_classified_once(self, monkeypatch):
+        prog = parse("func f(n) { var s = 0; var i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }")
+        calls = []
+        scan = interp._scan
+        monkeypatch.setattr(interp, "_scan", lambda node, *sets: (calls.append(node), scan(node, *sets)))
+        assert run(prog, MLTest("t", "f", (4,), 6)).outcome.status == PASS
+        first = len(calls)
+        assert first > 0
+        assert run(prog, MLTest("t", "f", (5,), 10)).outcome.status == PASS
+        assert len(calls) == first
 
 
 class TestDependences:
