@@ -9,6 +9,9 @@ in CHANGES.md) with:
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -183,6 +186,20 @@ def test_traces_match_golden():
     # Keyed by (fault, kind) first, so a failure names the lines that differ.
     assert traces_by_run(text) == traces_by_run(golden)
     assert text == golden
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_traces_do_not_depend_on_hash_seed(hash_seed):
+    """String hashing, and so the order of any set of names, changes with
+    PYTHONHASHSEED; every trace must not."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys; from flkit.corpus import load_corpus; from test_golden import CORPUS, traces_text;"
+        " sys.stdout.write(traces_text(load_corpus(CORPUS)))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == TRACES_FILE.read_text()
 
 
 if __name__ == "__main__":
