@@ -35,6 +35,16 @@ def _parse_preset(text: str) -> int:
     return level
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--corpus", required=True, help="corpus directory")
     parser.add_argument("--preset", type=_parse_preset, default=2, help="level1..level4")
@@ -54,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="restrict output to these techniques (repeatable)",
     )
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_at_least_one, default=10, help="elements shown per technique")
 
     p = sub.add_parser("evaluate", help="run the preset over a corpus with cross-validation")
     _add_common(p)
@@ -67,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="pairwise r^2 between techniques")
     _add_common(p)
-    p.add_argument("--q", type=int, default=100, help="expected-rank retention threshold")
+    p.add_argument("--q", type=_at_least_one, default=100, help="expected-rank retention threshold")
     p.add_argument("--format", choices=("text-table", "json"), default="text-table")
 
     p = sub.add_parser("combine", help="train, save, or apply a rank-combination model")

@@ -394,6 +394,28 @@ class TestCli:
         assert "== ochiai" in out and "E_inspect" in out
         assert "*" in out  # ground-truth marker visible in the top 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["localize", "--corpus", str(CORPUS), "--fault", "f01_absval", "--top", "0"],
+            ["correlate", "--corpus", str(CORPUS), "--q", "0"],
+            ["correlate", "--corpus", str(CORPUS), "--q", "-5"],
+            ["correlate", "--corpus", str(CORPUS), "--q", "ten"],
+        ],
+        ids=["top-0", "q-0", "q-negative", "q-not-int"],
+    )
+    def test_count_below_one_is_a_usage_error(self, capsys, argv):
+        # --top 0 used to print one element per technique, because the limit
+        # was checked after printing, and --q 0 an all-null matrix.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag = argv[-2]
+        [message] = [line for line in captured.err.splitlines() if not line.startswith(("usage:", " "))]
+        assert message.startswith(f"flkit {argv[0]}: error: argument {flag}: ")
+
     def test_localize_unknown_technique(self, capsys):
         rc = cli_main(
             ["localize", "--corpus", str(CORPUS), "--fault", "f01_absval",
