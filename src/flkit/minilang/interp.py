@@ -143,10 +143,12 @@ class ExecutionTrace:
 
 
 def _same_types(a, b) -> bool:
-    """Whether two values that compare equal also match in type throughout:
-    1 == True in Python, but not in the language."""
+    """Whether two values, or two frames' variables, that compare equal also
+    match in type throughout: 1 == True in Python, but not in the language."""
     if type(a) is not type(b):
         return False
+    if type(a) is dict:
+        return all(_same_types(v, b[k]) for k, v in a.items())
     return type(a) is not list or all(map(_same_types, a, b))
 
 
@@ -155,8 +157,8 @@ _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
 
 def _loop_shape(loop: While) -> tuple:
-    """(accumulators, their sites, drift variable or None, its holding sign) of
-    a loop (module docstring), cached on the node."""
+    """(accumulators, drift variable or None, its holding sign) of a loop
+    (module docstring), cached on the node; marks the accumulator sites."""
     shape = getattr(loop, "_shape", None)
     if shape is None:
         reads, sites, fixed = set(), [], set()
@@ -167,8 +169,9 @@ def _loop_shape(loop: While) -> tuple:
             drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
         _scan([cond, loop.body], reads, sites, fixed)
         growing = {site.target for site in sites} - fixed - reads
-        sites = [site for site in sites if site.target in growing]
-        shape = loop._shape = (sorted(growing), sites, drift if drift in growing else None, sign)
+        for site in sites:
+            site.grows = site.grows or site.target in growing
+        shape = loop._shape = (sorted(growing), drift if drift in growing else None, sign)
     return shape
 
 
@@ -237,8 +240,7 @@ class _Interp:
         self.predicate_instances: list[tuple] = []
         self.pred_counts: dict[str, int] = {}
         self.frames: list[_Frame] = []
-        self.sites: set = set()  # ids of the accumulator sites of the loops entered
-        self.largest_step = 0  # M: the largest |e| any of them has added
+        self.largest_step = 0  # M: the largest |e| an accumulator site has added
 
     # -- event bookkeeping --
 
@@ -439,7 +441,7 @@ class _Interp:
             else:
                 if target not in frame.env:
                     raise _Crash("undefined-var")
-                if id(stmt) in self.sites:
+                if stmt.grows:
                     self.largest_step = max(self.largest_step, abs(value - frame.env[target]))
                 frame.env[target] = value
             frame.var_events[target] = idx
@@ -448,19 +450,19 @@ class _Interp:
             value, deps = self.eval_predicate(stmt)
             self.finish_event(idx, deps)
             control, env = frame.control, frame.env
-            growing, sites, drift, sign = _loop_shape(stmt)
-            self.sites.update(map(id, sites))
-            # Nothing in the body declares an accumulator, so none appears later.
-            growing = [name for name in growing if name in env]
+            growing, drift, sign = _loop_shape(stmt)
             lap, next_save, saved, start = 0, 1, None, None
             while value:
                 # A repeat loops forever unless an accumulator could overflow or
                 # the drift variable is heading for the exit (module docstring).
-                if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
+                if not growing:
+                    if env == saved and _same_types(env, saved):
+                        raise _Crash("budget")
+                elif saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
                     for name in growing:
-                        saved[name] = env[name]
-                    same = env == saved and all(_same_types(v, saved[k]) for k, v in env.items())
-                    if same and self.cannot_overflow(env, growing):
+                        if name in env:  # one that is undefined stays so
+                            saved[name] = env[name]
+                    if env == saved and _same_types(env, saved) and self.cannot_overflow(env, growing):
                         raise _Crash("budget")
                 lap += 1
                 if lap == next_save:
@@ -507,9 +509,9 @@ class _Interp:
 
     def cannot_overflow(self, env, growing) -> bool:
         """Whether no accumulator can pass INT_LIMIT in the steps left, at M a step.
-        One that is not an int is never added to: adding to it crashes."""
+        One that is undefined or not an int is never added to: that crashes."""
         limit = INT_LIMIT - (self.step_budget - len(self.events)) * self.largest_step
-        return all(type(env[name]) is not int or abs(env[name]) <= limit for name in growing)
+        return all(type(v) is not int or abs(v) <= limit for v in map(env.get, growing))
 
     def crash_stack(self) -> tuple:
         return tuple(frame.function for frame in reversed(self.frames))

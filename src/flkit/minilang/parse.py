@@ -166,6 +166,7 @@ class Assign(Stmt):
     target: str
     index: Optional[Expr]  # indexed store when present
     value: Expr
+    grows = False  # not a field: set on a loop's accumulator sites (minilang.interp)
 
 
 @dataclass

@@ -285,6 +285,10 @@ class TestAccumulatorStop:
                 " if (k == 0) { i = i - 2; k = 1; } else { i = i + 1; k = 0; } } return i; }",
                 (5,),
             ),
+            # The accumulator is undefined, and its statement never runs.
+            ("func f(c) { while (true) { if (c) { s = s + 1; } } return 0; }", (False,)),
+            # 10**12 a step cannot pass INT_LIMIT in the 10**6 steps of STEP_BUDGET.
+            ("func f() { var s = 0; while (true) { s = s + 1000000000000; } return s; }", ()),
         ],
     )
     def test_stops_at_repeat(self, src, args):
@@ -345,13 +349,6 @@ class TestAccumulatorStop:
     def test_keeps_real_outcome(self, src, args, outcome):
         tr = run(parse(src), MLTest("t", "f", args, "pass"))
         assert (tr.outcome.status, tr.outcome.crash_kind, tr.value) == outcome
-
-    def test_small_steps_cannot_overflow_within_budget(self):
-        # 10**12 a step for the 10**6 steps of STEP_BUDGET stays below INT_LIMIT.
-        src = "func f() { var s = 0; while (true) { s = s + 1000000000000; } return s; }"
-        tr = run(parse(src), MLTest("t", "f", (), "pass"))
-        assert (tr.outcome.status, tr.outcome.crash_kind) == (CRASH, "budget")
-        assert len(tr.events) <= 30
 
     def test_pending_flip_disables_accumulator_stop(self):
         src = "func f(a, n) { var s = 0; var i = 0; while (i < n) { s = s + a[0]; i = i * 1; } return s; }"
