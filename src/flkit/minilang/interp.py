@@ -23,12 +23,12 @@ included). The one exception, the drift variable, is read by the predicate as
 accumulator. Once the rest of the state repeats, every later period repeats its
 branches, calls and crashes and adds the same amount to each accumulator. So
 the loop stops only if neither new outcome can come: no overflow, because each
-accumulator has |v| + steps left × M <= INT_LIMIT, where M is the largest |e|
-any accumulator site has added in the run; and no exit, because the drift
-variable has moved since the snapshot the way that keeps the predicate true
-(down or not at all under < and <=, up under > and >=, the reverse under !).
-Each While node is classified once, by one recursive walk, and the result is
-cached on the node.
+accumulator is back at its value at the snapshot or has |v| + steps left × M
+<= INT_LIMIT, where M is the largest |e| any accumulator site has added in the
+run; and no exit, because the drift variable has moved since the snapshot the
+way that keeps the predicate true (down or not at all under < and <=, up under
+> and >=, the reverse under !). Each While node is classified once, by one
+recursive walk, and the result is cached on the node.
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ def _loop_shape(loop: While) -> tuple:
         _scan([cond, loop.body], reads, sites, fixed)
         growing = {site.target for site in sites} - fixed - reads
         for site in sites:
-            site.grows = site.grows or site.target in growing
+            if site.target in growing:
+                site.grows = True
         shape = loop._shape = (sorted(growing), drift if drift in growing else None, sign)
     return shape
 
@@ -451,7 +452,7 @@ class _Interp:
             self.finish_event(idx, deps)
             control, env = frame.control, frame.env
             growing, drift, sign = _loop_shape(stmt)
-            lap, next_save, saved, start = 0, 1, None, None
+            lap, next_save, saved, start, before = 0, 1, None, None, ()
             while value:
                 # A repeat loops forever unless an accumulator could overflow or
                 # the drift variable is heading for the exit (module docstring).
@@ -462,14 +463,14 @@ class _Interp:
                     for name in growing:
                         if name in env:  # one that is undefined stays so
                             saved[name] = env[name]
-                    if env == saved and _same_types(env, saved) and self.cannot_overflow(env, growing):
+                    if env == saved and _same_types(env, saved) and self.cannot_overflow(env, growing, before):
                         raise _Crash("budget")
                 lap += 1
                 if lap == next_save:
                     next_save *= 2
                     # While a flip is pending, pred_counts matter too: no snapshot.
                     if self.flip is None or self.flip_applied:
-                        saved, start = dict(env), env.get(drift)
+                        saved, start, before = dict(env), env.get(drift), tuple(map(env.get, growing))
                 control.append(idx)
                 try:
                     self.exec_body(stmt.body)
@@ -507,11 +508,14 @@ class _Interp:
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
 
-    def cannot_overflow(self, env, growing) -> bool:
-        """Whether no accumulator can pass INT_LIMIT in the steps left, at M a step.
-        One that is undefined or not an int is never added to: that crashes."""
+    def cannot_overflow(self, env, growing, before) -> bool:
+        """Whether no accumulator can pass INT_LIMIT in the steps left. One back at
+        its value before the period replays that period's values; one that is
+        undefined or not an int is never added to, as that crashes; any other
+        moves at most M a step."""
         limit = INT_LIMIT - (self.step_budget - len(self.events)) * self.largest_step
-        return all(type(v) is not int or abs(v) <= limit for v in map(env.get, growing))
+        values = map(env.get, growing)
+        return all(v == b or type(v) is not int or abs(v) <= limit for v, b in zip(values, before))
 
     def crash_stack(self) -> tuple:
         return tuple(frame.function for frame in reversed(self.frames))

@@ -287,6 +287,12 @@ class TestAccumulatorStop:
             ),
             # The accumulator is undefined, and its statement never runs.
             ("func f(c) { while (true) { if (c) { s = s + 1; } } return 0; }", (False,)),
+            # An earlier loop added 10**17 a step, but this accumulator repeats its value.
+            (
+                "func f() { var s = 0; var k = 0; while (k < 1) { s = s + 100000000000000000;"
+                " k = k + 1; } var t = 0; while (true) { t = t + 0; } return 0; }",
+                (),
+            ),
             # 10**12 a step cannot pass INT_LIMIT in the 10**6 steps of STEP_BUDGET.
             ("func f() { var s = 0; while (true) { s = s + 1000000000000; } return s; }", ()),
         ],
@@ -296,7 +302,7 @@ class TestAccumulatorStop:
         tr = run(prog, MLTest("t", "f", args, "pass"))
         assert (tr.outcome.status, tr.outcome.crash_kind, tr.outcome.stack) == (CRASH, "budget", ("f",))
         assert len(tr.events) <= 30
-        [loop] = [s.elem for s in prog.statements() if isinstance(s, While)]
+        loop = [s.elem for s in prog.statements() if isinstance(s, While)][-1]
         assert tr.events[tr.criterion_event].element == loop  # the loop head
 
     @pytest.mark.parametrize(
