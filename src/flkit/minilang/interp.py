@@ -60,7 +60,8 @@ from .parse import (
 )
 
 # Steps before a run crashes with "budget". A loop whose variables repeat at
-# its head crashes with "budget" at once (see the module docstring).
+# its head, leaving out accumulators that cannot change its outcome, crashes
+# with "budget" at once (see the module docstring).
 STEP_BUDGET = 10**6
 
 # Re-executions (mutants, predicate flips) can loop forever, so each gets
