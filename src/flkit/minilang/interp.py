@@ -24,11 +24,12 @@ accumulator. Once the rest of the state repeats, every later period repeats its
 branches, calls and crashes and adds the same amount to each accumulator. So
 the loop stops only if neither new outcome can come: no overflow, because each
 accumulator is back at its value at the snapshot or has |v| + steps left × M
-<= INT_LIMIT, where M is the largest |e| any accumulator site has added in the
-run; and no exit, because the drift variable has moved since the snapshot the
-way that keeps the predicate true (down or not at all under < and <=, up under
-> and >=, the reverse under !). Each While node is classified once, by one
-recursive walk, and the result is cached on the node.
+<= INT_LIMIT, where M is the largest |e| of a literal e at the loop's sites or
+that any other accumulator site has added in the run; and no exit, because the
+drift variable has moved since the snapshot the way that keeps the predicate
+true (down or not at all under < and <=, up under > and >=, the reverse under
+!). Each While node is classified once, by one recursive walk, and the result
+is cached on the node.
 """
 
 from __future__ import annotations
@@ -158,8 +159,9 @@ _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
 
 def _loop_shape(loop: While) -> tuple:
-    """(accumulators, drift variable or None, its holding sign) of a loop
-    (module docstring), cached on the node; marks the accumulator sites."""
+    """(accumulators, drift variable or None, its holding sign, the largest |e|
+    of a literal e) of a loop (module docstring), cached on the node. Marks the
+    accumulator sites whose e is not a literal: the interpreter tracks their steps."""
     shape = getattr(loop, "_shape", None)
     if shape is None:
         reads, sites, fixed = set(), [], set()
@@ -170,10 +172,15 @@ def _loop_shape(loop: While) -> tuple:
             drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
         _scan([cond, loop.body], reads, sites, fixed)
         growing = {site.target for site in sites} - fixed - reads
+        literal_step = 0
         for site in sites:
-            if site.target in growing:
+            if site.target not in growing:
+                continue
+            if type(site.value.right) is Num:
+                literal_step = max(literal_step, abs(site.value.right.value))
+            else:
                 site.grows = True
-        shape = loop._shape = (sorted(growing), drift if drift in growing else None, sign)
+        shape = loop._shape = (sorted(growing), drift if drift in growing else None, sign, literal_step)
     return shape
 
 
@@ -242,7 +249,7 @@ class _Interp:
         self.predicate_instances: list[tuple] = []
         self.pred_counts: dict[str, int] = {}
         self.frames: list[_Frame] = []
-        self.largest_step = 0  # M: the largest |e| an accumulator site has added
+        self.largest_step = 0  # the largest |e| a marked accumulator site has added
 
     # -- event bookkeeping --
 
@@ -452,7 +459,7 @@ class _Interp:
             value, deps = self.eval_predicate(stmt)
             self.finish_event(idx, deps)
             control, env = frame.control, frame.env
-            growing, drift, sign = _loop_shape(stmt)
+            growing, drift, sign, literal_step = _loop_shape(stmt)
             lap, next_save, saved, start, before = 0, 1, None, None, ()
             while value:
                 # A repeat loops forever unless an accumulator could overflow or
@@ -464,7 +471,8 @@ class _Interp:
                     for name in growing:
                         if name in env:  # one that is undefined stays so
                             saved[name] = env[name]
-                    if env == saved and _same_types(env, saved) and self.cannot_overflow(env, growing, before):
+                    same = env == saved and _same_types(env, saved)
+                    if same and self.cannot_overflow(env, growing, before, literal_step):
                         raise _Crash("budget")
                 lap += 1
                 if lap == next_save:
@@ -509,12 +517,12 @@ class _Interp:
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
 
-    def cannot_overflow(self, env, growing, before) -> bool:
+    def cannot_overflow(self, env, growing, before, literal_step) -> bool:
         """Whether no accumulator can pass INT_LIMIT in the steps left. One back at
         its value before the period replays that period's values; one that is
         undefined or not an int is never added to, as that crashes; any other
         moves at most M a step."""
-        limit = INT_LIMIT - (self.step_budget - len(self.events)) * self.largest_step
+        limit = INT_LIMIT - (self.step_budget - len(self.events)) * max(self.largest_step, literal_step)
         values = map(env.get, growing)
         return all(v == b or type(v) is not int or abs(v) <= limit for v, b in zip(values, before))
 

@@ -166,7 +166,7 @@ class Assign(Stmt):
     target: str
     index: Optional[Expr]  # indexed store when present
     value: Expr
-    grows = False  # not a field: set on a loop's accumulator sites (minilang.interp)
+    grows = False  # not a field: set on accumulator sites with a non-literal step (minilang.interp)
 
 
 @dataclass

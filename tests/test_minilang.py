@@ -287,11 +287,11 @@ class TestAccumulatorStop:
             ),
             # The accumulator is undefined, and its statement never runs.
             ("func f(c) { while (true) { if (c) { s = s + 1; } } return 0; }", (False,)),
-            # An earlier loop added 10**17 a step, but this accumulator repeats its value.
+            # An earlier loop added 10**17 in a step, but this accumulator repeats its value.
             (
-                "func f() { var s = 0; var k = 0; while (k < 1) { s = s + 100000000000000000;"
+                "func f(a) { var s = 0; var k = 0; while (k < 1) { s = s + a[0];"
                 " k = k + 1; } var t = 0; while (true) { t = t + 0; } return 0; }",
-                (),
+                ([100000000000000000],),
             ),
             # 10**12 a step cannot pass INT_LIMIT in the 10**6 steps of STEP_BUDGET.
             ("func f() { var s = 0; while (true) { s = s + 1000000000000; } return s; }", ()),
@@ -348,6 +348,12 @@ class TestAccumulatorStop:
             (
                 "func f() { var s = 0; while (true) { s = s + 1152921504606846976; } return s; }",
                 (),
+                (CRASH, "overflow", None),
+            ),
+            # The same, with the step read from an array.
+            (
+                "func f(a) { var s = 0; while (true) { s = s + a[0]; } return s; }",
+                ([1152921504606846976],),
                 (CRASH, "overflow", None),
             ),
         ],
