@@ -460,7 +460,7 @@ class _Interp:
             self.finish_event(idx, deps)
             control, env = frame.control, frame.env
             growing, drift, sign, literal_step = _loop_shape(stmt)
-            lap, next_save, saved, start, before = 0, 1, None, None, ()
+            lap, next_save, saved, start, before = 0, 1, None, None, None
             while value:
                 # A repeat loops forever unless an accumulator could overflow or
                 # the drift variable is heading for the exit (module docstring).
@@ -468,6 +468,8 @@ class _Interp:
                     if env == saved and _same_types(env, saved):
                         raise _Crash("budget")
                 elif saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
+                    if before is None:  # the snapshot's values, kept before they are overwritten
+                        before = tuple(map(saved.get, growing))
                     for name in growing:
                         if name in env:  # one that is undefined stays so
                             saved[name] = env[name]
@@ -479,7 +481,7 @@ class _Interp:
                     next_save *= 2
                     # While a flip is pending, pred_counts matter too: no snapshot.
                     if self.flip is None or self.flip_applied:
-                        saved, start, before = dict(env), env.get(drift), tuple(map(env.get, growing))
+                        saved, start, before = dict(env), env.get(drift), None
                 control.append(idx)
                 try:
                     self.exec_body(stmt.body)

@@ -356,6 +356,14 @@ class TestAccumulatorStop:
                 ([1152921504606846976],),
                 (CRASH, "overflow", None),
             ),
+            # Every other lap t falls by 2**61 and then rises by 2**62; at the fourth
+            # head it is back at its value at the first snapshot, but not the latest.
+            (
+                "func f(a) { var t = 0; var k = 0; while (true) {"
+                " if (k == 0) { t = t - a[0]; k = 1; } else { t = t + a[1]; k = 0; } } return t; }",
+                ([2305843009213693952, 4611686018427387904],),
+                (CRASH, "overflow", None),
+            ),
         ],
     )
     def test_keeps_real_outcome(self, src, args, outcome):
