@@ -158,30 +158,29 @@ def _same_types(a, b) -> bool:
 _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
 
-def _loop_shape(loop: While) -> tuple:
+def _classify(loop: While) -> tuple:
     """(accumulators, drift variable or None, its holding sign, the largest |e|
-    of a literal e) of a loop (module docstring), cached on the node. Marks the
-    accumulator sites whose e is not a literal: the interpreter tracks their steps."""
-    shape = getattr(loop, "_shape", None)
-    if shape is None:
-        reads, sites, fixed = set(), [], set()
-        cond, sign, drift = loop.cond, 1, None
-        if type(cond) is Unary and cond.op == "!":
-            cond, sign = cond.operand, -1
-        if type(cond) is Binary and cond.op in _HOLDING_DRIFT and type(cond.left) is Var:
-            drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
-        _scan([cond, loop.body], reads, sites, fixed)
-        growing = {site.target for site in sites} - fixed - reads
-        literal_step = 0
-        for site in sites:
-            if site.target not in growing:
-                continue
-            if type(site.value.right) is Num:
-                literal_step = max(literal_step, abs(site.value.right.value))
-            else:
-                site.grows = True
-        shape = loop._shape = (sorted(growing), drift if drift in growing else None, sign, literal_step)
-    return shape
+    of a literal e) of a loop (module docstring), cached on the node as _shape.
+    Marks the accumulator sites whose e is not a literal: the interpreter tracks
+    their steps."""
+    reads, sites, fixed = set(), [], set()
+    cond, sign, drift = loop.cond, 1, None
+    if type(cond) is Unary and cond.op == "!":
+        cond, sign = cond.operand, -1
+    if type(cond) is Binary and cond.op in _HOLDING_DRIFT and type(cond.left) is Var:
+        drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
+    _scan([cond, loop.body], reads, sites, fixed)
+    growing = {site.target for site in sites} - fixed - reads
+    literal_step = 0
+    for site in sites:
+        if site.target not in growing:
+            continue
+        if type(site.value.right) is Num:
+            literal_step = max(literal_step, abs(site.value.right.value))
+        else:
+            site.grows = True
+    loop._shape = (sorted(growing), drift if drift in growing else None, sign, literal_step)
+    return loop._shape
 
 
 def _scan(node, reads: set, sites: list, fixed: set):
@@ -459,7 +458,7 @@ class _Interp:
             value, deps = self.eval_predicate(stmt)
             self.finish_event(idx, deps)
             control, env = frame.control, frame.env
-            growing, drift, sign, literal_step = _loop_shape(stmt)
+            growing, drift, sign, literal_step = getattr(stmt, "_shape", None) or _classify(stmt)
             lap, next_save, saved, start, before = 0, 1, None, None, None
             while value:
                 # A repeat loops forever unless an accumulator could overflow or

@@ -166,7 +166,10 @@ class Assign(Stmt):
     target: str
     index: Optional[Expr]  # indexed store when present
     value: Expr
-    grows = False  # not a field: set on accumulator sites with a non-literal step (minilang.interp)
+
+    def __post_init__(self):
+        # Not a field: set on accumulator sites with a non-literal step (minilang.interp).
+        self.grows = False
 
 
 @dataclass
