@@ -24,8 +24,9 @@ accumulator. Once the rest of the state repeats, every later period repeats its
 branches, calls and crashes and adds the same amount to each accumulator. So
 the loop stops only if neither new outcome can come: no overflow, because each
 accumulator is back at its value at the snapshot or has |v| + steps left × M
-<= INT_LIMIT, where M is the largest |e| of a literal e at the loop's sites or
-that any other accumulator site has added in the run; and no exit, because the
+<= INT_LIMIT, where M is the largest |e| of a literal e at the loop's
+accumulator sites or that any `v = v ± e` with a non-literal e, inside a loop,
+has added in the run; and no exit, because the
 drift variable has moved since the snapshot the way that keeps the predicate
 true (down or not at all under < and <=, up under > and >=, the reverse under
 !). Each While node is classified once, by one recursive walk, and the result
@@ -160,9 +161,8 @@ _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
 def _classify(loop: While) -> tuple:
     """(accumulators, drift variable or None, its holding sign, the largest |e|
-    of a literal e) of a loop (module docstring), cached on the node as _shape.
-    Marks the accumulator sites whose e is not a literal: the interpreter tracks
-    their steps."""
+    of a literal e at an accumulator site) of a loop (module docstring), cached
+    on the node as _shape."""
     reads, sites, fixed = set(), [], set()
     cond, sign, drift = loop.cond, 1, None
     if type(cond) is Unary and cond.op == "!":
@@ -171,21 +171,20 @@ def _classify(loop: While) -> tuple:
         drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
     _scan([cond, loop.body], reads, sites, fixed)
     growing = {site.target for site in sites} - fixed - reads
-    literal_step = 0
-    for site in sites:
-        if site.target not in growing:
-            continue
-        if type(site.value.right) is Num:
-            literal_step = max(literal_step, abs(site.value.right.value))
-        else:
-            site.grows = True
+    literal_step = max(
+        (abs(site.value.right.value) for site in sites if site.target in growing and not site.grows),
+        default=0,
+    )
     loop._shape = (sorted(growing), drift if drift in growing else None, sign, literal_step)
     return loop._shape
 
 
 def _scan(node, reads: set, sites: list, fixed: set):
     """Add the names node reads to reads, its `v = v + e` and `v = v - e`
-    statements to sites, and the names it otherwise assigns or declares to fixed."""
+    statements to sites, and the names it otherwise assigns or declares to fixed.
+    Marks each site whose e is not a literal as one whose steps the interpreter
+    tracks. The mark depends on the site alone, not on the loop: programs that
+    share the node (a mutant and its original) must run it alike."""
     kind = type(node)
     if kind is Var:
         reads.add(node.name)
@@ -198,6 +197,7 @@ def _scan(node, reads: set, sites: list, fixed: set):
             step = node.index is None and type(value) is Binary and value.op in ("+", "-")
             if step and type(value.left) is Var and value.left.name == node.target:
                 sites.append(node)
+                node.grows = type(value.right) is not Num
                 _scan(value.right, reads, sites, fixed)
                 return
             fixed.add(node.target)
@@ -248,7 +248,7 @@ class _Interp:
         self.predicate_instances: list[tuple] = []
         self.pred_counts: dict[str, int] = {}
         self.frames: list[_Frame] = []
-        self.largest_step = 0  # the largest |e| a marked accumulator site has added
+        self.largest_step = 0  # the largest |e| a marked site has added
 
     # -- event bookkeeping --
 
@@ -449,7 +449,7 @@ class _Interp:
             else:
                 if target not in frame.env:
                     raise _Crash("undefined-var")
-                if stmt.grows:
+                if getattr(stmt, "grows", False):
                     self.largest_step = max(self.largest_step, abs(value - frame.env[target]))
                 frame.env[target] = value
             frame.var_events[target] = idx
@@ -463,10 +463,7 @@ class _Interp:
             while value:
                 # A repeat loops forever unless an accumulator could overflow or
                 # the drift variable is heading for the exit (module docstring).
-                if not growing:
-                    if env == saved and _same_types(env, saved):
-                        raise _Crash("budget")
-                elif saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
+                if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
                     if before is None:  # the snapshot's values, kept before they are overwritten
                         before = tuple(map(saved.get, growing))
                     for name in growing:
@@ -522,7 +519,8 @@ class _Interp:
         """Whether no accumulator can pass INT_LIMIT in the steps left. One back at
         its value before the period replays that period's values; one that is
         undefined or not an int is never added to, as that crashes; any other
-        moves at most M a step."""
+        moves at most M a step (module docstring), as the period it replays
+        added nothing larger."""
         limit = INT_LIMIT - (self.step_budget - len(self.events)) * max(self.largest_step, literal_step)
         values = map(env.get, growing)
         return all(v == b or type(v) is not int or abs(v) <= limit for v, b in zip(values, before))

@@ -167,10 +167,6 @@ class Assign(Stmt):
     index: Optional[Expr]  # indexed store when present
     value: Expr
 
-    def __post_init__(self):
-        # Not a field: set on accumulator sites with a non-literal step (minilang.interp).
-        self.grows = False
-
 
 @dataclass
 class If(Stmt):

@@ -376,6 +376,24 @@ class TestAccumulatorStop:
         assert tr.outcome.status == PASS
         assert tr.flip_applied and tr.value == 12
 
+    def test_original_runs_alike_after_its_mutant(self):
+        # Deleting `t = x;` makes x an accumulator in the mutant's copy of the first
+        # loop, which shares `x = x + a[0]` with the original. The step that site adds
+        # bounds the second loop's stop, so it must count the same in both runs.
+        src = (
+            "func f(a) {\n var x = 0; var t = 0; var k = 0;\n"
+            " while (k < 1) {\n x = x + a[0];\n t = x;\n k = k + 1; }\n"
+            " var s = 0; while (true) { s = s + 1; } return 0; }"
+        )
+        test = MLTest("t", "f", ([10**16],), "pass")
+        fresh = run(parse(src), test, step_budget=10**4)
+        prog = parse(src)
+        (mutant,) = [m for m in gen_mutants(prog) if m.operator == "sdl" and m.element.line == 5]
+        run(mutant.program, test, step_budget=10**4)
+        again = run(prog, test, step_budget=10**4)
+        assert (again.outcome, again.events) == (fresh.outcome, fresh.events)
+        assert fresh.outcome.crash_kind == "budget"
+
     def test_each_loop_is_classified_once(self, monkeypatch):
         prog = parse("func f(n) { var s = 0; var i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }")
         calls = []
