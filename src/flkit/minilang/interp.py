@@ -203,8 +203,10 @@ def _scan(node, reads: set, sites: list, fixed: set):
             fixed.add(node.target)
         elif kind is VarDecl:
             fixed.add(node.name)
-        for value in vars(node).values():
-            _scan(value, reads, sites, fixed)
+        # Fields by name: vars(node) would give the node a dict of its own,
+        # which makes every later attribute read on it slower.
+        for name in node.__dataclass_fields__:
+            _scan(getattr(node, name), reads, sites, fixed)
 
 
 def _freeze(value):
