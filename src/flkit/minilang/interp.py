@@ -26,11 +26,10 @@ the loop stops only if neither new outcome can come: no overflow, because each
 accumulator is back at its value at the snapshot or has |v| + steps left × M
 <= INT_LIMIT, where M is the largest |e| of a literal e at the loop's
 accumulator sites or that any `v = v ± e` with a non-literal e, inside a loop,
-has added in the run; and no exit, because the
-drift variable has moved since the snapshot the way that keeps the predicate
-true (down or not at all under < and <=, up under > and >=, the reverse under
-!). Each While node is classified once, by one recursive walk, and the result
-is cached on the node.
+has added in the run; and no exit, because the drift variable has moved since
+the snapshot the way that keeps the predicate true (down or not at all under <
+and <=, up under > and >=, the reverse under !). Each While node is classified
+once, by one recursive walk, and the result is cached on the node.
 """
 
 from __future__ import annotations
