@@ -1,10 +1,18 @@
-"""Instrumented tree-walking interpreter.
+"""Instrumented interpreter.
 
 Every executed statement (and every dynamic predicate evaluation) produces one
 trace event recording its element, the trace positions of the events it
 depends on (dynamic data dependences, including values returned by calls), and
 its dynamic control parent. Predicate evaluations can be individually inverted
 for predicate switching.
+
+Each statement and expression node is compiled once, on its first run, into a
+closure over its children's closures that takes (interpreter, frame), and the
+closure is cached on the node as _code. Programs share nodes: a mutant shares
+with its original every node off the path to its mutation. That is safe
+because no node changes after parse except the `grows` mark and the cached
+code, and both depend only on the node and what it contains. A call looks its
+callee up in the running program, not in the one it was compiled for.
 
 A loop whose variables repeat at its head ends as a "budget" crash there, as it
 would after running out of steps. Nothing else can change while it runs: there
@@ -29,13 +37,15 @@ accumulator sites or that any `v = v ± e` with a non-literal e, inside a loop,
 has added in the run; and no exit, because the drift variable has moved since
 the snapshot the way that keeps the predicate true (down or not at all under <
 and <=, up under > and >=, the reverse under !). Each While node is classified
-once, by one recursive walk, and the result is cached on the node.
+by one recursive walk when it is compiled, before its body.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import partial
+from typing import Any, NamedTuple, Optional
 
 from ..model import ProgramElement
 from .parse import (
@@ -80,9 +90,11 @@ def reexec_step_budget(originals) -> int:
     return min(STEP_BUDGET, REEXEC_STEP_FACTOR * longest + REEXEC_STEP_SLACK)
 
 
-# Mini-language call depth that crashes with "stack-overflow". A call costs
-# about six Python frames, so this trips well before Python's own recursion
-# limit, and the outcome does not depend on how deep run() is called from.
+# Mini-language call depth that crashes with "stack-overflow". A call costs two
+# Python frames, plus one per expression around it and one per if or while
+# around its statement (three in `return 1 + f(n - 1);`), so this trips well
+# before Python's own recursion limit, and the outcome does not depend on how
+# deep run() is called from.
 MAX_CALL_DEPTH = 100
 
 # Integer magnitude trap; keeps runaway mutants (e.g. squaring in a loop)
@@ -101,11 +113,14 @@ class Outcome:
     stack: tuple = ()  # method ids, innermost first; crashes only
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     element: ProgramElement
     deps: frozenset  # trace positions of events this one data-depends on
     control: Optional[int]  # trace position of the controlling branch event
+
+
+# _new(Event, (element, deps, control)) skips the Python-level __new__ of Event.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -160,8 +175,7 @@ _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
 def _classify(loop: While) -> tuple:
     """(accumulators, drift variable or None, its holding sign, the largest |e|
-    of a literal e at an accumulator site) of a loop (module docstring), cached
-    on the node as _shape."""
+    of a literal e at an accumulator site) of a loop (module docstring)."""
     reads, sites, fixed = set(), [], set()
     cond, sign, drift = loop.cond, 1, None
     if type(cond) is Unary and cond.op == "!":
@@ -174,8 +188,7 @@ def _classify(loop: While) -> tuple:
         (abs(site.value.right.value) for site in sites if site.target in growing and not site.grows),
         default=0,
     )
-    loop._shape = (sorted(growing), drift if drift in growing else None, sign, literal_step)
-    return loop._shape
+    return sorted(growing), drift if drift in growing else None, sign, literal_step
 
 
 def _scan(node, reads: set, sites: list, fixed: set):
@@ -249,21 +262,8 @@ class _Interp:
         self.predicate_instances: list[tuple] = []
         self.pred_counts: dict[str, int] = {}
         self.frames: list[_Frame] = []
+        self.current_event = None  # the running statement's event: a call's call site
         self.largest_step = 0  # the largest |e| a marked site has added
-
-    # -- event bookkeeping --
-
-    def new_event(self, elem: ProgramElement) -> int:
-        events = self.events
-        idx = len(events)
-        if idx >= self.step_budget:
-            raise _Crash("budget")
-        events.append((elem, self.frames[-1].control[-1]))
-        return idx
-
-    def finish_event(self, idx: int, deps):
-        elem, control = self.events[idx]
-        self.events[idx] = Event(elem, frozenset(deps), control)
 
     def settle_events(self):
         """Turn each pair an exception left pending into an Event with no deps."""
@@ -271,250 +271,6 @@ class _Interp:
         for idx, ev in enumerate(events):
             if type(ev) is tuple:
                 events[idx] = Event(ev[0], frozenset(), ev[1])
-
-    # -- expression evaluation: returns (value, deps) --
-
-    def eval(self, expr: Expr):
-        kind = type(expr)
-        if kind is Var:
-            frame = self.frames[-1]
-            name = expr.name
-            if name not in frame.env:
-                raise _Crash("undefined-var")
-            defined = frame.var_events.get(name)
-            return frame.env[name], (set() if defined is None else {defined})
-        if kind is Num or kind is BoolLit:
-            return expr.value, set()
-        if kind is Binary:
-            return self.eval_binary(expr)
-        if kind is Index:
-            base, deps = self.eval(expr.base)
-            idx, d2 = self.eval(expr.index)
-            deps |= d2
-            if type(base) is not list or type(idx) is not int:
-                raise _Crash("type")
-            if idx < 0 or idx >= len(base):
-                raise _Crash("bounds")
-            return base[idx], deps
-        if kind is Unary:
-            value, deps = self.eval(expr.operand)
-            if expr.op == "-":
-                self.require_int(value)
-                return -value, deps
-            self.require_bool(value)
-            return (not value), deps
-        if kind is Call:
-            return self.eval_call(expr)
-        if kind is ArrayLit:
-            items = []
-            deps: set = set()
-            for item in expr.items:
-                v, d = self.eval(item)
-                items.append(v)
-                deps |= d
-            return items, deps
-        raise AssertionError(f"unhandled expr {expr!r}")
-
-    def eval_binary(self, expr: Binary):
-        op = expr.op
-        if op == "&&" or op == "||":
-            left, deps = self.eval(expr.left)
-            self.require_bool(left)
-            if (op == "&&" and not left) or (op == "||" and left):
-                return left, deps
-            right, d2 = self.eval(expr.right)
-            self.require_bool(right)
-            return right, deps | d2
-        left, deps = self.eval(expr.left)
-        right, d2 = self.eval(expr.right)
-        deps |= d2
-        if op in ("==", "!="):
-            eq = left == right
-            return (eq if op == "==" else not eq), deps
-        if type(left) is not int or type(right) is not int:
-            raise _Crash("type")
-        if op == "+":
-            return self.checked(left + right), deps
-        if op == "-":
-            return self.checked(left - right), deps
-        if op == "<":
-            return left < right, deps
-        if op == "<=":
-            return left <= right, deps
-        if op == ">":
-            return left > right, deps
-        if op == ">=":
-            return left >= right, deps
-        if op == "*":
-            return self.checked(left * right), deps
-        if op == "/":
-            if right == 0:
-                raise _Crash("div0")
-            return int(left / right) if (left < 0) != (right < 0) else left // right, deps
-        if op == "%":
-            if right == 0:
-                raise _Crash("div0")
-            return left - right * (int(left / right) if (left < 0) != (right < 0) else left // right), deps
-        raise AssertionError(f"unhandled operator {op}")
-
-    def eval_call(self, expr: Call):
-        fn: Function = self.program.functions[expr.name]
-        if len(expr.args) != len(fn.params):
-            raise _Crash("arity")
-        values = []
-        deps: set = set()
-        for arg in expr.args:
-            v, d = self.eval(arg)
-            values.append(v)
-            deps |= d
-        call_event = self.current_event
-        frame = _Frame(
-            fn.name,
-            dict(zip(fn.params, values)),
-            {p: call_event for p in fn.params},
-            [call_event],
-        )
-        if len(self.frames) >= MAX_CALL_DEPTH:
-            raise _Crash("stack-overflow")
-        self.frames.append(frame)
-        try:
-            self.exec_body(fn.body)
-            value = 0  # fell off the end of the function: implicit return 0 with no event
-        except _ReturnSignal as ret:
-            value = ret.value
-            deps.add(ret.event_index)
-        # A crash propagates past this point without unwinding self.frames,
-        # deliberately: crash_stack() needs the frames as they were.
-        self.frames.pop()
-        # A later call in the same statement has the same call site.
-        self.current_event = call_event
-        return value, deps
-
-    @staticmethod
-    def checked(value: int) -> int:
-        if value > INT_LIMIT or value < -INT_LIMIT:
-            raise _Crash("overflow")
-        return value
-
-    @staticmethod
-    def require_int(value):
-        if type(value) is not int:  # excludes bool: type(True) is bool
-            raise _Crash("type")
-
-    @staticmethod
-    def require_bool(value):
-        if type(value) is not bool:
-            raise _Crash("type")
-
-    # -- statements --
-
-    def exec_body(self, body):
-        for stmt in body:
-            self.exec_stmt(stmt)
-
-    def eval_predicate(self, stmt) -> tuple[bool, set]:
-        value, deps = self.eval(stmt.cond)
-        self.require_bool(value)
-        pred_id = stmt.pred_id
-        occurrence = self.pred_counts.get(pred_id, 0)
-        self.pred_counts[pred_id] = occurrence + 1
-        if self.flip is not None and self.flip == (pred_id, occurrence):
-            value = not value
-            self.flip_applied = True
-        self.predicate_instances.append((pred_id, occurrence, value))
-        return value, deps
-
-    def exec_stmt(self, stmt: Stmt):
-        frame = self.frames[-1]
-        idx = self.current_event = self.new_event(stmt.elem)
-        kind = type(stmt)
-        if kind is Assign:
-            value, deps = self.eval(stmt.value)
-            target = stmt.target
-            if stmt.index is not None:
-                pos, d2 = self.eval(stmt.index)
-                deps |= d2
-                if target not in frame.env:
-                    raise _Crash("undefined-var")
-                if target in frame.var_events:
-                    deps.add(frame.var_events[target])
-                arr = frame.env[target]
-                if type(arr) is not list:
-                    raise _Crash("type")
-                self.require_int(pos)
-                if pos < 0 or pos >= len(arr):
-                    raise _Crash("bounds")
-                arr = list(arr)
-                arr[pos] = value
-                frame.env[target] = arr
-            else:
-                if target not in frame.env:
-                    raise _Crash("undefined-var")
-                if getattr(stmt, "grows", False):
-                    self.largest_step = max(self.largest_step, abs(value - frame.env[target]))
-                frame.env[target] = value
-            frame.var_events[target] = idx
-            self.finish_event(idx, deps)
-        elif kind is While:
-            value, deps = self.eval_predicate(stmt)
-            self.finish_event(idx, deps)
-            control, env = frame.control, frame.env
-            growing, drift, sign, literal_step = getattr(stmt, "_shape", None) or _classify(stmt)
-            lap, next_save, saved, start, before = 0, 1, None, None, None
-            while value:
-                # A repeat loops forever unless an accumulator could overflow or
-                # the drift variable is heading for the exit (module docstring).
-                if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
-                    if before is None:  # the snapshot's values, kept before they are overwritten
-                        before = tuple(map(saved.get, growing))
-                    for name in growing:
-                        if name in env:  # one that is undefined stays so
-                            saved[name] = env[name]
-                    same = env == saved and _same_types(env, saved)
-                    if same and self.cannot_overflow(env, growing, before, literal_step):
-                        raise _Crash("budget")
-                lap += 1
-                if lap == next_save:
-                    next_save *= 2
-                    # While a flip is pending, pred_counts matter too: no snapshot.
-                    if self.flip is None or self.flip_applied:
-                        saved, start, before = dict(env), env.get(drift), None
-                control.append(idx)
-                try:
-                    self.exec_body(stmt.body)
-                finally:
-                    control.pop()
-                idx = self.current_event = self.new_event(stmt.elem)
-                value, deps = self.eval_predicate(stmt)
-                self.finish_event(idx, deps)
-        elif kind is If:
-            value, deps = self.eval_predicate(stmt)
-            self.finish_event(idx, deps)
-            frame.control.append(idx)
-            try:
-                self.exec_body(stmt.then_body if value else stmt.else_body)
-            finally:
-                frame.control.pop()
-        elif kind is VarDecl:
-            value, deps = self.eval(stmt.init) if stmt.init is not None else (0, ())
-            frame.env[stmt.name] = value
-            frame.var_events[stmt.name] = idx
-            self.finish_event(idx, deps)
-        elif kind is Return:
-            value, deps = self.eval(stmt.value) if stmt.value is not None else (0, ())
-            self.finish_event(idx, deps)
-            raise _ReturnSignal(value, idx)
-        elif kind is Assert:
-            value, deps = self.eval(stmt.cond)
-            self.require_bool(value)
-            self.finish_event(idx, deps)
-            if not value:
-                raise _AssertFailed()
-        elif kind is ExprStmt:
-            _, deps = self.eval(stmt.expr)
-            self.finish_event(idx, deps)
-        else:
-            raise AssertionError(f"unhandled statement {stmt!r}")
 
     def cannot_overflow(self, env, growing, before, literal_step) -> bool:
         """Whether no accumulator can pass INT_LIMIT in the steps left. One back at
@@ -528,6 +284,326 @@ class _Interp:
 
     def crash_stack(self) -> tuple:
         return tuple(frame.function for frame in reversed(self.frames))
+
+
+def _code(node):
+    """The closure that runs node, compiled on first use and cached on it; a
+    Function's code is the tuple of its body's closures. Each closure takes
+    (interp, frame), the frame it runs in. An expression's returns (value, deps),
+    with deps a set the caller may change. A statement's adds its event: a
+    pending pair (_begin), then an Event once its deps are known."""
+    code = getattr(node, "_code", None)
+    if code is None:
+        code = node._code = _compile(node)
+    return code
+
+
+def _codes(nodes) -> tuple:
+    return tuple(map(_code, nodes))
+
+
+def _begin(interp, frame, elem) -> int:
+    """Add a statement's pending event, and return its trace position."""
+    events = interp.events
+    idx = interp.current_event = len(events)
+    if idx >= interp.step_budget:
+        raise _Crash("budget")
+    events.append((elem, frame.control[-1]))
+    return idx
+
+
+def _eval_all(codes, interp, frame):
+    """The values of a list of expressions, and their deps."""
+    values, deps = [], set()
+    for code in codes:
+        value, d = code(interp, frame)
+        values.append(value)
+        deps |= d
+    return values, deps
+
+
+def _zero(interp, frame):
+    """An omitted initializer or return value: 0, with no event to depend on."""
+    return 0, ()
+
+
+def _divide(left, right):
+    """Integer division truncating toward zero."""
+    if right == 0:
+        raise _Crash("div0")
+    return int(left / right) if (left < 0) != (right < 0) else left // right
+
+
+# The operators of Binary nodes other than && and ||.
+_OPERATORS = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": lambda left, right: left - right * _divide(left, right),
+}
+
+
+def _predicate(stmt):
+    """The closure that evaluates an if's or while's condition, counts the
+    instance and inverts it if it is the one to flip."""
+    cond, pred_id = _code(stmt.cond), stmt.pred_id
+
+    def predicate(interp, frame):
+        value, deps = cond(interp, frame)
+        if type(value) is not bool:
+            raise _Crash("type")
+        counts = interp.pred_counts
+        occurrence = counts.get(pred_id, 0)
+        counts[pred_id] = occurrence + 1
+        if interp.flip is not None and interp.flip == (pred_id, occurrence):
+            value = not value
+            interp.flip_applied = True
+        interp.predicate_instances.append((pred_id, occurrence, value))
+        return value, deps
+
+    return predicate
+
+
+def _compile(node):
+    """A closure that does what node does. It holds its children's code, never
+    a node, so no cycle keeps a mutant's copied nodes or their code alive."""
+    kind = type(node)
+    if kind is Function:
+        return _codes(node.body)
+    if kind is Var:
+        name = node.name
+
+        def var(interp, frame):
+            env = frame.env
+            if name not in env:
+                raise _Crash("undefined-var")
+            defined = frame.var_events.get(name)
+            return env[name], (set() if defined is None else {defined})
+
+        return var
+    if kind is Num or kind is BoolLit:
+        value = node.value
+        return lambda interp, frame: (value, set())
+    if kind is Unary:
+        operand, negate = _code(node.operand), node.op == "-"
+
+        def unary(interp, frame):
+            value, deps = operand(interp, frame)
+            if type(value) is not (int if negate else bool):  # int excludes bool
+                raise _Crash("type")
+            return (-value if negate else not value), deps
+
+        return unary
+    if kind is Binary and node.op in ("&&", "||"):
+        left, right, stop = _code(node.left), _code(node.right), node.op == "||"
+
+        def logic(interp, frame):
+            value, deps = left(interp, frame)
+            if type(value) is not bool:
+                raise _Crash("type")
+            if value is stop:  # the left value decides the result
+                return value, deps
+            value, d2 = right(interp, frame)
+            if type(value) is not bool:
+                raise _Crash("type")
+            return value, deps | d2
+
+        return logic
+    if kind is Binary:
+        left, right, function = _code(node.left), _code(node.right), _OPERATORS[node.op]
+        ints, checked = node.op not in ("==", "!="), node.op in ("+", "-", "*")
+
+        def binary(interp, frame):
+            a, deps = left(interp, frame)
+            b, d2 = right(interp, frame)
+            deps |= d2
+            if ints and (type(a) is not int or type(b) is not int):
+                raise _Crash("type")
+            value = function(a, b)
+            if checked and (value > INT_LIMIT or value < -INT_LIMIT):
+                raise _Crash("overflow")
+            return value, deps
+
+        return binary
+    if kind is Index:
+        base, index = _code(node.base), _code(node.index)
+
+        def subscript(interp, frame):
+            array, deps = base(interp, frame)
+            pos, d2 = index(interp, frame)
+            deps |= d2
+            if type(array) is not list or type(pos) is not int:
+                raise _Crash("type")
+            if pos < 0 or pos >= len(array):
+                raise _Crash("bounds")
+            return array[pos], deps
+
+        return subscript
+    if kind is ArrayLit:
+        return partial(_eval_all, _codes(node.items))
+    if kind is Call:
+        name, args = node.name, _codes(node.args)
+
+        def call(interp, frame):
+            # Looked up in the running program: a mutant runs its original's nodes.
+            fn = interp.program.functions[name]
+            params = fn.params
+            if len(args) != len(params):
+                raise _Crash("arity")
+            values, deps = _eval_all(args, interp, frame)
+            call_event = interp.current_event
+            callee = _Frame(fn.name, dict(zip(params, values)), dict.fromkeys(params, call_event), [call_event])
+            frames = interp.frames
+            if len(frames) >= MAX_CALL_DEPTH:
+                raise _Crash("stack-overflow")
+            frames.append(callee)
+            try:
+                for stmt in _code(fn):
+                    stmt(interp, callee)
+                value = 0  # fell off the end of the function: implicit return 0 with no event
+            except _ReturnSignal as ret:
+                value = ret.value
+                deps.add(ret.event_index)
+            # A crash propagates past this point without unwinding interp.frames,
+            # deliberately: crash_stack() needs the frames as they were.
+            frames.pop()
+            # A later call in the same statement has the same call site.
+            interp.current_event = call_event
+            return value, deps
+
+        return call
+    elem = node.elem
+    if kind is Assign:
+        target, source, grows = node.target, _code(node.value), getattr(node, "grows", False)
+        index = None if node.index is None else _code(node.index)
+
+        def assign(interp, frame):
+            idx = _begin(interp, frame, elem)
+            value, deps = source(interp, frame)
+            env, var_events = frame.env, frame.var_events
+            if index is not None:
+                pos, d2 = index(interp, frame)
+                deps |= d2
+                if target not in env:
+                    raise _Crash("undefined-var")
+                if target in var_events:
+                    deps.add(var_events[target])
+                array = env[target]
+                if type(array) is not list or type(pos) is not int:
+                    raise _Crash("type")
+                if pos < 0 or pos >= len(array):
+                    raise _Crash("bounds")
+                array = list(array)
+                array[pos] = value
+                value = array
+            elif target not in env:
+                raise _Crash("undefined-var")
+            elif grows:  # marked by an enclosing loop's _classify
+                interp.largest_step = max(interp.largest_step, abs(value - env[target]))
+            env[target] = value
+            var_events[target] = idx
+            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+
+        return assign
+    if kind is While:
+        # Classified before the body compiles: the walk marks the body's step sites.
+        growing, drift, sign, literal_step = _classify(node)
+        predicate, body = _predicate(node), _codes(node.body)
+
+        def loop(interp, frame):
+            events, control, env = interp.events, frame.control, frame.env
+            lap, next_save, saved, start, before = 0, 1, None, None, None
+            while True:
+                idx = _begin(interp, frame, elem)
+                value, deps = predicate(interp, frame)
+                events[idx] = _new(Event, (elem, frozenset(deps), control[-1]))
+                if not value:
+                    return
+                # A repeat loops forever unless an accumulator could overflow or
+                # the drift variable is heading for the exit (module docstring).
+                if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
+                    if before is None:  # the snapshot's values, kept before they are overwritten
+                        before = tuple(map(saved.get, growing))
+                    for name in growing:
+                        if name in env:  # one that is undefined stays so
+                            saved[name] = env[name]
+                    same = env == saved and _same_types(env, saved)
+                    if same and interp.cannot_overflow(env, growing, before, literal_step):
+                        raise _Crash("budget")
+                lap += 1
+                if lap == next_save:
+                    next_save *= 2
+                    # While a flip is pending, pred_counts matter too: no snapshot.
+                    if interp.flip is None or interp.flip_applied:
+                        saved, start, before = dict(env), env.get(drift), None
+                control.append(idx)
+                try:
+                    for code in body:
+                        code(interp, frame)
+                finally:
+                    control.pop()
+
+        return loop
+    if kind is If:
+        predicate, then_body, else_body = _predicate(node), _codes(node.then_body), _codes(node.else_body)
+
+        def branch(interp, frame):
+            idx = _begin(interp, frame, elem)
+            value, deps = predicate(interp, frame)
+            control = frame.control
+            interp.events[idx] = _new(Event, (elem, frozenset(deps), control[-1]))
+            control.append(idx)
+            try:
+                for code in then_body if value else else_body:
+                    code(interp, frame)
+            finally:
+                control.pop()
+
+        return branch
+    if kind is VarDecl:
+        name, init = node.name, _zero if node.init is None else _code(node.init)
+
+        def declare(interp, frame):
+            idx = _begin(interp, frame, elem)
+            value, deps = init(interp, frame)
+            frame.env[name] = value
+            frame.var_events[name] = idx
+            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+
+        return declare
+    if kind is Return:
+        result = _zero if node.value is None else _code(node.value)
+
+        def return_(interp, frame):
+            idx = _begin(interp, frame, elem)
+            value, deps = result(interp, frame)
+            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+            raise _ReturnSignal(value, idx)
+
+        return return_
+    if kind is Assert:
+        cond = _code(node.cond)
+
+        def check(interp, frame):
+            idx = _begin(interp, frame, elem)
+            value, deps = cond(interp, frame)
+            if type(value) is not bool:
+                raise _Crash("type")
+            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+            if not value:
+                raise _AssertFailed()
+
+        return check
+    if kind is ExprStmt:
+        expr = _code(node.expr)
+
+        def evaluate(interp, frame):
+            idx = _begin(interp, frame, elem)
+            _, deps = expr(interp, frame)
+            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+
+        return evaluate
+    raise AssertionError(f"unhandled node {node!r}")
 
 
 def run(
@@ -544,13 +620,14 @@ def run(
     if len(test.args) != len(fn.params):
         raise ValueError(f"{test.entry} expects {len(fn.params)} args, got {len(test.args)}")
     args = [list(a) if isinstance(a, (list, tuple)) else a for a in test.args]
-    interp.frames.append(_Frame(fn.name, dict(zip(fn.params, args)), {}, [None]))
-    interp.current_event = None
+    frame = _Frame(fn.name, dict(zip(fn.params, args)), {}, [None])
+    interp.frames.append(frame)
     value = None
     criterion = None
     try:
         try:
-            interp.exec_body(fn.body)
+            for code in _code(fn):
+                code(interp, frame)
             value = 0
             criterion = len(interp.events) - 1 if interp.events else None
         except _ReturnSignal as ret:
@@ -558,7 +635,8 @@ def run(
             criterion = ret.event_index
         except RecursionError:
             # Backstop: deeply nested expressions inside deep recursion can
-            # still exhaust Python's stack before MAX_CALL_DEPTH trips.
+            # still exhaust Python's stack, while compiling or running, before
+            # MAX_CALL_DEPTH trips.
             raise _Crash("stack-overflow") from None
         if test.expect == "pass" or value == test.expect or (
             isinstance(test.expect, (list, tuple))

@@ -11,8 +11,7 @@ Operator table (an explicit extension point, not a fixed standard set):
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from ..model import ProgramElement
 from .parse import (
@@ -54,44 +53,43 @@ def _stmt_fingerprint(stmt: Stmt) -> str:
 
 
 def gen_mutants(program: Program) -> list[Mutant]:
-    """Every applicable operator at every applicable site, lexical order, deduplicated."""
-    # Sites are named by position in program.statements() and iter_exprs(),
-    # which copying a statement's expressions preserves.
-    plans = []  # (kind, statement position, expression position or None, payload, description)
-    for s_pos, stmt in enumerate(program.statements()):
-        for e_pos, node in enumerate(iter_exprs(stmt)):
+    """Every applicable operator at every applicable site, lexical order, deduplicated.
+
+    A mutant shares with ``program`` every node except the mutated one and its
+    ancestors, which it copies."""
+    plans = []  # (kind, statement, expression node or None, payload, description)
+    for stmt in program.statements():
+        for node in iter_exprs(stmt):
             if isinstance(node, Binary):
                 if node.op in ARITH_OPS:
                     for op in ARITH_OPS:
                         if op != node.op:
-                            plans.append(("aor", s_pos, e_pos, op, f"{node.op} -> {op}"))
+                            plans.append(("aor", stmt, node, op, f"{node.op} -> {op}"))
                 elif node.op in REL_OPS:
                     for op in REL_OPS:
                         if op != node.op:
-                            plans.append(("ror", s_pos, e_pos, op, f"{node.op} -> {op}"))
+                            plans.append(("ror", stmt, node, op, f"{node.op} -> {op}"))
                 elif node.op in LOGIC_OPS:
                     other = "||" if node.op == "&&" else "&&"
-                    plans.append(("lor", s_pos, e_pos, other, f"{node.op} -> {other}"))
+                    plans.append(("lor", stmt, node, other, f"{node.op} -> {other}"))
             elif isinstance(node, Num):
-                plans.append(("cpm", s_pos, e_pos, node.value + 1, f"{node.value} -> {node.value + 1}"))
-                plans.append(("cpm", s_pos, e_pos, node.value - 1, f"{node.value} -> {node.value - 1}"))
+                plans.append(("cpm", stmt, node, node.value + 1, f"{node.value} -> {node.value + 1}"))
+                plans.append(("cpm", stmt, node, node.value - 1, f"{node.value} -> {node.value - 1}"))
         if isinstance(stmt, (Assign, ExprStmt)):
-            plans.append(("sdl", s_pos, None, None, "delete statement"))
+            plans.append(("sdl", stmt, None, None, "delete statement"))
         if isinstance(stmt, (If, While)):
-            plans.append(("ncd", s_pos, None, None, "negate condition"))
+            plans.append(("ncd", stmt, None, None, "negate condition"))
 
     mutants = []
     seen: set[tuple] = set()
-    statements = program.statements()
-    for kind, s_pos, e_pos, payload, description in plans:
-        stmt = statements[s_pos]
-        mutated = None if kind == "sdl" else _copy_exprs(stmt)
-        if kind in ("aor", "ror", "lor"):
-            list(iter_exprs(mutated))[e_pos].op = payload
-        elif kind == "cpm":
-            list(iter_exprs(mutated))[e_pos].value = payload
+    for kind, stmt, node, payload, description in plans:
+        if kind == "sdl":
+            mutated = None
         elif kind == "ncd":
-            mutated.cond = Unary("!", mutated.cond, line=mutated.cond.line)
+            mutated = replace(stmt, cond=Unary("!", stmt.cond, line=stmt.cond.line))
+        else:
+            changed = replace(node, **{"value" if kind == "cpm" else "op": payload})
+            mutated = _swap(stmt, node, changed, Expr)
         key = (stmt.elem, kind if kind == "sdl" else _stmt_fingerprint(mutated))
         if key in seen:
             continue
@@ -101,27 +99,29 @@ def gen_mutants(program: Program) -> list[Mutant]:
     return mutants
 
 
-def _copy_exprs(stmt: Stmt) -> Stmt:
-    """A copy of ``stmt`` with its own expressions; nested statement lists are shared."""
-    values = ((f.name, getattr(stmt, f.name)) for f in fields(stmt))
-    return replace(stmt, **{k: copy.deepcopy(v) for k, v in values if isinstance(v, Expr)})
+def _swap(node, old, new, kind: type):
+    """``node`` with ``new`` for ``old`` (None deletes a statement), copying only
+    the ancestors of ``old``, a node of ``kind`` (Expr or Stmt). None when ``old``
+    is not inside ``node``."""
+    for name in node.__dataclass_fields__:
+        value = getattr(node, name)
+        items = value if type(value) is list else [value]
+        for i, item in enumerate(items):
+            if item is old:
+                inner = [] if new is None else [new]
+            elif isinstance(item, kind) and (copied := _swap(item, old, new, kind)) is not None:
+                inner = [copied]
+            else:
+                continue
+            items = items[:i] + inner + items[i + 1 :]
+            return replace(node, **{name: items if type(value) is list else items[0]})
+    return None
 
 
 def _replace_stmt(program: Program, old: Stmt, new) -> Program:
     """``program`` with ``new`` for ``old`` (None deletes it), copying only the path to ``old``."""
-
-    def rebuild(body: list):
-        for i, s in enumerate(body):
-            if s is old:
-                return body[:i] + ([] if new is None else [new]) + body[i + 1 :]
-            for name in ("then_body", "else_body", "body"):
-                inner = rebuild(getattr(s, name, ()))
-                if inner is not None:
-                    return body[:i] + [replace(s, **{name: inner})] + body[i + 1 :]
-        return None
-
     for name, fn in program.functions.items():
-        body = rebuild(fn.body)
-        if body is not None:
-            return replace(program, functions={**program.functions, name: replace(fn, body=body)})
+        copied = _swap(fn, old, new, Stmt)
+        if copied is not None:
+            return replace(program, functions={**program.functions, name: copied})
     raise KeyError("statement not found")

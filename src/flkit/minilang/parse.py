@@ -38,8 +38,9 @@ ONE_CHAR = set("+-*/%<>!=(){}[],;")
 
 # Deepest nesting parse() accepts. Each statement, expression node and
 # parenthesised group is one level inside what encloses it; a function's body
-# statements are at level 1. Parsing, mutant copying and evaluation all
-# recurse once per level, so this keeps them far from Python's recursion limit.
+# statements are at level 1. Parsing, mutant copying, compilation and
+# evaluation recurse once or twice per level, so this keeps them far from
+# Python's recursion limit.
 MAX_NESTING = 64
 
 ARITH_OPS = ("+", "-", "*", "/", "%")

@@ -21,6 +21,7 @@ from flkit.cli import main as cli_main
 from flkit.corpus import load_corpus
 from flkit.minilang import gen_mutants, run
 from flkit.minilang.interp import reexec_step_budget
+from flkit.minilang.parse import iter_exprs
 from flkit.pipeline import emit_report, evaluate_corpus
 from flkit.predswitch import INSTANCE_BUDGET
 
@@ -171,6 +172,48 @@ def test_mutants_match_golden():
     text = mutants_text(bundles)
     assert len(text.splitlines()) == 203
     assert text == MUTANTS_FILE.read_text()
+
+
+def test_mutants_copy_only_their_path():
+    """gen_mutants leaves the original as it was, node for node, and a mutant
+    shares with it every node except the mutated one and that node's ancestors:
+    a node is shared exactly when it renders the same."""
+    for bundle in load_corpus(CORPUS):
+        program = bundle.program
+        statements = program.statements()
+        nodes = statements + [e for s in statements for e in iter_exprs(s)]
+        before = [_render(node) for node in nodes]
+        mutants = gen_mutants(program)
+        after = program.statements()
+        assert list(map(id, after + [e for s in after for e in iter_exprs(s)])) == list(map(id, nodes))
+        assert [_render(node) for node in nodes] == before
+        for m in mutants:
+            copies = {s.elem: s for s in m.program.statements()}
+            for stmt in statements:
+                copy = copies.get(stmt.elem)
+                if copy is None:
+                    assert (m.operator, m.element) == ("sdl", stmt.elem)
+                    continue
+                assert (copy is stmt) == (_render(copy) == _render(stmt))
+                exprs = list(iter_exprs(copy))
+                if m.operator == "ncd" and stmt.elem == m.element:
+                    exprs = exprs[1:]  # past the added negation
+                for node, copied in zip(iter_exprs(stmt), exprs, strict=True):
+                    assert (copied is node) == (_render(copied) == _render(node))
+
+
+def test_original_runs_alike_after_its_mutants():
+    """Programs share the code cached on their shared nodes: an original test
+    run after every mutant has run on every test, and so compiled what they
+    share, gives the same trace as a run on a fresh parse."""
+    for fresh, bundle in zip(load_corpus(CORPUS), load_corpus(CORPUS)):
+        originals = [run(fresh.program, t) for t in fresh.tests]
+        budget = reexec_step_budget(originals)
+        for mutant in gen_mutants(bundle.program):
+            for t in bundle.tests:
+                run(mutant.program, t, step_budget=budget)
+        again = [run(bundle.program, t) for t in bundle.tests]
+        assert list(map(trace_text, again)) == list(map(trace_text, originals))
 
 
 def traces_by_run(text: str) -> dict:

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,15 @@ class TestCorpusLoading:
         assert b.bug_report
         assert b.commits
         assert b.project
+
+    def test_committed_corpus_matches_its_generator(self, tmp_path):
+        tool = CORPUS.parent / "tools" / "make_corpus.py"
+        subprocess.run([sys.executable, str(tool), str(tmp_path)], check=True, capture_output=True, timeout=60)
+        committed = sorted(p.relative_to(CORPUS) for p in CORPUS.rglob("*") if p.is_file())
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == committed
+        for path in committed:
+            assert (tmp_path / path).read_bytes() == (CORPUS / path).read_bytes(), path
 
     def test_missing_directory(self):
         with pytest.raises(CorpusError):

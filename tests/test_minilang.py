@@ -10,7 +10,7 @@ from flkit.minilang.interp import (
     run,
 )
 from flkit.minilang.mutate import gen_mutants
-from flkit.minilang.parse import MAX_NESTING, MiniSyntaxError, While, parse
+from flkit.minilang.parse import MAX_NESTING, MiniSyntaxError, While, iter_exprs, parse
 from flkit.model import ProgramElement
 
 COLLATZ = """\
@@ -177,6 +177,20 @@ class TestInterpreter:
         assert top == deep
         assert (top.status, top.crash_kind) == (CRASH, "stack-overflow")
         assert len(top.stack) == MAX_CALL_DEPTH
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open defect (ROADMAP item 7): Python's RecursionError backstop trips"
+        " before MAX_CALL_DEPTH, at a call depth that depends on the caller's stack",
+    )
+    def test_recursion_backstop_independent_of_caller_stack(self):
+        # 55 additions around each call use up Python's stack long before MAX_CALL_DEPTH.
+        prog = parse("func f(n) { if (n == 0) { return 0; } return f(n - 1)" + " + 1" * 55 + "; }")
+        test = MLTest("t", "f", (90,), "pass")
+        top = run(prog, test).outcome
+        deep = at_python_depth(300, lambda: run(prog, test)).outcome
+        assert (top.status, top.crash_kind) == (CRASH, "stack-overflow")
+        assert top == deep
 
     def test_overflow_trap(self):
         prog = parse(
@@ -404,6 +418,60 @@ class TestAccumulatorStop:
         assert first > 0
         assert run(prog, MLTest("t", "f", (5,), 10)).outcome.status == PASS
         assert len(calls) == first
+
+
+def all_nodes(prog) -> list:
+    """Every function, statement and expression node of a program."""
+    statements = prog.statements()
+    exprs = [node for stmt in statements for node in iter_exprs(stmt)]
+    return list(prog.functions.values()) + statements + exprs
+
+
+def record_compiles(monkeypatch) -> list:
+    """The nodes compiled from now on, in order."""
+    compiled = []
+    compile_node = interp._compile
+    monkeypatch.setattr(interp, "_compile", lambda node: (compiled.append(node), compile_node(node))[1])
+    return compiled
+
+
+class TestCompiledCode:
+    """Each node is compiled once, when it first runs, and the code is cached on it."""
+
+    SOURCE = (
+        "func g(x) { return x * 2; }\n"
+        "func f(a, n) { var s = 0; var i = 0;"
+        " while (i < n) { if (a[i] > 0) { s = s + g(a[i]); } else { s = s - 1; } i = i + 1; }"
+        " return s; }"
+    )
+    TEST = MLTest("t", "f", ([3, -1], 2), 5)
+
+    def test_each_node_is_compiled_once(self, monkeypatch):
+        compiled = record_compiles(monkeypatch)
+        prog = parse(self.SOURCE)
+        first = run(prog, self.TEST)
+        assert first.outcome.status == PASS
+        assert sorted(map(id, compiled)) == sorted(map(id, all_nodes(prog)))
+        count = len(compiled)
+        again = run(prog, self.TEST)
+        assert len(compiled) == count
+        assert (again.events, again.predicate_instances) == (first.events, first.predicate_instances)
+
+    def test_mutant_compiles_only_its_path(self, monkeypatch):
+        prog = parse(self.SOURCE)
+        run(prog, self.TEST)
+        original = set(map(id, all_nodes(prog)))
+        compiled = record_compiles(monkeypatch)
+        for mutant in gen_mutants(prog):
+            compiled.clear()
+            run(mutant.program, self.TEST)
+            copied = [node for node in all_nodes(mutant.program) if id(node) not in original]
+            assert copied
+            if mutant.element.method_id == "f":  # the entry, which always runs
+                assert sorted(map(id, compiled)) == sorted(map(id, copied))
+            else:  # a mutant that never calls g compiles none of its copies
+                assert set(map(id, compiled)) <= set(map(id, copied))
+                assert len(set(map(id, compiled))) == len(compiled)
 
 
 class TestDependences:

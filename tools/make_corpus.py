@@ -1,5 +1,11 @@
-"""Regenerate the committed demo corpus (10 seeded single-statement bugs)."""
+"""Regenerate the committed demo corpus (10 seeded single-statement bugs).
 
+    python tools/make_corpus.py [OUT_DIR]
+
+writes it under OUT_DIR, by default the repository's corpus/.
+"""
+
+import argparse
 import json
 from pathlib import Path
 
@@ -252,8 +258,11 @@ HISTORY = [
 
 
 def main():
+    parser = argparse.ArgumentParser(description="Write the demo corpus.")
+    parser.add_argument("out", nargs="?", type=Path, default=ROOT, help="output directory (default: %(default)s)")
+    out = parser.parse_args().out
     for fault_id, info in FAULTS.items():
-        d = ROOT / fault_id
+        d = out / fault_id
         d.mkdir(parents=True, exist_ok=True)
         (d / "program.ml").write_text(info["program"])
         (d / "tests.json").write_text(json.dumps({"tests": info["tests"]}, indent=2) + "\n")
@@ -262,7 +271,7 @@ def main():
         )
         (d / "report.txt").write_text(info["report"] + "\n")
         (d / "history.json").write_text(json.dumps({"commits": HISTORY}, indent=2) + "\n")
-    print(f"wrote {len(FAULTS)} faults under {ROOT}")
+    print(f"wrote {len(FAULTS)} faults under {out}")
 
 
 if __name__ == "__main__":
