@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .metrics import expected_first_faulty_rank
@@ -137,6 +140,15 @@ class FaultFeatures:
         if not all(0.0 <= v <= 1.0 for row in self.matrix for v in row):
             raise CombineError("feature values must lie in [0, 1]")
 
+    @cached_property
+    def split_rows(self) -> tuple:
+        """(faulty rows, correct rows), each a tuple in element order; a copy
+        made by dataclasses.replace splits its own matrix."""
+        faulty, correct = [], []
+        for elem, row in zip(self.elements, self.matrix):
+            (faulty if elem in self.faulty else correct).append(row)
+        return tuple(faulty), tuple(correct)
+
 
 def build_features(
     fault_id: str,
@@ -165,15 +177,15 @@ def build_pairwise_constraints(
     Each faulty element is contrasted against at most `cap` correct elements of
     the same fault, sampled with the run seed to bound pair explosion.
     """
-    rng = random.Random(seed)
+    rng = None  # seeded on first use: only sampling draws from it
     pairs = []
     for fault in faults:
-        faulty, correct = [], []
-        for elem, row in zip(fault.elements, fault.matrix):
-            (faulty if elem in fault.faulty else correct).append(row)
+        faulty, correct = fault.split_rows
+        if len(correct) > cap and rng is None:
+            rng = random.Random(seed)
         for row in faulty:
             chosen = correct if len(correct) <= cap else rng.sample(correct, cap)
-            pairs.extend((row, other) for other in chosen)
+            pairs += [(row, other) for other in chosen]
     return pairs
 
 
@@ -228,13 +240,13 @@ def train(pairs: Sequence, techniques: Sequence[str], seed: int = 0) -> RankMode
     if not pairs:
         raise CombineError("no training pairs")
     dim = len(techniques)
-    if any(len(f) != dim or len(c) != dim for f, c in pairs):
-        raise CombineError("pair dimension does not match technique count")
     counts: dict = {}
     for f, c in pairs:
-        d = tuple(x - y for x, y in zip(f, c))
+        if len(f) != dim or len(c) != dim:
+            raise CombineError("pair dimension does not match technique count")
+        d = tuple(map(operator.sub, f, c))
         counts[d] = counts.get(d, 0) + 1
-    if not all(math.isfinite(v) for d in counts for v in d):
+    if not all(map(math.isfinite, chain.from_iterable(counts))):
         raise CombineError("pair values must be finite")
     rows, bounds = [], []
     scale = 2.0 * L2_LAMBDA * len(pairs)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .model import Ranking
@@ -24,18 +23,14 @@ def expected_first_faulty_rank(ranking: Ranking, faulty: set) -> Fraction:
     Tied elements are assumed to be presented in uniformly random order. With
     the first faulty-containing tie-group of size t holding t_f faulty
     elements and starting at position P, the value is
-    P + sum_{k=1..t-t_f} k * C(t-k-1, t_f-1) / C(t, t_f).
+    P + (t - t_f) / (t_f + 1), the mean of the negative hypergeometric count
+    of correct elements before the first faulty one: the t_f faulty elements
+    cut the t - t_f correct ones into t_f + 1 runs of equal expected length.
     """
     for group, start in zip(ranking.groups, ranking.start_positions):
         t_f = len(group & faulty)
         if t_f:
-            t = len(group)
-            total = comb(t, t_f)
-            tail = sum(
-                Fraction(k * comb(t - k - 1, t_f - 1), total)
-                for k in range(1, t - t_f + 1)
-            )
-            return start + tail
+            return start + Fraction(len(group) - t_f, t_f + 1)
     raise NotLocalizedError("no faulty element appears in the ranking")
 
 

@@ -113,6 +113,11 @@ class Outcome:
     stack: tuple = ()  # method ids, innermost first; crashes only
 
 
+# Outcomes are frozen, so every run that passes or fails an assert shares one.
+_PASSED = Outcome(PASS)
+_ASSERT_FAILED = Outcome(ASSERT_FAIL)
+
+
 class Event(NamedTuple):
     element: ProgramElement
     deps: frozenset  # trace positions of events this one data-depends on
@@ -643,14 +648,14 @@ def run(
             and isinstance(value, list)
             and list(test.expect) == value
         ):
-            outcome = Outcome(PASS)
+            outcome = _PASSED
         else:
             # wrong result: the harness assertion fails (not a crash)
-            outcome = Outcome(ASSERT_FAIL)
+            outcome = _ASSERT_FAILED
     except _AssertFailed:
         # An assert inside a callee leaves the caller's statements pending.
         interp.settle_events()
-        outcome = Outcome(ASSERT_FAIL)
+        outcome = _ASSERT_FAILED
         criterion = len(interp.events) - 1
     except _Crash as crash:
         interp.settle_events()

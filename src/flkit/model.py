@@ -17,7 +17,8 @@ class ProgramElement:
 
     stmt_index distinguishes multiple statements starting on the same line.
     method_id does not participate in equality so that score sources that do
-    and do not annotate methods can be joined.
+    and do not annotate methods can be joined. The hash is the generated one,
+    hash((file_id, line, stmt_index)), computed once.
     """
 
     file_id: str
@@ -30,6 +31,10 @@ class ProgramElement:
             raise ModelError(f"line must be positive, got {self.line}")
         if self.stmt_index < 0:
             raise ModelError(f"stmt_index must be non-negative, got {self.stmt_index}")
+        object.__setattr__(self, "_hash", hash((self.file_id, self.line, self.stmt_index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def key(self) -> str:

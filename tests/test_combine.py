@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import flkit.combine as cmb
 from flkit.combine import (
     CombineError,
     FaultFeatures,
@@ -21,6 +24,30 @@ from flkit.combine import (
 )
 from flkit.model import ScoredList
 from flkit.synthetic import TECHNIQUES, complementary_corpus
+
+
+def reference_pairs(faults, seed=0, cap=cmb.PAIR_CAP):
+    """build_pairwise_constraints as it was before each fault split its rows
+    once: one generator made up front, rows split again on every call."""
+    rng = random.Random(seed)
+    pairs = []
+    for fault in faults:
+        faulty, correct = [], []
+        for elem, row in zip(fault.elements, fault.matrix):
+            (faulty if elem in fault.faulty else correct).append(row)
+        for row in faulty:
+            chosen = correct if len(correct) <= cap else rng.sample(correct, cap)
+            pairs.extend((row, other) for other in chosen)
+    return pairs
+
+
+def random_fault(rng, fault_id, n_elements, n_faulty):
+    """Three random feature columns, `n_faulty` of the elements faulty."""
+    techniques = TECHNIQUES + ("gamma",)
+    elements = tuple(f"{fault_id}.e{j}" for j in range(n_elements))
+    matrix = tuple(tuple(rng.random() for _ in techniques) for _ in elements)
+    faulty = frozenset(rng.sample(elements, n_faulty))
+    return FaultFeatures(fault_id, techniques, elements, matrix, faulty)
 
 
 class TestPresets:
@@ -124,6 +151,34 @@ class TestFeatures:
         assert all(x[1] == y[1] for x, y in zip(a, b))
         c = build_pairwise_constraints(faults, seed=6, cap=10)
         assert any(x[1] != y[1] for x, y in zip(a, c))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_pairs_equal_the_reference(self, seed):
+        """Faults above and below the cap, interleaved: the generator is made
+        only once a fault samples, so the draws and the pairs do not change."""
+        rng = random.Random(seed)
+        faults = [
+            random_fault(rng, f"f{i}", n, k)
+            for i, (n, k) in enumerate([(5, 1), (14, 2), (3, 3), (30, 1), (9, 4), (12, 1), (8, 0)])
+        ]
+        for _ in range(5):
+            rng.shuffle(faults)
+            for cap in (4, 10, cmb.PAIR_CAP):
+                got = build_pairwise_constraints(faults, seed=seed, cap=cap)
+                assert got == reference_pairs(faults, seed=seed, cap=cap)
+
+    def test_replaced_features_split_their_own_matrix(self):
+        """The ablation path drops columns with dataclasses.replace; the copy
+        must not reuse the original's cached split."""
+        fault = random_fault(random.Random(3), "f", 6, 2)
+        faulty, correct = fault.split_rows
+        assert len(faulty) == 2 and len(correct) == 4
+        kept = dataclasses.replace(
+            fault, techniques=fault.techniques[:1], matrix=tuple(r[:1] for r in fault.matrix)
+        )
+        assert kept.split_rows == (tuple(r[:1] for r in faulty), tuple(r[:1] for r in correct))
+        assert fault.split_rows == (faulty, correct)
+        assert build_pairwise_constraints([kept]) == reference_pairs([kept])
 
 
 class TestTraining:
@@ -243,6 +298,37 @@ class TestCrossValidation:
         faults, _ = complementary_corpus(n_faults=4, n_elements=4, seed=0)
         with pytest.raises(CombineError):
             cross_project_cv(faults)
+
+    @pytest.mark.parametrize("cv", ["kfold", "cross-project"])
+    def test_each_fold_builds_pairs_and_trains_once(self, cv, monkeypatch):
+        """perfbench/tracer.py wraps these two module names and recounts hinge
+        violations from the pairs `train` gets as its first argument, so every
+        fold must call both through the module, with a list of row pairs."""
+        faults, _ = complementary_corpus(n_faults=12, n_elements=6, seed=2)
+        faults = [dataclasses.replace(f, project=f"p{i % 3}") for i, f in enumerate(faults)]
+        built, trained = [], []
+        real_build, real_train = cmb.build_pairwise_constraints, cmb.train
+
+        def build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        def fit(*args, **kwargs):
+            trained.append(args[0])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cmb, "build_pairwise_constraints", build)
+        monkeypatch.setattr(cmb, "train", fit)
+        if cv == "kfold":
+            results, folds = kfold_cv(faults, k=4, seed=1), 4
+        else:
+            results, folds = cross_project_cv(faults, seed=1), 3
+        assert len(results) == len(faults)
+        assert len(built) == len(trained) == folds
+        for made, given in zip(built, trained):
+            assert given is made and type(given) is list and given
+            assert all(type(p) is tuple and len(p) == 2 for p in given)
+            assert all(len(row) == len(TECHNIQUES) for p in given for row in p)
 
     def test_combined_e_inspect_exact(self):
         faults, _ = complementary_corpus(n_faults=1, n_elements=6, seed=0)

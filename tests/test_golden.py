@@ -67,6 +67,12 @@ def combine_weights(key: str) -> dict:
     }
 
 
+def weights_text() -> str:
+    """WEIGHTS_FILE's text: combine_weights for every key of WEIGHT_RUNS."""
+    weights = {key: combine_weights(key) for key in sorted(WEIGHT_RUNS)}
+    return json.dumps(weights, indent=2) + "\n"
+
+
 def _render(node) -> str:
     if dataclasses.is_dataclass(node):
         inner = ", ".join(
@@ -231,18 +237,28 @@ def test_traces_match_golden():
     assert text == golden
 
 
+SEEDED_FILES = (TRACES_FILE, GOLDEN / "report_level4.json", WEIGHTS_FILE)
+
+
+def seeded_texts() -> list:
+    """The contents SEEDED_FILES should have, computed in this process."""
+    bundles = load_corpus(CORPUS)
+    return [
+        traces_text(bundles),
+        report_text(bundles, **REPORT_FILES[GOLDEN / "report_level4.json"]),
+        weights_text(),
+    ]
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_traces_do_not_depend_on_hash_seed(hash_seed):
-    """String hashing, and so the order of any set of names, changes with
-    PYTHONHASHSEED; every trace must not."""
+    """String hashing, and so the order of any set of names or elements,
+    changes with PYTHONHASHSEED; no trace, report or weight may."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
-    code = (
-        "import sys; from flkit.corpus import load_corpus; from test_golden import CORPUS, traces_text;"
-        " sys.stdout.write(traces_text(load_corpus(CORPUS)))"
-    )
+    code = "import json; from test_golden import seeded_texts; print(json.dumps(seeded_texts()))"
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == TRACES_FILE.read_text()
+    assert json.loads(done.stdout) == [golden.read_text() for golden in SEEDED_FILES]
 
 
 if __name__ == "__main__":
@@ -252,5 +268,4 @@ if __name__ == "__main__":
         path.write_text(report_text(bundles, **options))
     MUTANTS_FILE.write_text(mutants_text(bundles))
     TRACES_FILE.write_text(traces_text(bundles))
-    weights = {key: combine_weights(key) for key in sorted(WEIGHT_RUNS)}
-    WEIGHTS_FILE.write_text(json.dumps(weights, indent=2) + "\n")
+    WEIGHTS_FILE.write_text(weights_text())

@@ -34,6 +34,15 @@ def enumerate_expected_rank(t: int, t_f: int, start: int) -> Fraction:
     return total / count
 
 
+def fraction_sum_expected_rank(t: int, t_f: int, start: int) -> Fraction:
+    """Second oracle, the sum the closed form replaced: the chance that
+    exactly k correct elements precede the first faulty one, times k."""
+    total = math.comb(t, t_f)
+    return start + sum(
+        Fraction(k * math.comb(t - k - 1, t_f - 1), total) for k in range(1, t - t_f + 1)
+    )
+
+
 def ranking_with_tied_group(t: int, t_f: int, start: int):
     """A ranking whose first (and only) faulty group has size t at position start."""
     groups = []
@@ -65,6 +74,14 @@ class TestExpectedFirstFaultyRank:
         ranking, faulty = ranking_with_tied_group(t, t_f, start)
         got = expected_first_faulty_rank(ranking, faulty)
         assert got == enumerate_expected_rank(t, t_f, start)
+
+    def test_matches_fraction_sum_oracle(self):
+        for t in range(1, 61):
+            for t_f in range(1, t + 1):
+                ranking, faulty = ranking_with_tied_group(t, t_f, 3)
+                got = expected_first_faulty_rank(ranking, faulty)
+                assert got == fraction_sum_expected_rank(t, t_f, 3), (t, t_f)
+                assert t != t_f or got == 3
 
     def test_single_faulty_reduces_to_midpoint(self):
         # t_f = 1: expected rank is start + (t-1)/2

@@ -132,6 +132,13 @@ class TestInterpreter:
         assert run(prog, MLTest("t", "f", (-7, 2), "pass")).value == -1
         assert run(prog, MLTest("t", "f", (7, -2), "pass")).value == 1
 
+    def test_runs_share_the_constant_outcomes(self):
+        prog = parse("func f(x) { return x; }")
+        passed = [run(prog, MLTest(f"t{i}", "f", (i,), i)).outcome for i in range(2)]
+        failed = [run(prog, MLTest(f"t{i}", "f", (i,), -1)).outcome for i in range(2)]
+        assert passed[0] is passed[1] and passed[0] == interp.Outcome(PASS)
+        assert failed[0] is failed[1] and failed[0] == interp.Outcome(ASSERT_FAIL)
+
     def test_wrong_result_is_assertion_failure_not_crash(self):
         prog = parse("func f() { return 2; }")
         tr = run(prog, MLTest("t", "f", (), 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -34,6 +35,16 @@ class TestProgramElement:
         b = ProgramElement("f", 1, 0, method_id=None)
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_hash_is_that_of_the_compared_fields(self):
+        """The hash is computed once, and equals the generated one, so set
+        orders do not change; a replaced element gets its own."""
+        e = ProgramElement("src/a.ml", 12, 1, method_id="m1")
+        assert hash(e) == hash(("src/a.ml", 12, 1))
+        other = dataclasses.replace(e, method_id="m2")
+        assert other == e and hash(other) == hash(e)
+        moved = dataclasses.replace(e, line=13)
+        assert moved != e and hash(moved) == hash(("src/a.ml", 13, 1))
 
 
 class TestRankElements:
