@@ -145,7 +145,7 @@ def cmd_evaluate(args) -> int:
 def cmd_correlate(args) -> int:
     analyses = analyze_corpus(load_corpus(args.corpus), args.preset)
     techniques = cmb.preset_techniques(args.preset)
-    values = technique_ranks(analyses, techniques, args.granularity)
+    values, _ = technique_ranks(analyses, techniques, args.granularity)
     slim = {"correlation": correlation_matrix(values, q=args.q)}
     _write(emit_report(slim, args.format), None)
     return 0

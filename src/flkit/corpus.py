@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -78,45 +79,47 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
         program = parse((fault_dir / PROGRAM_FILE).read_text(), file_id=PROGRAM_FILE)
     except MiniSyntaxError as exc:
         raise CorpusError(f"fault {fault_id}: {PROGRAM_FILE}:{exc}") from None
-    tests_data = json.loads((fault_dir / "tests.json").read_text())
-    tests = tuple(
-        TestCase(t["id"], t["entry"], tuple(t.get("args", ())), t["expect"])
-        for t in tests_data["tests"]
-    )
-    if not tests:
-        raise CorpusError(f"fault {fault_id}: no tests")
-    for t in tests:
-        fn = program.functions.get(t.entry)
-        if fn is None or len(t.args) != len(fn.params):
-            raise CorpusError(
-                f"fault {fault_id}: test {t.test_id}: no function {t.entry!r} of {len(t.args)} args"
-            )
+    with _malformed(fault_id, "tests.json"):
+        tests = tuple(
+            TestCase(t["id"], t["entry"], tuple(t.get("args", ())), t["expect"])
+            for t in json.loads((fault_dir / "tests.json").read_text())["tests"]
+        )
+        if not tests:
+            raise CorpusError(f"fault {fault_id}: no tests")
+        for t in tests:
+            fn = program.functions.get(t.entry)
+            if fn is None or len(t.args) != len(fn.params):
+                raise CorpusError(
+                    f"fault {fault_id}: test {t.test_id}: no function {t.entry!r} of {len(t.args)} args"
+                )
 
-    truth = json.loads((fault_dir / "truth.json").read_text())
     elements = program.elements()
     element_set = set(elements)
     faulty: set[ProgramElement] = set()
-    for key in truth.get("faulty", ()):
-        elem = parse_element_key(key)
-        if elem not in element_set:
-            raise CorpusError(f"fault {fault_id}: faulty element {key} not executable")
-        faulty.add(elem)
-    insertions = [
-        (ins["file"], ins["after_line"]) for ins in truth.get("insertions", ())
-    ]
-    if insertions:
-        faulty |= adjust_ground_truth_for_insertions([], insertions, elements)
+    with _malformed(fault_id, "truth.json"):
+        truth = json.loads((fault_dir / "truth.json").read_text())
+        for key in truth.get("faulty", ()):
+            elem = parse_element_key(key)
+            if elem not in element_set:
+                raise CorpusError(f"fault {fault_id}: faulty element {key} not executable")
+            faulty.add(elem)
+        insertions = [
+            (ins["file"], ins["after_line"]) for ins in truth.get("insertions", ())
+        ]
+        if insertions:
+            faulty |= adjust_ground_truth_for_insertions([], insertions, elements)
     if not faulty:
         raise CorpusError(f"fault {fault_id}: empty ground truth")
 
     report_path = fault_dir / "report.txt"
     bug_report = report_path.read_text() if report_path.exists() else None
     history_path = fault_dir / "history.json"
-    commits = (
-        tuple(commits_from_json(history_path.read_text()))
-        if history_path.exists()
-        else None
-    )
+    with _malformed(fault_id, "history.json"):
+        commits = (
+            tuple(commits_from_json(history_path.read_text()))
+            if history_path.exists()
+            else None
+        )
     return FaultBundle(
         fault_id,
         program,
@@ -126,6 +129,15 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
         bug_report,
         commits,
     )
+
+
+@contextmanager
+def _malformed(fault_id: str, name: str):
+    """Report malformed content of a fault's JSON file as a CorpusError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
+        raise CorpusError(f"fault {fault_id}: {name}: {exc}") from None
 
 
 def load_corpus(corpus_dir: str | Path) -> list[FaultBundle]:
@@ -157,6 +169,8 @@ def ingest_scores(path: str | Path) -> list[ScoreRecord]:
                 data = json.loads(line)
                 fault = data["fault"]
                 technique = data["technique"]
+                if not (isinstance(fault, str) and isinstance(technique, str)):
+                    raise TypeError("fault and technique must be strings")
                 entries = []
                 for key, score in data["scores"]:
                     if score == "inf":
@@ -181,22 +195,3 @@ def ingest_scores(path: str | Path) -> list[ScoreRecord]:
                 )
             records[(fault, technique)] = record
     return list(records.values())
-
-
-def write_scores(records, path: str | Path):
-    with open(path, "w") as fh:
-        for rec in records:
-            scores = [
-                [str(elem), "inf" if math.isinf(score) else score]
-                for elem, score in rec.scores.entries
-            ]
-            fh.write(
-                json.dumps(
-                    {
-                        "fault": rec.fault_id,
-                        "technique": rec.technique_id,
-                        "scores": scores,
-                    }
-                )
-                + "\n"
-            )

@@ -55,7 +55,6 @@ from .parse import (
     Binary,
     BoolLit,
     Call,
-    Expr,
     ExprStmt,
     Function,
     If,
@@ -63,11 +62,11 @@ from .parse import (
     Num,
     Program,
     Return,
-    Stmt,
     Unary,
     Var,
     VarDecl,
     While,
+    children,
 )
 
 # Steps before a run crashes with "budget". A loop whose variables repeat at
@@ -187,7 +186,8 @@ def _classify(loop: While) -> tuple:
         cond, sign = cond.operand, -1
     if type(cond) is Binary and cond.op in _HOLDING_DRIFT and type(cond.left) is Var:
         drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
-    _scan([cond, loop.body], reads, sites, fixed)
+    for node in [cond, *loop.body]:
+        _scan(node, reads, sites, fixed)
     growing = {site.target for site in sites} - fixed - reads
     literal_step = max(
         (abs(site.value.right.value) for site in sites if site.target in growing and not site.grows),
@@ -205,25 +205,19 @@ def _scan(node, reads: set, sites: list, fixed: set):
     kind = type(node)
     if kind is Var:
         reads.add(node.name)
-    elif kind is list:
-        for item in node:
-            _scan(item, reads, sites, fixed)
-    elif isinstance(node, (Expr, Stmt)):
-        if kind is Assign:
-            value = node.value
-            step = node.index is None and type(value) is Binary and value.op in ("+", "-")
-            if step and type(value.left) is Var and value.left.name == node.target:
-                sites.append(node)
-                node.grows = type(value.right) is not Num
-                _scan(value.right, reads, sites, fixed)
-                return
-            fixed.add(node.target)
-        elif kind is VarDecl:
-            fixed.add(node.name)
-        # Fields by name: vars(node) would give the node a dict of its own,
-        # which makes every later attribute read on it slower.
-        for name in node.__dataclass_fields__:
-            _scan(getattr(node, name), reads, sites, fixed)
+    elif kind is Assign:
+        value = node.value
+        step = node.index is None and type(value) is Binary and value.op in ("+", "-")
+        if step and type(value.left) is Var and value.left.name == node.target:
+            sites.append(node)
+            node.grows = type(value.right) is not Num
+            _scan(value.right, reads, sites, fixed)
+            return
+        fixed.add(node.target)
+    elif kind is VarDecl:
+        fixed.add(node.name)
+    for child in children(node):
+        _scan(child, reads, sites, fixed)
 
 
 def _freeze(value):

@@ -521,56 +521,32 @@ def _check_tree(functions: dict):
     stack = [(stmt, 1) for fn in functions.values() for stmt in fn.body][::-1]
     while stack:  # lexical pre-order, so the first bad call is reported
         node, depth = stack.pop()
-        if isinstance(node, Stmt):
-            line = node.elem.line
-            children = _expr_roots(node)
-            if isinstance(node, If):
-                children = children + node.then_body + node.else_body
-            elif isinstance(node, While):
-                children = children + node.body
-        else:
-            line = node.line
-            children = _subexprs(node)
-            if isinstance(node, Call) and node.name not in functions:
-                raise MiniSyntaxError(f"call to undefined function {node.name!r}", line, 1)
+        line = node.elem.line if isinstance(node, Stmt) else node.line
+        if isinstance(node, Call) and node.name not in functions:
+            raise MiniSyntaxError(f"call to undefined function {node.name!r}", line, 1)
         if depth > MAX_NESTING:
             raise MiniSyntaxError("nesting too deep", line, 1)
-        stack.extend((child, depth + 1) for child in reversed(children))
+        stack.extend((child, depth + 1) for child in reversed(children(node)))
 
 
-def _expr_roots(stmt: Stmt) -> list:
-    if isinstance(stmt, VarDecl) and stmt.init is not None:
-        return [stmt.init]
-    if isinstance(stmt, Assign):
-        return ([stmt.index] if stmt.index is not None else []) + [stmt.value]
-    if isinstance(stmt, (If, While, Assert)):
-        return [stmt.cond]
-    if isinstance(stmt, Return) and stmt.value is not None:
-        return [stmt.value]
-    if isinstance(stmt, ExprStmt):
-        return [stmt.expr]
-    return []
-
-
-def _subexprs(node: Expr) -> list:
-    """Direct subexpressions, lexical order."""
-    if isinstance(node, Unary):
-        return [node.operand]
-    if isinstance(node, Binary):
-        return [node.left, node.right]
-    if isinstance(node, Index):
-        return [node.base, node.index]
-    if isinstance(node, Call):
-        return node.args
-    if isinstance(node, ArrayLit):
-        return node.items
-    return []
+def children(node) -> list:
+    """The statement and expression nodes directly inside node, lexical order."""
+    out = []
+    # Fields by name: vars(node) would give the node a dict of its own,
+    # which makes every later attribute read on it slower.
+    for name in node.__dataclass_fields__:
+        value = getattr(node, name)
+        if type(value) is list:
+            out.extend(value)
+        elif isinstance(value, (Expr, Stmt)):
+            out.append(value)
+    return out
 
 
 def iter_exprs(stmt: Stmt):
     """All expression nodes of a statement, lexical order."""
-    stack = list(reversed(_expr_roots(stmt)))
+    stack = [node for node in reversed(children(stmt)) if isinstance(node, Expr)]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_subexprs(node)))
+        stack.extend(reversed(children(node)))

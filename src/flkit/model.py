@@ -46,7 +46,7 @@ class ProgramElement:
 
 def parse_element_key(key: str) -> ProgramElement:
     """Parse a "file:line:idx" element id."""
-    parts = key.rsplit(":", 2)
+    parts = key.rsplit(":", 2) if isinstance(key, str) else ()
     if len(parts) != 3:
         raise ModelError(f"malformed element id {key!r}")
     file_id, line, idx = parts

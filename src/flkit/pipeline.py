@@ -20,7 +20,6 @@ from .corpus import PROGRAM_FILE, FaultBundle, ScoreRecord
 from .irhist import history_rank_files, ir_rank_files, propagate_file_scores
 from .metrics import (
     CorrelationUndefinedError,
-    NotLocalizedError,
     e_inspect_at_n,
     expected_first_faulty_rank,
     r_squared,
@@ -199,16 +198,25 @@ def analyze_corpus(bundles: Sequence[FaultBundle], level: int) -> list:
 
 def technique_ranks(
     analyses: Sequence[FaultAnalysis], techniques: Sequence[str], granularity: str
-) -> dict:
-    """Stage 2: technique -> fault_id -> exact expected rank."""
+) -> tuple:
+    """Stage 2: (technique -> fault_id -> exact expected rank, fault_id ->
+    universe size). A fault with no scores for a technique is not localized
+    by it (None)."""
     values: dict = {t: {} for t in techniques}
+    sizes: dict = {}
     for analysis in analyses:
-        universe, faulty, scores = _granular(analysis, granularity)
         fid = analysis.bundle.fault_id
-        for tech in techniques:
-            ranking = full_universe_ranking(scores[tech], universe)
-            values[tech][fid] = expected_first_faulty_rank(ranking, faulty)
-    return values
+        try:
+            universe, faulty, scores = _granular(analysis, granularity)
+            for tech in techniques:
+                scored = scores.get(tech)
+                values[tech][fid] = None if scored is None else expected_first_faulty_rank(
+                    full_universe_ranking(scored, universe), faulty
+                )
+        except ModelError as exc:
+            raise PipelineError(f"fault {fid}: {exc}") from None
+        sizes[fid] = len(universe)
+    return values, sizes
 
 
 def corpus_features(
@@ -277,9 +285,8 @@ def evaluate_corpus(
     families = cmb.preset_families(level)
     techniques = cmb.preset_techniques(level)
     analyses = analyze_corpus(bundles, level)
-    values = technique_ranks(analyses, techniques, granularity)
+    values, sizes = technique_ranks(analyses, techniques, granularity)
     features = corpus_features(analyses, techniques, granularity)
-    sizes = {f.fault_id: len(f.elements) for f in features}
     combined, ablation = _cross_validate(features, sizes, families, cv, k, seed, with_ablation)
 
     timings: dict = {}
@@ -329,39 +336,19 @@ def evaluate_score_records(
     bundles: Sequence[FaultBundle],
     granularity: str = "statement",
 ) -> dict:
-    """Metrics for externally supplied suspiciousness scores.
-
-    Faults a technique never scores, or where no faulty element can be ranked,
-    are counted as not-localized.
-    """
-    by_id = {b.fault_id: b for b in bundles}
-    techniques = sorted({r.technique_id for r in records})
-    per_tech_values: dict = {t: {b.fault_id: None for b in bundles} for t in techniques}
-    sizes: dict = {}
+    """Metrics for externally supplied suspiciousness scores, ranked as
+    `evaluate` ranks; a fault a technique never scores is not localized."""
+    by_id = {b.fault_id: FaultAnalysis(b) for b in bundles}
     for record in records:
-        bundle = by_id.get(record.fault_id)
-        if bundle is None:
+        if record.fault_id not in by_id:
             raise PipelineError(f"score record references unknown fault {record.fault_id!r}")
-        analysis = FaultAnalysis(bundle, {record.technique_id: record.scores})
-        try:
-            universe, faulty, scores = _granular(analysis, granularity)
-            ranking = full_universe_ranking(scores[record.technique_id], universe)
-        except ModelError as exc:
-            raise PipelineError(
-                f"fault {record.fault_id}: technique {record.technique_id}: {exc}"
-            ) from None
-        try:
-            value = expected_first_faulty_rank(ranking, faulty)
-        except NotLocalizedError:
-            continue
-        per_tech_values[record.technique_id][record.fault_id] = value
-        sizes[record.fault_id] = len(universe)
+        by_id[record.fault_id].scores[record.technique_id] = record.scores
+    techniques = sorted({r.technique_id for r in records})
+    values, sizes = technique_ranks(list(by_id.values()), techniques, granularity)
     return {
         "granularity": granularity,
         "faults": sorted(by_id),
-        "techniques": {
-            t: _summary(per_tech_values[t], sizes) for t in techniques
-        },
+        "techniques": {t: _summary(values[t], sizes) for t in techniques},
     }
 
 

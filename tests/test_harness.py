@@ -18,7 +18,6 @@ from flkit.corpus import (
     ingest_scores,
     load_corpus,
     load_fault,
-    write_scores,
 )
 from flkit.minilang import TestCase as MLTest, gen_mutants, parse, run
 from flkit.model import ProgramElement, ScoredList
@@ -29,6 +28,7 @@ from flkit.pipeline import (
     emit_report,
     evaluate_corpus,
     evaluate_score_records,
+    technique_ranks,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -95,6 +95,14 @@ class TestCorpusLoading:
             load_fault(tmp_path / "f1")
 
 
+def write_scores(records, path):
+    """Write score records as the JSON lines `ingest_scores` reads."""
+    with open(path, "w") as fh:
+        for rec in records:
+            scores = [[str(e), "inf" if math.isinf(v) else v] for e, v in rec.scores.entries]
+            fh.write(json.dumps({"fault": rec.fault_id, "technique": rec.technique_id, "scores": scores}) + "\n")
+
+
 def write_fault(fault_dir, program="func f(x) { return x; }", entry="f", args=(1,)):
     fault_dir.mkdir()
     (fault_dir / "program.ml").write_text(program)
@@ -131,9 +139,19 @@ class TestScoreRecords:
         assert records[0].scores.as_dict() == second.scores.as_dict()
         assert any("duplicate" in m for m in caplog.messages)
 
-    def test_malformed_line_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "not json",
+            '{"fault": "f01_absval", "technique": ["x"], "scores": []}',
+            '{"fault": "f1", "technique": 5, "scores": [["a:1:0", 1.0]]}',
+            '{"fault": "f1", "technique": "t", "scores": [[5, 1.0]]}',
+        ],
+        ids=["not-json", "list-technique", "int-technique", "int-element"],
+    )
+    def test_malformed_line_reports_line_number(self, tmp_path, line):
         path = tmp_path / "scores.jsonl"
-        path.write_text('{"fault": "f1", "technique": "t", "scores": [["a:1:0", 1.0]]}\nnot json\n')
+        path.write_text('{"fault": "f1", "technique": "a", "scores": [["a:1:0", 1.0]]}\n' + line + "\n")
         with pytest.raises(CorpusError, match=":2:"):
             ingest_scores(path)
 
@@ -393,6 +411,33 @@ class TestEvaluateScoreRecords:
         with pytest.raises(PipelineError):
             evaluate_score_records([bad], bundles)
 
+    def test_technique_without_scores_is_not_localized(self, bundles):
+        analysis = analyze_fault(bundles[0], ("sbfl",))
+        values, sizes = technique_ranks([analysis], ["ochiai", "absent"], "statement")
+        assert values["absent"] == {bundles[0].fault_id: None}
+        assert values["ochiai"][bundles[0].fault_id] is not None
+        assert sizes == {bundles[0].fault_id: len(bundles[0].elements)}
+
+    @pytest.mark.parametrize("granularity", ["statement", "method"])
+    def test_written_scores_report_as_evaluate_ranks(self, tmp_path, capsys, bundles, granularity):
+        techniques = ("ochiai", "dstar", "slice-intersection")
+        records = [
+            ScoreRecord(a.bundle.fault_id, t, a.scores[t])
+            for a in pipeline.analyze_corpus(bundles, 2)
+            for t in techniques
+        ]
+        path = tmp_path / "scores.jsonl"
+        write_scores(records, path)
+        assert '"inf"' in path.read_text()  # dstar's zero-pass elements
+        rc = cli_main(
+            ["report", "--corpus", str(CORPUS), "--scores", str(path),
+             "--granularity", granularity, "--format", "json"]
+        )
+        assert rc == 0
+        reported = json.loads(capsys.readouterr().out)["techniques"]
+        evaluated = evaluate_corpus(bundles, level=2, granularity=granularity, with_ablation=False)
+        assert reported == {t: evaluated["techniques"][t] for t in techniques}
+
 
 class TestCli:
     def test_localize(self, capsys):
@@ -525,14 +570,21 @@ class TestCli:
         for word in words:
             assert word in err
 
-    def test_report_element_outside_program(self, tmp_path, capsys, bundles):
+    @pytest.mark.parametrize(
+        "granularity, words",
+        [("statement", ("outside universe",)), ("method", ("no method mapping",))],
+        ids=["statement", "method"],
+    )
+    def test_report_element_outside_program(self, tmp_path, capsys, bundles, granularity, words):
         b = bundles[0]
         scores = tmp_path / "scores.jsonl"
         outside = ProgramElement("program.ml", 999)
         write_scores([ScoreRecord(b.fault_id, "ext", ScoredList("ext", [(outside, 1.0)]))], scores)
-        rc = cli_main(["report", "--corpus", str(CORPUS), "--scores", str(scores)])
+        rc = cli_main(
+            ["report", "--corpus", str(CORPUS), "--scores", str(scores), "--granularity", granularity]
+        )
         assert rc == 1
-        self.assert_one_error_line(capsys, b.fault_id, "outside universe")
+        self.assert_one_error_line(capsys, b.fault_id, *words)
 
     @pytest.mark.parametrize(
         "text, words",
@@ -580,3 +632,19 @@ class TestCli:
         rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
         assert rc == 1
         self.assert_one_error_line(capsys, "f1", "no function 'g'")
+
+    @pytest.mark.parametrize(
+        "name, text, words",
+        [
+            ("tests.json", '{"tests": [{"id": "t", "entry": "f"', ("tests.json",)),
+            ("truth.json", '{"faulty": ["program.ml:x"]}', ("truth.json", "program.ml:x")),
+            ("history.json", '{"commits": [{"ts": 1, "files": []}]}', ("history.json", "'msg'")),
+        ],
+        ids=["truncated-tests", "bad-faulty-key", "commit-without-msg"],
+    )
+    def test_malformed_fault_file(self, tmp_path, capsys, name, text, words):
+        write_fault(tmp_path / "f1")
+        (tmp_path / "f1" / name).write_text(text)
+        rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "fault f1:", *words)
