@@ -46,6 +46,10 @@ MAX_NESTING = 64
 ARITH_OPS = ("+", "-", "*", "/", "%")
 REL_OPS = ("==", "!=", "<", "<=", ">", ">=")
 LOGIC_OPS = ("&&", "||")
+# Binary operator -> binding level, loosest first.
+PRECEDENCE = {
+    "||": 0, "&&": 1, **dict.fromkeys(REL_OPS, 2), **dict.fromkeys("+-", 3), **dict.fromkeys("*/%", 4),
+}
 
 
 @dataclass
@@ -409,46 +413,15 @@ class _Parser:
         return ExprStmt(expr, elem=elem)
 
     def expression(self) -> Expr:
-        return self.nested(self.or_expr)
+        return self.nested(self.binary_expr)
 
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.at("||"):
-            op = self.next()
-            right = self.and_expr()
-            left = Binary("||", left, right, line=op.line)
-        return left
-
-    def and_expr(self) -> Expr:
-        left = self.rel_expr()
-        while self.at("&&"):
-            op = self.next()
-            right = self.rel_expr()
-            left = Binary("&&", left, right, line=op.line)
-        return left
-
-    def rel_expr(self) -> Expr:
-        left = self.add_expr()
-        while (tok := self.peek()) is not None and tok.text in REL_OPS:
-            op = self.next()
-            right = self.add_expr()
-            left = Binary(op.text, left, right, line=op.line)
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
-        while (tok := self.peek()) is not None and tok.text in ("+", "-"):
-            op = self.next()
-            right = self.mul_expr()
-            left = Binary(op.text, left, right, line=op.line)
-        return left
-
-    def mul_expr(self) -> Expr:
+    def binary_expr(self, level: int = 0) -> Expr:
+        """Operands joined by operators of PRECEDENCE level or tighter, each
+        operator left-associative (precedence climbing)."""
         left = self.unary_expr()
-        while (tok := self.peek()) is not None and tok.text in ("*", "/", "%"):
-            op = self.next()
-            right = self.unary_expr()
-            left = Binary(op.text, left, right, line=op.line)
+        while (tok := self.peek()) is not None and PRECEDENCE.get(tok.text, -1) >= level:
+            self.next()
+            left = Binary(tok.text, left, self.binary_expr(PRECEDENCE[tok.text] + 1), line=tok.line)
         return left
 
     def unary_expr(self) -> Expr:
