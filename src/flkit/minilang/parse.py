@@ -77,9 +77,9 @@ def tokenize(source: str) -> list[Token]:
         elif c == "#":
             while i < n and source[i] != "\n":
                 i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":  # ASCII only: str.isdigit() also takes '²', which int() rejects
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and "0" <= source[i] <= "9":
                 i += 1
             tokens.append(Token("int", source[start:i], line, col))
             col += i - start

@@ -627,6 +627,12 @@ class TestCli:
         assert rc == 1
         self.assert_one_error_line(capsys, "f1", "program.ml:1:")
 
+    def test_non_ascii_digit_in_program(self, tmp_path, capsys):
+        write_fault(tmp_path / "f1", program="func f(x) { return ²; }")
+        rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "f1", "program.ml:1:20: unexpected character '²'")
+
     def test_undefined_test_entry(self, tmp_path, capsys):
         write_fault(tmp_path / "f1", entry="g")
         rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])

@@ -92,6 +92,12 @@ class TestParsing:
         with pytest.raises(MiniSyntaxError):
             parse("func f() { return 1 }")  # missing semicolon
 
+    @pytest.mark.parametrize("literal, bad", [("²", "²"), ("١٢", "١"), ("1²", "²")])
+    def test_integer_literals_are_ascii(self, literal, bad):
+        # str.isdigit() accepts these, and int() rejects '²' and reads '١٢' as 12.
+        with pytest.raises(MiniSyntaxError, match=f"unexpected character '{bad}'"):
+            parse(f"func f() {{ return {literal}; }}")
+
     def test_duplicate_function_rejected(self):
         with pytest.raises(MiniSyntaxError):
             parse("func f() { return 1; } func f() { return 2; }")
