@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from ..model import ProgramElement
 from .parse import (
     ARITH_OPS,
+    CHILD_FIELDS,
     Assign,
     Binary,
     Expr,
@@ -103,7 +104,7 @@ def _swap(node, old, new, kind: type):
     """``node`` with ``new`` for ``old`` (None deletes a statement), copying only
     the ancestors of ``old``, a node of ``kind`` (Expr or Stmt). None when ``old``
     is not inside ``node``."""
-    for name in node.__dataclass_fields__:
+    for name in CHILD_FIELDS[type(node)]:
         value = getattr(node, name)
         items = value if type(value) is list else [value]
         for i, item in enumerate(items):

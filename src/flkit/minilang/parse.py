@@ -19,7 +19,7 @@ and expression statements (calls). Comments run from '#' to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..model import ProgramElement
@@ -141,7 +141,7 @@ class Binary(Expr):
 @dataclass
 class Call(Expr):
     name: str
-    args: list
+    args: list[Expr]
 
 
 @dataclass
@@ -152,7 +152,7 @@ class Index(Expr):
 
 @dataclass
 class ArrayLit(Expr):
-    items: list
+    items: list[Expr]
 
 
 @dataclass
@@ -176,15 +176,15 @@ class Assign(Stmt):
 @dataclass
 class If(Stmt):
     cond: Expr
-    then_body: list
-    else_body: list
+    then_body: list[Stmt]
+    else_body: list[Stmt]
     pred_id: str = ""
 
 
 @dataclass
 class While(Stmt):
     cond: Expr
-    body: list
+    body: list[Stmt]
     pred_id: str = ""
 
 
@@ -207,7 +207,7 @@ class ExprStmt(Stmt):
 class Function:
     name: str
     params: list
-    body: list
+    body: list[Stmt]
     line: int
 
 
@@ -502,16 +502,24 @@ def _check_tree(functions: dict):
         stack.extend((child, depth + 1) for child in reversed(children(node)))
 
 
+# Node class -> the fields that hold its child nodes, read off their annotations
+# (strings, under `from __future__ import annotations`) once.
+CHILD_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type in ("Expr", "Optional[Expr]", "list[Expr]", "list[Stmt]"))
+    for cls in [*Expr.__subclasses__(), *Stmt.__subclasses__(), Function]
+}
+
+
 def children(node) -> list:
     """The statement and expression nodes directly inside node, lexical order."""
     out = []
     # Fields by name: vars(node) would give the node a dict of its own,
     # which makes every later attribute read on it slower.
-    for name in node.__dataclass_fields__:
+    for name in CHILD_FIELDS[type(node)]:
         value = getattr(node, name)
         if type(value) is list:
             out.extend(value)
-        elif isinstance(value, (Expr, Stmt)):
+        elif value is not None:
             out.append(value)
     return out
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from flkit.minilang import interp
@@ -10,7 +12,17 @@ from flkit.minilang.interp import (
     run,
 )
 from flkit.minilang.mutate import gen_mutants
-from flkit.minilang.parse import MAX_NESTING, MiniSyntaxError, While, iter_exprs, parse
+from flkit.minilang.parse import (
+    CHILD_FIELDS,
+    MAX_NESTING,
+    Expr,
+    MiniSyntaxError,
+    Stmt,
+    While,
+    children,
+    iter_exprs,
+    parse,
+)
 from flkit.model import ProgramElement
 
 COLLATZ = """\
@@ -23,6 +35,12 @@ func collatz(x) { var res = 0;
 }
 """
 
+# Every kind of statement and expression node.
+EVERY_NODE = (
+    "func g(x) { return; }\n"
+    "func f(a) { var s; var t = [1, -a[0]]; t[0] = 2; if (!true) { g(s); } else { s = 1; }"
+    " while (s < 0) { s = s + 1; } assert(s == 1); return t[0]; }"
+)
 RECURSIVE = "func f(n) { if (n == 0) { return 0; } return 1 + f(n - 1); }"
 SPIN = "func f() { while (true) { var x = 1; } return 0; }"
 
@@ -74,6 +92,17 @@ class TestParsing:
             "func f(x) { if (x > 0) { while (x > 1) { x = x - 1; } } return x; }"
         )
         assert [pid for pid, _ in prog.predicates()] == ["p0", "p1"]
+
+    def test_child_fields_hold_every_child(self):
+        # CHILD_FIELDS is read off the annotations; a child field it missed
+        # would hide a subtree from mutation, tree checks and loop classification.
+        nodes = all_nodes(parse(EVERY_NODE))
+        assert set(CHILD_FIELDS) == set(map(type, nodes))
+        for node in nodes:
+            values = [getattr(node, f.name) for f in dataclasses.fields(node)]
+            items = [item for value in values for item in (value if type(value) is list else [value])]
+            expected = [item for item in items if isinstance(item, (Expr, Stmt))]
+            assert list(map(id, children(node))) == list(map(id, expected))
 
     def test_method_map(self):
         prog = parse("func g() { return 1; }\nfunc h() { return g(); }")
