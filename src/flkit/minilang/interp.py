@@ -3,8 +3,9 @@
 Every executed statement (and every dynamic predicate evaluation) produces one
 trace event recording its element, the trace positions of the events it
 depends on (dynamic data dependences, including values returned by calls), and
-its dynamic control parent. Predicate evaluations can be individually inverted
-for predicate switching.
+its dynamic control parent. A predicate evaluation, named by the trace position
+of its if's or while's event, can be inverted for predicate switching: a run
+is deterministic, so a flipped run repeats the original up to that event.
 
 Each statement and expression node is compiled once, on its first run, into a
 closure over its children's closures that takes (interpreter, frame), and the
@@ -144,10 +145,10 @@ class ExecutionTrace:
     outcome: Outcome
     covered: frozenset
     events: tuple
-    predicate_instances: tuple  # (pred_id, occurrence, taken_branch)
+    predicate_instances: tuple  # trace positions of completed predicate evaluations, in completion order
     criterion_event: Optional[int]  # failure-raising event (return event on Pass)
     value: Any = None
-    flip_applied: bool = True  # False when a requested flip occurrence was never reached
+    flip_applied: bool = True  # False when no predicate evaluation ran at the requested position
 
     @property
     def failed(self) -> bool:
@@ -252,14 +253,13 @@ class _Frame:
 class _Interp:
     def __init__(self, program: Program, flip=None, step_budget=STEP_BUDGET):
         self.program = program
-        self.flip = flip  # (pred_id, occurrence) or None
+        self.flip = flip  # trace position of the predicate event to invert, or None
         self.flip_applied = False
         self.step_budget = step_budget
         # An Event per finished statement; a pending (element, control) pair
         # while its dependences are still being evaluated.
         self.events: list = []
-        self.predicate_instances: list[tuple] = []
-        self.pred_counts: dict[str, int] = {}
+        self.predicate_instances: list[int] = []
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
         self.largest_step = 0  # the largest |e| a marked site has added
@@ -343,21 +343,18 @@ _OPERATORS = {
 
 
 def _predicate(stmt):
-    """The closure that evaluates an if's or while's condition, counts the
-    instance and inverts it if it is the one to flip."""
-    cond, pred_id = _code(stmt.cond), stmt.pred_id
+    """The closure that evaluates an if's or while's condition for its event at
+    trace position idx, inverts it if idx is the one to flip, and records idx."""
+    cond = _code(stmt.cond)
 
-    def predicate(interp, frame):
+    def predicate(interp, frame, idx):
         value, deps = cond(interp, frame)
         if type(value) is not bool:
             raise _Crash("type")
-        counts = interp.pred_counts
-        occurrence = counts.get(pred_id, 0)
-        counts[pred_id] = occurrence + 1
-        if interp.flip is not None and interp.flip == (pred_id, occurrence):
+        if idx == interp.flip:
             value = not value
             interp.flip_applied = True
-        interp.predicate_instances.append((pred_id, occurrence, value))
+        interp.predicate_instances.append(idx)
         return value, deps
 
     return predicate
@@ -514,7 +511,7 @@ def _compile(node):
             lap, next_save, saved, start, before = 0, 1, None, None, None
             while True:
                 idx = _begin(interp, frame, elem)
-                value, deps = predicate(interp, frame)
+                value, deps = predicate(interp, frame, idx)
                 events[idx] = _new(Event, (elem, frozenset(deps), control[-1]))
                 if not value:
                     return
@@ -532,7 +529,7 @@ def _compile(node):
                 lap += 1
                 if lap == next_save:
                     next_save *= 2
-                    # While a flip is pending, pred_counts matter too: no snapshot.
+                    # While a flip is pending, the trace position matters too: no snapshot.
                     if interp.flip is None or interp.flip_applied:
                         saved, start, before = dict(env), env.get(drift), None
                 control.append(idx)
@@ -548,7 +545,7 @@ def _compile(node):
 
         def branch(interp, frame):
             idx = _begin(interp, frame, elem)
-            value, deps = predicate(interp, frame)
+            value, deps = predicate(interp, frame, idx)
             control = frame.control
             interp.events[idx] = _new(Event, (elem, frozenset(deps), control[-1]))
             control.append(idx)
@@ -608,10 +605,11 @@ def _compile(node):
 def run(
     program: Program,
     test: TestCase,
-    flip: Optional[tuple[str, int]] = None,
+    flip: Optional[int] = None,
     step_budget: int = STEP_BUDGET,
 ) -> ExecutionTrace:
-    """Execute one test, optionally inverting a single dynamic predicate instance."""
+    """Execute one test, optionally inverting the predicate evaluation whose
+    event is at trace position ``flip``."""
     if test.entry not in program.functions:
         raise ValueError(f"entry function {test.entry!r} not defined")
     interp = _Interp(program, flip=flip, step_budget=step_budget)

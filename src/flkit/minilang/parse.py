@@ -1,8 +1,8 @@
 """Lexer, parser, and AST for the mini language.
 
 Syntax is C-flavored and whitespace-insensitive, so several statements may
-share a source line; stmt_index distinguishes them. Element and predicate
-numbering follows lexical order and is stable across runs.
+share a source line; stmt_index distinguishes them. Element numbering follows
+lexical order and is stable across runs.
 
     func collatz(x) { var res = 0;
         if ((x % 2) == 0)
@@ -178,14 +178,12 @@ class If(Stmt):
     cond: Expr
     then_body: list[Stmt]
     else_body: list[Stmt]
-    pred_id: str = ""
 
 
 @dataclass
 class While(Stmt):
     cond: Expr
     body: list[Stmt]
-    pred_id: str = ""
 
 
 @dataclass
@@ -227,14 +225,6 @@ class Program:
     def elements(self) -> list:
         return [s.elem for s in self.statements()]
 
-    def predicates(self) -> list:
-        """(pred_id, element) for every if/while, lexical order."""
-        return [
-            (s.pred_id, s.elem)
-            for s in self.statements()
-            if isinstance(s, (If, While))
-        ]
-
     def method_map(self) -> dict:
         return {e: e.method_id for e in self.elements()}
 
@@ -255,7 +245,6 @@ class _Parser:
         self.pos = 0
         self.file_id = file_id
         self.stmts_on_line: dict[int, int] = {}
-        self.n_predicates = 0
         self.current_func = ""
         self.depth = 0  # nesting level of the construct being parsed
 
@@ -361,24 +350,18 @@ class _Parser:
             self.expect(";")
             return VarDecl(name.text, init, elem=elem)
         if self.accept("if"):
-            # claim the predicate number before parsing nested bodies so that
-            # numbering stays lexical under nesting
-            pred = f"p{self.n_predicates}"
-            self.n_predicates += 1
             self.expect("(")
             cond = self.expression()
             self.expect(")")
             then_body = self.stmt_or_block()
             else_body = self.stmt_or_block() if self.accept("else") else []
-            return If(cond, then_body, else_body, pred_id=pred, elem=elem)
+            return If(cond, then_body, else_body, elem=elem)
         if self.accept("while"):
-            pred = f"p{self.n_predicates}"
-            self.n_predicates += 1
             self.expect("(")
             cond = self.expression()
             self.expect(")")
             body = self.stmt_or_block()
-            return While(cond, body, pred_id=pred, elem=elem)
+            return While(cond, body, elem=elem)
         if self.accept("return"):
             value = None if self.at(";") else self.expression()
             self.expect(";")
@@ -477,7 +460,7 @@ class _Parser:
 
 
 def parse(source: str, file_id: str = "main") -> Program:
-    """Parse source text into a Program with stable element/predicate numbering."""
+    """Parse source text into a Program with stable element numbering."""
     parser = _Parser(tokenize(source), file_id)
     try:
         functions = parser.program()

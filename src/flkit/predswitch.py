@@ -30,13 +30,12 @@ def find_critical_predicates(
     """
     if not baseline.failed:
         raise ValueError(f"test {test.test_id} passes; nothing to switch")
-    pred_elem = dict(program.predicates())
     critical = set()
     instances = baseline.predicate_instances[:INSTANCE_BUDGET]
-    for pred_id, occurrence, _branch in instances:
-        flipped = run(program, test, flip=(pred_id, occurrence), step_budget=budget)
+    for position in instances:
+        flipped = run(program, test, flip=position, step_budget=budget)
         if flipped.flip_applied and flipped.outcome.status == PASS:
-            critical.add(pred_elem[pred_id])
+            critical.add(baseline.events[position].element)
     return SwitchResult(frozenset(critical), len(instances))
 
 

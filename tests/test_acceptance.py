@@ -141,8 +141,9 @@ def test_04_predicate_switching():
         test = MLTest("t", "absval", (-5,), 5)
         baseline = run(prog, test)
         result = find_critical_predicates(prog, test, baseline, reexec_step_budget([baseline]))
-        (pred_elem,) = [elem for _, elem in prog.predicates()]
-        assert result.critical == frozenset({pred_elem})
+        (position,) = baseline.predicate_instances
+        assert result.critical == frozenset({baseline.events[position].element})
+        assert baseline.events[position].element.line == 2  # the inverted `if`
         assert result.reexecutions == len(baseline.predicate_instances)
 
 

@@ -126,10 +126,10 @@ def fault_runs(bundle) -> dict:
         if m.element in tr.covered
     ]
     flips = [
-        run(program, t, flip=(pred_id, occurrence), step_budget=budget)
+        run(program, t, flip=position, step_budget=budget)
         for t, tr in zip(tests, originals)
         if tr.failed
-        for pred_id, occurrence, _ in tr.predicate_instances[:INSTANCE_BUDGET]
+        for position in tr.predicate_instances[:INSTANCE_BUDGET]
     ]
     return {"original": originals, "mutant": mutants, "flip": flips}
 

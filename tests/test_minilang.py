@@ -87,12 +87,6 @@ class TestParsing:
         elems = prog.elements()
         assert [(e.line, e.stmt_index) for e in elems] == [(1, 0), (1, 1), (1, 2)]
 
-    def test_predicate_numbering(self):
-        prog = parse(
-            "func f(x) { if (x > 0) { while (x > 1) { x = x - 1; } } return x; }"
-        )
-        assert [pid for pid, _ in prog.predicates()] == ["p0", "p1"]
-
     def test_child_fields_hold_every_child(self):
         # CHILD_FIELDS is read off the annotations; a child field it missed
         # would hide a subtree from mutation, tree checks and loop classification.
@@ -252,7 +246,8 @@ class TestInterpreter:
         assert tr.events[tr.criterion_event].element == tr.events[0].element  # the loop head
 
     def test_pending_flip_disables_repeat_stop(self):
-        tr = run(parse(SPIN), MLTest("t", "f", (), "pass"), flip=("p0", 5))
+        # The loop head's events are at positions 0, 2, 4, ...: flip the sixth.
+        tr = run(parse(SPIN), MLTest("t", "f", (), "pass"), flip=10)
         assert tr.outcome.status == PASS
         assert tr.flip_applied and tr.value == 0
 
@@ -428,7 +423,8 @@ class TestAccumulatorStop:
 
     def test_pending_flip_disables_accumulator_stop(self):
         src = "func f(a, n) { var s = 0; var i = 0; while (i < n) { s = s + a[0]; i = i * 1; } return s; }"
-        tr = run(parse(src), MLTest("t", "f", ([3, 2], 2), "pass"), flip=("p0", 4))
+        # The loop head's events are at positions 2, 5, 8, ...: flip the fifth.
+        tr = run(parse(src), MLTest("t", "f", ([3, 2], 2), "pass"), flip=14)
         assert tr.outcome.status == PASS
         assert tr.flip_applied and tr.value == 12
 
@@ -602,24 +598,31 @@ class TestPredicateFlips:
     def test_flip_inverts_one_instance(self):
         prog = parse(COLLATZ)
         base = run(prog, MLTest("t", "collatz", (4,), "pass"))
-        assert base.predicate_instances == (("p0", 0, True),)
-        flipped = run(prog, MLTest("t", "collatz", (4,), "pass"), flip=("p0", 0))
-        assert flipped.predicate_instances == (("p0", 0, False),)
+        assert base.predicate_instances == (1,)  # the if's event follows the declaration's
+        flipped = run(prog, MLTest("t", "collatz", (4,), "pass"), flip=1)
+        assert flipped.predicate_instances == (1,)
         assert flipped.value == 13  # else branch: 4*3+1
 
     def test_flip_targets_specific_occurrence(self):
         prog = parse(
             "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }"
         )
-        # flip the 3rd evaluation (occurrence 2): loop exits after 2 iterations
-        tr = run(prog, MLTest("t", "f", (5,), "pass"), flip=("p0", 2))
+        # The loop head's events are at positions 1, 3, 5, ...: flipping the
+        # third evaluation exits the loop after 2 iterations.
+        tr = run(prog, MLTest("t", "f", (5,), "pass"), flip=5)
         assert tr.value == 2
         assert tr.flip_applied
 
     def test_unreached_flip_reported(self):
         prog = parse(COLLATZ)
-        tr = run(prog, MLTest("t", "collatz", (4,), "pass"), flip=("p0", 5))
-        assert not tr.flip_applied
+        test = MLTest("t", "collatz", (4,), "pass")
+        base = run(prog, test)
+        assert len(base.events) == 4 and base.predicate_instances == (1,)
+        # Positions of a declaration, an assignment and a return, then past the end.
+        for position in (0, 2, 3, 4, 50):
+            tr = run(prog, test, flip=position)
+            assert not tr.flip_applied
+            assert (tr.events, tr.value) == (base.events, base.value)
 
 
 class TestMutants:
