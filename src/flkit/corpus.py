@@ -80,10 +80,12 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     except MiniSyntaxError as exc:
         raise CorpusError(f"fault {fault_id}: {PROGRAM_FILE}:{exc}") from None
     with _malformed(fault_id, "tests.json"):
-        tests = tuple(
-            TestCase(t["id"], t["entry"], tuple(t.get("args", ())), t["expect"])
-            for t in json.loads((fault_dir / "tests.json").read_text())["tests"]
-        )
+        tests = []
+        for t in json.loads((fault_dir / "tests.json").read_text())["tests"]:
+            test_id, entry, args = t["id"], t["entry"], t.get("args", [])
+            if type(test_id) is not str or type(entry) is not str or type(args) is not list:
+                raise TypeError("a test's id and entry must be strings, and its args a list")
+            tests.append(TestCase(test_id, entry, tuple(args), t["expect"]))
         if not tests:
             raise CorpusError(f"fault {fault_id}: no tests")
         for t in tests:
@@ -123,7 +125,7 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     return FaultBundle(
         fault_id,
         program,
-        tests,
+        tuple(tests),
         frozenset(faulty),
         truth.get("project", ""),
         bug_report,

@@ -107,8 +107,15 @@ def history_rank_files(commits: Iterable[Commit], now: float) -> ScoredList:
 
 def commits_from_json(text: str) -> list[Commit]:
     """Parse {"commits": [{"ts", "msg", "files"}]}; order must be chronological."""
-    data = json.loads(text)
-    return [Commit(c["ts"], c["msg"], tuple(c["files"])) for c in data["commits"]]
+    commits = []
+    for c in json.loads(text)["commits"]:
+        ts, msg, files = c["ts"], c["msg"], c["files"]
+        if type(ts) not in (int, float) or type(msg) is not str:
+            raise TypeError("a commit's ts must be a number and its msg a string")
+        if type(files) is not list or not all(type(f) is str for f in files):
+            raise TypeError("a commit's files must be a list of strings")
+        commits.append(Commit(ts, msg, tuple(files)))
+    return commits
 
 
 def propagate_file_scores(

@@ -645,8 +645,12 @@ class TestCli:
             ("tests.json", '{"tests": [{"id": "t", "entry": "f"', ("tests.json",)),
             ("truth.json", '{"faulty": ["program.ml:x"]}', ("truth.json", "program.ml:x")),
             ("history.json", '{"commits": [{"ts": 1, "files": []}]}', ("history.json", "'msg'")),
+            ("tests.json", '{"tests": [{"id": ["t"], "entry": "f", "args": [1], "expect": 2}]}',
+             ("tests.json", "id and entry must be strings")),
+            ("history.json", '{"commits": [{"ts": "x", "msg": "fix", "files": ["program.ml"]}]}',
+             ("history.json", "ts must be a number")),
         ],
-        ids=["truncated-tests", "bad-faulty-key", "commit-without-msg"],
+        ids=["truncated-tests", "bad-faulty-key", "commit-without-msg", "list-test-id", "string-commit-ts"],
     )
     def test_malformed_fault_file(self, tmp_path, capsys, name, text, words):
         write_fault(tmp_path / "f1")

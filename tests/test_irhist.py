@@ -127,6 +127,20 @@ class TestHistory:
         (c,) = commits_from_json(text)
         assert c.timestamp == 3 and c.is_fix and c.files == ("a.ml",)
 
+    @pytest.mark.parametrize(
+        "commit",
+        [
+            '{"ts": true, "msg": "fix", "files": ["a.ml"]}',
+            '{"ts": 3, "msg": 5, "files": ["a.ml"]}',
+            '{"ts": 3, "msg": "fix", "files": "a.ml"}',
+            '{"ts": 3, "msg": "fix", "files": [1]}',
+        ],
+        ids=["bool-ts", "number-msg", "string-files", "number-file"],
+    )
+    def test_json_wrong_types_rejected(self, commit):
+        with pytest.raises(TypeError):
+            commits_from_json('{"commits": [%s]}' % commit)
+
 
 class TestPropagation:
     def test_uniform_statement_scores(self):
