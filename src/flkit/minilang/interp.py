@@ -254,7 +254,7 @@ class _Interp:
     def __init__(self, program: Program, flip=None, step_budget=STEP_BUDGET):
         self.program = program
         self.flip = flip  # trace position of the predicate event to invert, or None
-        self.flip_applied = False
+        self.flip_applied = flip is None  # whether no flip is pending
         self.step_budget = step_budget
         # An Event per finished statement; a pending (element, control) pair
         # while its dependences are still being evaluated.
@@ -530,7 +530,7 @@ def _compile(node):
                 if lap == next_save:
                     next_save *= 2
                     # While a flip is pending, the trace position matters too: no snapshot.
-                    if interp.flip is None or interp.flip_applied:
+                    if interp.flip_applied:
                         saved, start, before = dict(env), env.get(drift), None
                 control.append(idx)
                 try:
@@ -608,8 +608,7 @@ def run(
     flip: Optional[int] = None,
     step_budget: int = STEP_BUDGET,
 ) -> ExecutionTrace:
-    """Execute one test, optionally inverting the predicate evaluation whose
-    event is at trace position ``flip``."""
+    """Execute one test, optionally inverting the predicate evaluation at trace position ``flip``."""
     if test.entry not in program.functions:
         raise ValueError(f"entry function {test.entry!r} not defined")
     interp = _Interp(program, flip=flip, step_budget=step_budget)
@@ -663,5 +662,5 @@ def run(
         predicate_instances=tuple(interp.predicate_instances),
         criterion_event=criterion,
         value=value,
-        flip_applied=interp.flip_applied if flip is not None else True,
+        flip_applied=interp.flip_applied,
     )

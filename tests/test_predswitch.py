@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from flkit import predswitch
+from flkit.corpus import load_corpus
 from flkit.minilang.interp import TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
 from flkit.predswitch import (
@@ -123,3 +126,24 @@ class TestMultiTest:
         b = switch_all(prog, tests)
         assert a[0].as_dict() == b[0].as_dict()
         assert a[1] == b[1]
+
+
+def test_flipped_run_repeats_the_original_up_to_the_flip():
+    """Positional flips rest on this: a run is deterministic, so flipping the
+    predicate evaluation at position p of a failing test's original run gives
+    a run whose first p events are the original's and that applies the flip at
+    the same predicate."""
+    flips = 0
+    for bundle in load_corpus(Path(__file__).resolve().parent.parent / "corpus"):
+        originals = [run(bundle.program, t) for t in bundle.tests]
+        budget = reexec_step_budget(originals)
+        for test, original in zip(bundle.tests, originals):
+            if not original.failed:
+                continue
+            for p in original.predicate_instances:
+                flipped = run(bundle.program, test, flip=p, step_budget=budget)
+                assert flipped.flip_applied
+                assert flipped.events[:p] == original.events[:p]
+                assert flipped.events[p].element == original.events[p].element
+                flips += 1
+    assert flips == 82
