@@ -8,13 +8,16 @@ from .minilang.interp import PASS, ExecutionTrace, TestCase, run
 from .minilang.parse import Program
 from .model import ScoredList
 
-# Bounds the number of re-executions per failing test; instances are taken
-# in execution order.
+# Bounds the predicate instances examined per failing test, taken in
+# execution order; an instance of an already critical predicate is not re-run.
 INSTANCE_BUDGET = 10**4
 
 
 @dataclass(frozen=True)
 class SwitchResult:
+    """One failing test's critical predicates, and the flips run to find them:
+    an instance of a predicate already found critical is not flipped."""
+
     critical: frozenset  # predicate elements whose flip turns the failure into a pass
     reexecutions: int
 
@@ -22,30 +25,35 @@ class SwitchResult:
 def find_critical_predicates(
     program: Program, test: TestCase, baseline: ExecutionTrace, budget: int
 ) -> SwitchResult:
-    """Flip each dynamic predicate instance of the failing run, one per re-execution.
+    """Flip the failing run's dynamic predicate instances in execution order,
+    one per re-execution, as ``critical_predicates_for_tests`` does for one test.
 
     ``baseline`` is the test's original run. Each flip gets ``budget`` steps
     (``reexec_step_budget`` of the fault's original runs); a flip that
     crashes or exhausts them does not qualify.
     """
-    if not baseline.failed:
-        raise ValueError(f"test {test.test_id} passes; nothing to switch")
-    critical = set()
-    instances = baseline.predicate_instances[:INSTANCE_BUDGET]
-    for position in instances:
-        flipped = run(program, test, flip=position, step_budget=budget)
-        if flipped.flip_applied and flipped.outcome.status == PASS:
-            critical.add(baseline.events[position].element)
-    return SwitchResult(frozenset(critical), len(instances))
+    scored, reexecutions = critical_predicates_for_tests(program, [(test, baseline)], budget)
+    return SwitchResult(frozenset(scored.elements), reexecutions)
 
 
 def critical_predicates_for_tests(program: Program, failing_runs, budget: int) -> tuple[ScoredList, int]:
     """Union of critical predicates over (test, original failing trace) pairs, each flip run
-    within ``budget`` steps, as a set-valued scored list, plus the number of re-executions."""
+    within ``budget`` steps, as a set-valued scored list, plus the number of re-executions.
+
+    A flip cannot remove a predicate from the union, so an instance whose
+    predicate is already critical, from this test or an earlier one, is skipped.
+    """
     critical = set()
     reexecutions = 0
     for test, baseline in failing_runs:
-        result = find_critical_predicates(program, test, baseline, budget)
-        critical |= result.critical
-        reexecutions += result.reexecutions
+        if not baseline.failed:
+            raise ValueError(f"test {test.test_id} passes; nothing to switch")
+        for position in baseline.predicate_instances[:INSTANCE_BUDGET]:
+            element = baseline.events[position].element
+            if element in critical:
+                continue
+            flipped = run(program, test, flip=position, step_budget=budget)
+            reexecutions += 1
+            if flipped.flip_applied and flipped.outcome.status == PASS:
+                critical.add(element)
     return ScoredList("predswitch", [(e, 1.0) for e in critical]), reexecutions

@@ -4,7 +4,7 @@ import pytest
 
 from flkit import predswitch
 from flkit.corpus import load_corpus
-from flkit.minilang.interp import TestCase as MLTest, reexec_step_budget, run
+from flkit.minilang.interp import PASS, TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
 from flkit.predswitch import (
     critical_predicates_for_tests,
@@ -56,7 +56,9 @@ class TestFindCritical:
         )
         result = switch(prog, MLTest("t", "f", (3,), 3))
         assert len(result.critical) == 1
-        assert result.reexecutions == 5  # one per dynamic evaluation
+        # one per dynamic evaluation up to the critical fourth; the fifth
+        # evaluates the same, already critical, predicate and is not re-run
+        assert result.reexecutions == 4
 
     def test_flip_repairing_a_crash_is_critical(self):
         prog = parse(
@@ -117,7 +119,7 @@ class TestMultiTest:
         scored, reexec = switch_all(prog, tests)
         assert {e.line for e in scored.elements} == {2}
         assert set(scored.as_dict().values()) == {1.0}
-        assert reexec == 2
+        assert reexec == 1  # t2's only instance is of t1's critical predicate
 
     def test_deterministic(self):
         prog = parse(INVERTED)
@@ -147,3 +149,39 @@ def test_flipped_run_repeats_the_original_up_to_the_flip():
                 assert flipped.events[p].element == original.events[p].element
                 flips += 1
     assert flips == 82
+
+
+def test_skipped_flips_keep_every_corpus_critical_set(monkeypatch):
+    """Flipping every instance, as a reference, finds the same critical set on
+    every corpus fault; ``reexecutions`` counts the flipped runs made."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["flip"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(predswitch, "run", counted)
+    flips = reexecutions = 0
+    for bundle in load_corpus(Path(__file__).resolve().parent.parent / "corpus"):
+        originals = [(t, run(bundle.program, t)) for t in bundle.tests]
+        budget = reexec_step_budget(tr for _, tr in originals)
+        failing = [(t, tr) for t, tr in originals if tr.failed]
+        reference = set()
+        for test, original in failing:
+            local = set()
+            for p in original.predicate_instances[: predswitch.INSTANCE_BUDGET]:
+                flipped = run(bundle.program, test, flip=p, step_budget=budget)
+                if flipped.flip_applied and flipped.outcome.status == PASS:
+                    local.add(original.events[p].element)
+                flips += 1
+            calls.clear()
+            result = find_critical_predicates(bundle.program, test, original, budget)
+            assert result.critical == local, (bundle.fault_id, test.test_id)
+            assert result.reexecutions == len(calls)
+            reference |= local
+        calls.clear()
+        scored, count = critical_predicates_for_tests(bundle.program, failing, budget)
+        assert scored.elements == reference, bundle.fault_id
+        assert count == len(calls)
+        reexecutions += count
+    assert (flips, reexecutions) == (82, 50)
