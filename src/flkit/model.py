@@ -103,38 +103,41 @@ class Ranking:
                 raise ModelError("group scores must strictly decrease")
 
 
+def _group(entries: Iterable) -> Ranking:
+    """Group (element, score) pairs, no element twice, by exact score equality."""
+    by_score: dict = {}
+    for elem, score in entries:
+        by_score.setdefault(score, []).append(elem)
+    if not by_score:
+        raise ModelError("cannot rank an empty scored list")
+    groups = []
+    starts = []
+    pos = 1
+    scores = sorted(by_score, reverse=True)
+    for score in scores:
+        members = by_score[score]
+        groups.append(frozenset(members))
+        starts.append(pos)
+        pos += len(members)
+    return Ranking(tuple(groups), tuple(starts), tuple(scores))
+
+
 def rank_elements(scored: ScoredList) -> Ranking:
     """Group elements by exact score equality, ordered by decreasing score.
 
     +inf sorts above every finite score and forms its own tie-group.
     """
-    if not scored.entries:
-        raise ModelError("cannot rank an empty scored list")
-    by_score: dict = {}
-    for elem, score in scored.entries:
-        by_score.setdefault(score, set()).add(elem)
-    ordered = sorted(by_score.items(), key=lambda kv: kv[0], reverse=True)
-    groups = []
-    starts = []
-    scores = []
-    pos = 1
-    for score, members in ordered:
-        groups.append(frozenset(members))
-        starts.append(pos)
-        scores.append(score)
-        pos += len(members)
-    return Ranking(tuple(groups), tuple(starts), tuple(scores))
+    return _group(scored.entries)
 
 
 def full_universe_ranking(scored: ScoredList, universe: Iterable) -> Ranking:
     """Rank the whole element universe; elements the technique left unscored get 0."""
     universe = set(universe)
     have = scored.as_dict()
-    outside = set(have) - universe
+    outside = have.keys() - universe
     if outside:
         raise ModelError(f"scored elements outside universe: {sorted(map(str, outside))}")
-    entries = [(e, have.get(e, 0.0)) for e in universe]
-    return rank_elements(ScoredList(scored.technique_id, entries))
+    return _group((e, have.get(e, 0.0)) for e in universe)
 
 
 def lift_to_method_granularity(

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flkit.corpus import load_corpus
 from flkit.model import (
     ModelError,
     ProgramElement,
+    Ranking,
     ScoredList,
     adjust_ground_truth_for_insertions,
     full_universe_ranking,
@@ -15,6 +18,9 @@ from flkit.model import (
     parse_element_key,
     rank_elements,
 )
+from flkit.pipeline import analyze_corpus
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def elems(*lines):
@@ -112,6 +118,105 @@ class TestFullUniverseRanking:
         a, b = elems(1, 2)
         with pytest.raises(ModelError):
             full_universe_ranking(ScoredList("t", [(a, 1.0)]), [b])
+
+
+def two_step_rank(scored):
+    """Ranking as built before one grouping pass: entries into sets per score."""
+    if not scored.entries:
+        raise ModelError("cannot rank an empty scored list")
+    by_score: dict = {}
+    for elem, score in scored.entries:
+        by_score.setdefault(score, set()).add(elem)
+    ordered = sorted(by_score.items(), key=lambda kv: kv[0], reverse=True)
+    starts, pos = [], 1
+    for _, members in ordered:
+        starts.append(pos)
+        pos += len(members)
+    return Ranking(
+        tuple(frozenset(m) for _, m in ordered), tuple(starts), tuple(s for s, _ in ordered)
+    )
+
+
+def two_step_universe_ranking(scored, universe):
+    """A second, validated, scored list over the universe, then ranked."""
+    universe = set(universe)
+    have = scored.as_dict()
+    outside = set(have) - universe
+    if outside:
+        raise ModelError(f"scored elements outside universe: {sorted(map(str, outside))}")
+    entries = [(e, have.get(e, 0.0)) for e in universe]
+    return two_step_rank(ScoredList(scored.technique_id, entries))
+
+
+def outcome(fn, *args):
+    """A ranking as (groups, starts, score reprs), so that 0.0 is not -0.0,
+    or the message of the ModelError it raised."""
+    try:
+        r = fn(*args)
+    except ModelError as exc:
+        return str(exc)
+    return r.groups, r.start_positions, tuple(map(repr, r.scores))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5])
+# A score, or None for an element left unscored but in the universe.
+MAYBE_SCORE = st.none() | SPECIAL | st.floats(allow_nan=False, width=16)
+
+
+class TestOneGroupingPass:
+    @given(
+        st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2), MAYBE_SCORE), max_size=25),
+        st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2)), max_size=3, unique=True),
+    )
+    def test_equals_two_step_reference(self, rows, extra):
+        rows = {ProgramElement("f", l, i): s for l, i, s in rows}
+        scored = ScoredList("t", [(e, s) for e, s in rows.items() if s is not None])
+        universe = list(rows)
+        outside = [e for e in (ProgramElement("f", *k) for k in extra) if e not in rows]
+        wider = ScoredList("t", scored.entries + tuple((e, 1.0) for e in outside))
+        for s, u in (
+            (scored, universe),
+            (scored, universe + universe[:2]),
+            (scored, universe[1:] + elems(99)),
+            (wider, universe),
+        ):
+            assert outcome(full_universe_ranking, s, u) == outcome(two_step_universe_ranking, s, u)
+        assert outcome(rank_elements, scored) == outcome(two_step_rank, scored)
+
+    def test_signed_zero_tie_keeps_its_first_score(self):
+        a, b, c = elems(1, 2, 3)
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            r = rank_elements(ScoredList("t", [(a, 1.0), (b, first), (c, second)]))
+            assert r.groups[1] == frozenset({b, c}) and repr(r.scores[1]) == repr(first)
+        scored = ScoredList("t", [(b, -0.0)])
+        assert outcome(full_universe_ranking, scored, [a, b, c]) == outcome(
+            two_step_universe_ranking, scored, [a, b, c]
+        )
+
+    def test_errors(self):
+        a, b = elems(1, 2)
+        for universe in ([], [b]):
+            with pytest.raises(ModelError, match="outside universe"):
+                full_universe_ranking(ScoredList("t", [(a, 1.0)]), universe)
+        with pytest.raises(ModelError, match="empty scored list"):
+            full_universe_ranking(ScoredList("t"), [])
+        with pytest.raises(ModelError, match="empty scored list"):
+            rank_elements(ScoredList("t"))
+
+    def test_corpus_scores(self):
+        analyses = analyze_corpus(load_corpus(CORPUS), 4)
+        checked = 0
+        for analysis in analyses:
+            method_of = analysis.bundle.program.method_map()
+            for scored in analysis.scores.values():
+                lifted = lift_to_method_granularity(scored, method_of)
+                for s, u in ((scored, analysis.bundle.elements), (lifted, set(method_of.values()))):
+                    assert outcome(full_universe_ranking, s, u) == outcome(
+                        two_step_universe_ranking, s, u
+                    )
+                    assert outcome(rank_elements, s) == outcome(two_step_rank, s)
+                    checked += 1
+        assert checked == 2 * 11 * len(analyses)
 
 
 class TestMethodLift:
