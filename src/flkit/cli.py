@@ -104,13 +104,13 @@ def _write(text: str, out):
 
 
 def cmd_localize(args) -> int:
-    bundle = load_fault(Path(args.corpus) / args.fault)
-    families = cmb.preset_families(args.preset)
-    analysis = analyze_fault(bundle, families)
-    techniques = args.technique or sorted(analysis.scores)
-    for tech in techniques:
-        if tech not in analysis.scores:
+    produced = cmb.preset_techniques(args.preset)
+    for tech in args.technique or ():
+        if tech not in produced:
             raise PipelineError(f"technique {tech!r} not produced by preset level{args.preset}")
+    bundle = load_fault(Path(args.corpus) / args.fault)
+    analysis = analyze_fault(bundle, cmb.preset_families(args.preset))
+    for tech in args.technique or sorted(analysis.scores):
         ranking = full_universe_ranking(analysis.scores[tech], bundle.elements)
         value = expected_first_faulty_rank(ranking, set(bundle.faulty))
         print(f"== {tech} (E_inspect = {value})")

@@ -480,6 +480,21 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_localize_technique_outside_preset_prints_no_ranking(self, capsys, monkeypatch):
+        # stacktrace is in level1 and ochiai is not: the names are checked
+        # before any analysis, so stacktrace's ranking is never printed.
+        monkeypatch.setattr(
+            "flkit.cli.analyze_fault", lambda *a: pytest.fail("analyzed before the check")
+        )
+        rc = cli_main(
+            ["localize", "--corpus", str(CORPUS), "--fault", "f01_absval", "--preset", "level1",
+             "--technique", "stacktrace", "--technique", "ochiai"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: technique 'ochiai' not produced by preset level1\n"
+
     def test_evaluate_json(self, tmp_path):
         out = tmp_path / "report.json"
         rc = cli_main(
