@@ -7,6 +7,10 @@ Operator table (an explicit extension point, not a fixed standard set):
   cpm  constant perturbation            (c -> c+1, c -> c-1)
   sdl  statement deletion               (assignments and expression statements)
   ncd  negate condition                 (if/while cond -> !cond)
+
+No two mutants are alike, so none is deduplicated: each changes one node's
+operator or constant to a different one, wraps one condition in ``!``, or
+deletes one statement.
 """
 
 from __future__ import annotations
@@ -42,61 +46,42 @@ class Mutant:
     program: Program
 
 
-def _stmt_fingerprint(stmt: Stmt) -> str:
-    parts = [type(stmt).__name__]
-    for node in iter_exprs(stmt):
-        label = type(node).__name__
-        for attr in ("op", "value", "name"):
-            if hasattr(node, attr):
-                label += f":{getattr(node, attr)}"
-        parts.append(label)
-    return "|".join(parts)
+# Binary operator -> (its operator group, mutation operator name).
+_GROUPS = {
+    op: (group, name)
+    for group, name in ((ARITH_OPS, "aor"), (REL_OPS, "ror"), (LOGIC_OPS, "lor"))
+    for op in group
+}
 
 
 def gen_mutants(program: Program) -> list[Mutant]:
-    """Every applicable operator at every applicable site, lexical order, deduplicated.
+    """Every applicable operator at every applicable site, in lexical order.
 
     A mutant shares with ``program`` every node except the mutated one and its
     ancestors, which it copies."""
-    plans = []  # (kind, statement, expression node or None, payload, description)
+    mutants = []
+
+    def add(stmt: Stmt, operator: str, description: str, mutated) -> None:
+        variant = _replace_stmt(program, stmt, mutated)
+        mutants.append(Mutant(f"m{len(mutants):03d}", stmt.elem, operator, description, variant))
+
     for stmt in program.statements():
         for node in iter_exprs(stmt):
             if isinstance(node, Binary):
-                if node.op in ARITH_OPS:
-                    for op in ARITH_OPS:
-                        if op != node.op:
-                            plans.append(("aor", stmt, node, op, f"{node.op} -> {op}"))
-                elif node.op in REL_OPS:
-                    for op in REL_OPS:
-                        if op != node.op:
-                            plans.append(("ror", stmt, node, op, f"{node.op} -> {op}"))
-                elif node.op in LOGIC_OPS:
-                    other = "||" if node.op == "&&" else "&&"
-                    plans.append(("lor", stmt, node, other, f"{node.op} -> {other}"))
+                group, name = _GROUPS[node.op]
+                for op in group:
+                    if op != node.op:
+                        mutated = _swap(stmt, node, replace(node, op=op), Expr)
+                        add(stmt, name, f"{node.op} -> {op}", mutated)
             elif isinstance(node, Num):
-                plans.append(("cpm", stmt, node, node.value + 1, f"{node.value} -> {node.value + 1}"))
-                plans.append(("cpm", stmt, node, node.value - 1, f"{node.value} -> {node.value - 1}"))
+                for value in (node.value + 1, node.value - 1):
+                    mutated = _swap(stmt, node, replace(node, value=value), Expr)
+                    add(stmt, "cpm", f"{node.value} -> {value}", mutated)
         if isinstance(stmt, (Assign, ExprStmt)):
-            plans.append(("sdl", stmt, None, None, "delete statement"))
+            add(stmt, "sdl", "delete statement", None)
         if isinstance(stmt, (If, While)):
-            plans.append(("ncd", stmt, None, None, "negate condition"))
-
-    mutants = []
-    seen: set[tuple] = set()
-    for kind, stmt, node, payload, description in plans:
-        if kind == "sdl":
-            mutated = None
-        elif kind == "ncd":
-            mutated = replace(stmt, cond=Unary("!", stmt.cond, line=stmt.cond.line))
-        else:
-            changed = replace(node, **{"value" if kind == "cpm" else "op": payload})
-            mutated = _swap(stmt, node, changed, Expr)
-        key = (stmt.elem, kind if kind == "sdl" else _stmt_fingerprint(mutated))
-        if key in seen:
-            continue
-        seen.add(key)
-        variant = _replace_stmt(program, stmt, mutated)
-        mutants.append(Mutant(f"m{len(mutants):03d}", stmt.elem, kind, description, variant))
+            negated = replace(stmt, cond=Unary("!", stmt.cond, line=stmt.cond.line))
+            add(stmt, "ncd", "negate condition", negated)
     return mutants
 
 

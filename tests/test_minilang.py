@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,18 @@ from flkit.minilang.interp import (
 )
 from flkit.minilang.mutate import gen_mutants
 from flkit.minilang.parse import (
+    ARITH_OPS,
     CHILD_FIELDS,
+    LOGIC_OPS,
     MAX_NESTING,
+    REL_OPS,
+    Assign,
+    Binary,
     Expr,
+    ExprStmt,
+    If,
     MiniSyntaxError,
+    Num,
     Stmt,
     While,
     children,
@@ -24,6 +33,8 @@ from flkit.minilang.parse import (
     parse,
 )
 from flkit.model import ProgramElement
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 COLLATZ = """\
 func collatz(x) { var res = 0;
@@ -680,20 +691,39 @@ class TestMutants:
         assert run(sub.program, MLTest("t", "f", (5, 3), "pass")).value == 2
 
     def test_mutant_ids_unique_and_ordered(self):
-        prog = parse("func f() { return 1 + 1; }")
-        muts = gen_mutants(prog)
-        assert [m.mutant_id for m in muts] == [f"m{i:03d}" for i in range(len(muts))]
-        # rewrites that would produce an identical statement are collapsed
-        from flkit.minilang.mutate import _stmt_fingerprint
+        def expected_count(stmt):
+            """Every operator at every site of ``stmt``, none dropped as a duplicate."""
+            count = isinstance(stmt, (Assign, ExprStmt)) + isinstance(stmt, (If, While))
+            for node in iter_exprs(stmt):
+                if isinstance(node, Binary):
+                    count += next(len(g) for g in (ARITH_OPS, REL_OPS, LOGIC_OPS) if node.op in g) - 1
+                elif isinstance(node, Num):
+                    count += 2
+            return count
 
-        keys = set()
-        for m in muts:
-            if m.operator == "sdl":
-                continue
-            stmt = next(s for s in m.program.statements() if s.elem == m.element)
-            key = (m.element, _stmt_fingerprint(stmt))
-            assert key not in keys
-            keys.add(key)
+        programs = [parse("func f() { return 1 + 1; }")] + [
+            parse(path.read_text(), file_id="program.ml") for path in sorted(CORPUS.glob("*/program.ml"))
+        ]
+        assert len(programs) == 11
+        for prog in programs:
+            muts = gen_mutants(prog)
+            assert [m.mutant_id for m in muts] == [f"m{i:03d}" for i in range(len(muts))]
+            order = {s.elem: i for i, s in enumerate(prog.statements())}
+            assert [order[m.element] for m in muts] == sorted(order[m.element] for m in muts)
+            for stmt in prog.statements():
+                own = [m for m in muts if m.element == stmt.elem]
+                assert len(own) == expected_count(stmt), stmt.elem
+                mutated = []
+                for m in own:
+                    found = [s for s in m.program.statements() if s.elem == stmt.elem]
+                    if m.operator == "sdl":
+                        assert found == []
+                        continue
+                    (changed,) = found
+                    # no mutant repeats the original or another mutant of the statement
+                    assert changed != stmt
+                    assert all(changed != other for other in mutated)
+                    mutated.append(changed)
 
     def test_ncd_negates_condition(self):
         prog = parse("func f(x) { if (x > 0) { return 1; } return 0; }")
