@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .minilang.interp import PASS, ExecutionTrace, TestCase, run
+from .minilang.interp import PASS, run
 from .minilang.parse import Program
 from .model import ScoredList
 
@@ -13,35 +11,15 @@ from .model import ScoredList
 INSTANCE_BUDGET = 10**4
 
 
-@dataclass(frozen=True)
-class SwitchResult:
-    """One failing test's critical predicates, and the flips run to find them:
-    an instance of a predicate already found critical is not flipped."""
-
-    critical: frozenset  # predicate elements whose flip turns the failure into a pass
-    reexecutions: int
-
-
-def find_critical_predicates(
-    program: Program, test: TestCase, baseline: ExecutionTrace, budget: int
-) -> SwitchResult:
-    """Flip the failing run's dynamic predicate instances in execution order,
-    one per re-execution, as ``critical_predicates_for_tests`` does for one test.
-
-    ``baseline`` is the test's original run. Each flip gets ``budget`` steps
-    (``reexec_step_budget`` of the fault's original runs); a flip that
-    crashes or exhausts them does not qualify.
-    """
-    scored, reexecutions = critical_predicates_for_tests(program, [(test, baseline)], budget)
-    return SwitchResult(frozenset(scored.elements), reexecutions)
-
-
 def critical_predicates_for_tests(program: Program, failing_runs, budget: int) -> tuple[ScoredList, int]:
     """Union of critical predicates over (test, original failing trace) pairs, each flip run
     within ``budget`` steps, as a set-valued scored list, plus the number of re-executions.
 
-    A flip cannot remove a predicate from the union, so an instance whose
-    predicate is already critical, from this test or an earlier one, is skipped.
+    Each failing run's predicate instances are flipped in execution order, one
+    per re-execution. ``budget`` is ``reexec_step_budget`` of the fault's
+    original runs; a flip that crashes or exhausts it does not qualify. A flip
+    cannot remove a predicate from the union, so an instance whose predicate
+    is already critical, from this test or an earlier one, is skipped.
     """
     critical = set()
     reexecutions = 0

@@ -30,7 +30,7 @@ from flkit.minilang.interp import TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
 from flkit.model import full_universe_ranking, rank_elements
 from flkit.pipeline import analyze_fault, emit_report, evaluate_corpus
-from flkit.predswitch import find_critical_predicates
+from flkit.predswitch import critical_predicates_for_tests
 from flkit.sbfl import dstar, ochiai
 from flkit.mbfl import metallaxis_mutant_score, muse_mutant_score
 from flkit.slicing import backward_slice
@@ -140,11 +140,13 @@ def test_04_predicate_switching():
         )
         test = MLTest("t", "absval", (-5,), 5)
         baseline = run(prog, test)
-        result = find_critical_predicates(prog, test, baseline, reexec_step_budget([baseline]))
+        scored, reexecutions = critical_predicates_for_tests(
+            prog, [(test, baseline)], reexec_step_budget([baseline])
+        )
         (position,) = baseline.predicate_instances
-        assert result.critical == frozenset({baseline.events[position].element})
+        assert scored.elements == {baseline.events[position].element}
         assert baseline.events[position].element.line == 2  # the inverted `if`
-        assert result.reexecutions == len(baseline.predicate_instances)
+        assert reexecutions == len(baseline.predicate_instances)
 
 
 # --- 5: seeded-bug corpus end-to-end ----------------------------------------

@@ -6,10 +6,7 @@ from flkit import predswitch
 from flkit.corpus import load_corpus
 from flkit.minilang.interp import PASS, TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
-from flkit.predswitch import (
-    critical_predicates_for_tests,
-    find_critical_predicates,
-)
+from flkit.predswitch import critical_predicates_for_tests
 
 # Faulty branch choice: the condition is inverted, so flipping it repairs
 # the run for every input.
@@ -24,9 +21,9 @@ func absval(x) {
 
 
 def switch(prog, test):
-    """find_critical_predicates on the test's original run, with its budget."""
+    """critical_predicates_for_tests on one test's original run, with its budget."""
     baseline = run(prog, test)
-    return find_critical_predicates(prog, test, baseline, reexec_step_budget([baseline]))
+    return critical_predicates_for_tests(prog, [(test, baseline)], reexec_step_budget([baseline]))
 
 
 def switch_all(prog, tests):
@@ -38,15 +35,15 @@ def switch_all(prog, tests):
 class TestFindCritical:
     def test_inverted_branch_is_critical(self):
         prog = parse(INVERTED)
-        result = switch(prog, MLTest("t", "absval", (-5,), 5))
-        assert {e.line for e in result.critical} == {2}
-        assert result.reexecutions == 1
+        scored, reexec = switch(prog, MLTest("t", "absval", (-5,), 5))
+        assert {e.line for e in scored.elements} == {2}
+        assert reexec == 1
 
     def test_no_critical_predicate(self):
         # wrong constant, not a wrong branch: no flip can fix it
         prog = parse("func f(x) { if (x > 0) { return 7; } return 0; }")
-        result = switch(prog, MLTest("t", "f", (3,), 3))
-        assert result.critical == frozenset()
+        scored, _ = switch(prog, MLTest("t", "f", (3,), 3))
+        assert scored.elements == set()
 
     def test_loop_bound_flip(self):
         # off-by-one loop: flipping the final spurious iteration's test fixes it
@@ -54,11 +51,11 @@ class TestFindCritical:
             "func f(n) { var s = 0; var i = 0;"
             " while (i <= n) { s = s + 1; i = i + 1; } return s; }"
         )
-        result = switch(prog, MLTest("t", "f", (3,), 3))
-        assert len(result.critical) == 1
+        scored, reexec = switch(prog, MLTest("t", "f", (3,), 3))
+        assert len(scored.elements) == 1
         # one per dynamic evaluation up to the critical fourth; the fifth
         # evaluates the same, already critical, predicate and is not re-run
-        assert result.reexecutions == 4
+        assert reexec == 4
 
     def test_flip_repairing_a_crash_is_critical(self):
         prog = parse(
@@ -67,15 +64,15 @@ class TestFindCritical:
         )
         # n exceeds the array length and the baseline crashes; flipping the
         # loop test at the overrun iteration exits early and passes
-        result = switch(prog, MLTest("t", "f", ([1, 2], 5), "pass"))
-        assert {e.stmt_index for e in result.critical} == {2}  # the while statement
+        scored, _ = switch(prog, MLTest("t", "f", ([1, 2], 5), "pass"))
+        assert {e.stmt_index for e in scored.elements} == {2}  # the while statement
 
     def test_crashing_flip_not_critical(self):
         # baseline fails the output check; the flipped branch crashes instead,
         # which does not qualify as critical
         prog = parse("func f(a, x) { if (x > 0) { return a[9]; } return 1; }")
-        result = switch(prog, MLTest("t", "f", ([1], 0), 2))
-        assert result.critical == frozenset()
+        scored, _ = switch(prog, MLTest("t", "f", ([1], 0), 2))
+        assert scored.elements == set()
 
     def test_passing_test_rejected(self):
         prog = parse(INVERTED)
@@ -87,8 +84,8 @@ class TestFindCritical:
         prog = parse(
             "func f(n) { var i = 0; while (i < n) { i = i + 1; } return 0; }"
         )
-        result = switch(prog, MLTest("t", "f", (50,), 99))
-        assert result.reexecutions == 10
+        _, reexec = switch(prog, MLTest("t", "f", (50,), 99))
+        assert reexec == 10
 
     def test_flip_budget_follows_long_original_run(self, monkeypatch):
         # The wrong branch comes first and a 6,000-step loop follows it, so
@@ -105,8 +102,8 @@ class TestFindCritical:
         )
         test = MLTest("t", "f", (3000,), 0)
         assert len(run(prog, test).events) > 5_000
-        result = switch(prog, test)
-        assert {e.line for e in result.critical} == {3}
+        scored, _ = switch(prog, test)
+        assert {e.line for e in scored.elements} == {3}
 
 
 class TestMultiTest:
@@ -175,9 +172,9 @@ def test_skipped_flips_keep_every_corpus_critical_set(monkeypatch):
                     local.add(original.events[p].element)
                 flips += 1
             calls.clear()
-            result = find_critical_predicates(bundle.program, test, original, budget)
-            assert result.critical == local, (bundle.fault_id, test.test_id)
-            assert result.reexecutions == len(calls)
+            scored, count = critical_predicates_for_tests(bundle.program, [(test, original)], budget)
+            assert scored.elements == local, (bundle.fault_id, test.test_id)
+            assert count == len(calls)
             reference |= local
         calls.clear()
         scored, count = critical_predicates_for_tests(bundle.program, failing, budget)
