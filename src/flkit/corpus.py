@@ -25,10 +25,11 @@ import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .irhist import Commit, commits_from_json
+from .irhist import commits_from_json, tokenize
 from .minilang import MiniSyntaxError, Program, TestCase, parse
 from .model import (
     ModelError,
@@ -59,8 +60,10 @@ class FaultBundle:
     bug_report: Optional[str] = None
     commits: Optional[tuple] = None
 
-    @property
+    @cached_property
     def elements(self) -> tuple:
+        """The program's elements, computed on first read; a copy made by
+        ``dataclasses.replace`` computes its own."""
         return tuple(self.program.elements())
 
 
@@ -76,12 +79,12 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
         raise CorpusError(f"fault {fault_id}: missing inputs {missing}")
 
     try:
-        program = parse((fault_dir / PROGRAM_FILE).read_text(), file_id=PROGRAM_FILE)
+        program = parse(_read(fault_dir, PROGRAM_FILE), file_id=PROGRAM_FILE)
     except MiniSyntaxError as exc:
         raise CorpusError(f"fault {fault_id}: {PROGRAM_FILE}:{exc}") from None
     with _malformed(fault_id, "tests.json"):
         tests = []
-        for t in json.loads((fault_dir / "tests.json").read_text())["tests"]:
+        for t in json.loads(_read(fault_dir, "tests.json"))["tests"]:
             test_id, entry, args = t["id"], t["entry"], t.get("args", [])
             if type(test_id) is not str or type(entry) is not str or type(args) is not list:
                 raise TypeError("a test's id and entry must be strings, and its args a list")
@@ -99,7 +102,7 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     element_set = set(elements)
     faulty: set[ProgramElement] = set()
     with _malformed(fault_id, "truth.json"):
-        truth = json.loads((fault_dir / "truth.json").read_text())
+        truth = json.loads(_read(fault_dir, "truth.json"))
         for key in truth.get("faulty", ()):
             elem = parse_element_key(key)
             if elem not in element_set:
@@ -113,15 +116,15 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     if not faulty:
         raise CorpusError(f"fault {fault_id}: empty ground truth")
 
-    report_path = fault_dir / "report.txt"
-    bug_report = report_path.read_text() if report_path.exists() else None
-    history_path = fault_dir / "history.json"
-    with _malformed(fault_id, "history.json"):
-        commits = (
-            tuple(commits_from_json(history_path.read_text()))
-            if history_path.exists()
-            else None
-        )
+    bug_report = None
+    if (fault_dir / "report.txt").exists():
+        bug_report = _read(fault_dir, "report.txt")
+        if not tokenize(bug_report):
+            raise CorpusError(f"fault {fault_id}: report.txt: no word in the bug report")
+    commits = None
+    if (fault_dir / "history.json").exists():
+        with _malformed(fault_id, "history.json"):
+            commits = tuple(commits_from_json(_read(fault_dir, "history.json")))
     return FaultBundle(
         fault_id,
         program,
@@ -131,6 +134,14 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
         bug_report,
         commits,
     )
+
+
+def _read(fault_dir: Path, name: str) -> str:
+    """A fault file's text; a file that is not UTF-8 is a CorpusError."""
+    try:
+        return (fault_dir / name).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"fault {fault_dir.name}: {name}: not UTF-8: {exc}") from None
 
 
 @contextmanager
@@ -162,12 +173,12 @@ class ScoreRecord:
 def ingest_scores(path: str | Path) -> list[ScoreRecord]:
     """Parse JSON-lines score records; a duplicate (fault, technique) last-wins."""
     records: dict[tuple, ScoreRecord] = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 data = json.loads(line)
                 fault = data["fault"]
                 technique = data["technique"]

@@ -84,14 +84,19 @@ def recency_weight(t_norm: float) -> float:
     return 1.0 / (1.0 + math.exp(-12.0 * t_norm + 12.0))
 
 
+def _check_history(commits: list) -> None:
+    """Raise ValueError unless the log is non-empty, with finite timestamps in time order."""
+    if not commits:
+        raise ValueError("empty history log")
+    times = [c.timestamp for c in commits]
+    if not all(-math.inf < t < math.inf for t in times) or times != sorted(times):
+        raise ValueError("history log timestamps must be finite and non-decreasing")
+
+
 def history_rank_files(commits: Iterable[Commit], now: float) -> ScoredList:
     """Sum recency weights of each file's fix commits; no fix commits -> all zero."""
     commits = list(commits)
-    if not commits:
-        raise ValueError("empty history log")
-    for a, b in zip(commits, commits[1:]):
-        if b.timestamp < a.timestamp:
-            raise ValueError("history log timestamps must be non-decreasing")
+    _check_history(commits)
     fixes = [c for c in commits if c.is_fix]
     scores: dict = {f: 0.0 for c in commits for f in c.files}
     if fixes:
@@ -106,7 +111,7 @@ def history_rank_files(commits: Iterable[Commit], now: float) -> ScoredList:
 
 
 def commits_from_json(text: str) -> list[Commit]:
-    """Parse {"commits": [{"ts", "msg", "files"}]}; order must be chronological."""
+    """Parse {"commits": [{"ts", "msg", "files"}]}: a non-empty log, in time order, of finite ts."""
     commits = []
     for c in json.loads(text)["commits"]:
         ts, msg, files = c["ts"], c["msg"], c["files"]
@@ -115,6 +120,7 @@ def commits_from_json(text: str) -> list[Commit]:
         if type(files) is not list or not all(type(f) is str for f in files):
             raise TypeError("a commit's files must be a list of strings")
         commits.append(Commit(ts, msg, tuple(files)))
+    _check_history(commits)
     return commits
 
 

@@ -56,6 +56,15 @@ class TestCorpusLoading:
         assert b.commits
         assert b.project
 
+    def test_elements_computed_once_per_bundle(self, bundles):
+        from dataclasses import replace
+
+        b = bundles[0]
+        assert b.elements is b.elements
+        assert b.elements == tuple(b.program.elements())
+        other = replace(b, program=bundles[1].program)
+        assert other.elements == tuple(bundles[1].program.elements())
+
     def test_committed_corpus_matches_its_generator(self, tmp_path):
         tool = CORPUS.parent / "tools" / "make_corpus.py"
         subprocess.run([sys.executable, str(tool), str(tmp_path)], check=True, capture_output=True, timeout=60)
@@ -580,7 +589,8 @@ class TestCli:
 
     @staticmethod
     def assert_one_error_line(capsys, *words):
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         for word in words:
             assert word in err
@@ -664,12 +674,41 @@ class TestCli:
              ("tests.json", "id and entry must be strings")),
             ("history.json", '{"commits": [{"ts": "x", "msg": "fix", "files": ["program.ml"]}]}',
              ("history.json", "ts must be a number")),
+            ("history.json",
+             '{"commits": [{"ts": 2, "msg": "fix", "files": []}, {"ts": 1, "msg": "fix", "files": []}]}',
+             ("history.json", "non-decreasing")),
+            ("history.json", '{"commits": []}', ("history.json", "empty history log")),
+            ("history.json", '{"commits": [{"ts": Infinity, "msg": "fix", "files": []}]}',
+             ("history.json", "finite")),
+            ("history.json", '{"commits": [{"ts": NaN, "msg": "fix", "files": []}]}',
+             ("history.json", "finite")),
+            ("report.txt", " -- !!\n", ("report.txt", "no word")),
+            ("program.ml", b"func f(x) { return x; } # \xff\n", ("program.ml", "not UTF-8")),
+            ("report.txt", b"crash in f \xff\n", ("report.txt", "not UTF-8")),
         ],
-        ids=["truncated-tests", "bad-faulty-key", "commit-without-msg", "list-test-id", "string-commit-ts"],
+        ids=[
+            "truncated-tests", "bad-faulty-key", "commit-without-msg", "list-test-id", "string-commit-ts",
+            "unordered-commits", "no-commits", "infinite-commit-ts", "nan-commit-ts", "wordless-report",
+            "non-utf8-program", "non-utf8-report",
+        ],
     )
     def test_malformed_fault_file(self, tmp_path, capsys, name, text, words):
         write_fault(tmp_path / "f1")
-        (tmp_path / "f1" / name).write_text(text)
+        path = tmp_path / "f1" / name
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
         assert rc == 1
         self.assert_one_error_line(capsys, "fault f1:", *words)
+
+    def test_non_utf8_score_file(self, tmp_path, capsys):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_bytes(
+            b'{"fault": "f01_absval", "technique": "a", "scores": []}\n'
+            b'{"fault": "f01_absval", "technique": "\xff", "scores": []}\n'
+        )
+        rc = cli_main(["report", "--corpus", str(CORPUS), "--scores", str(scores)])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "scores.jsonl:2:", "utf-8")

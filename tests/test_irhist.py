@@ -122,6 +122,11 @@ class TestHistory:
         with pytest.raises(ValueError):
             history_rank_files([], now=10)
 
+    @pytest.mark.parametrize("ts", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_timestamp_rejected(self, ts):
+        with pytest.raises(ValueError, match="finite"):
+            history_rank_files([Commit(1, "fix", ("a",)), Commit(ts, "fix", ("a",))], now=10)
+
     def test_json_ingest(self):
         text = '{"commits": [{"ts": 3, "msg": "fix crash", "files": ["a.ml"]}]}'
         (c,) = commits_from_json(text)
