@@ -174,7 +174,7 @@ def ingest_scores(path: str | Path) -> list[ScoreRecord]:
     """Parse JSON-lines score records; a duplicate (fault, technique) last-wins."""
     records: dict[tuple, ScoreRecord] = {}
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
             try:
                 line = line.decode("utf-8").strip()
                 if not line:

@@ -170,6 +170,13 @@ class TestScoreRecords:
         path.write_text(path.read_text() + "\n\n")
         assert len(ingest_scores(path)) == 1
 
+    def test_any_line_ending(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_scores([self.rec("f1"), self.rec("f2"), self.rec("f3")], path)
+        first, second, third = path.read_bytes().splitlines()
+        path.write_bytes(first + b"\r" + second + b"\r\n" + third)
+        assert [r.fault_id for r in ingest_scores(path)] == ["f1", "f2", "f3"]
+
 
 class TestAnalyzeFault:
     def test_families_produce_expected_techniques(self, bundles):
