@@ -173,38 +173,37 @@ class ScoreRecord:
 def ingest_scores(path: str | Path) -> list[ScoreRecord]:
     """Parse JSON-lines score records; a duplicate (fault, technique) last-wins."""
     records: dict[tuple, ScoreRecord] = {}
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                fault = data["fault"]
-                technique = data["technique"]
-                if not (isinstance(fault, str) and isinstance(technique, str)):
-                    raise TypeError("fault and technique must be strings")
-                entries = []
-                for key, score in data["scores"]:
-                    if score == "inf":
-                        score = math.inf
-                    entries.append((parse_element_key(key), float(score)))
-                record = ScoreRecord(fault, technique, ScoredList(technique, entries))
-            except (
-                KeyError,
-                TypeError,
-                ValueError,
-                ModelError,
-                json.JSONDecodeError,
-            ) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed score record: {exc}") from exc
-            if (fault, technique) in records:
-                log.warning(
-                    "%s:%d: duplicate record for (%s, %s); keeping the later one",
-                    path,
-                    lineno,
-                    fault,
-                    technique,
-                )
-            records[(fault, technique)] = record
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = line.decode("utf-8").strip()
+            if not line:
+                continue
+            data = json.loads(line)
+            fault = data["fault"]
+            technique = data["technique"]
+            if not (isinstance(fault, str) and isinstance(technique, str)):
+                raise TypeError("fault and technique must be strings")
+            entries = []
+            for key, score in data["scores"]:
+                if score == "inf":
+                    score = math.inf
+                entries.append((parse_element_key(key), float(score)))
+            record = ScoreRecord(fault, technique, ScoredList(technique, entries))
+        except (
+            KeyError,
+            TypeError,
+            ValueError,
+            ModelError,
+            json.JSONDecodeError,
+        ) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed score record: {exc}") from exc
+        if (fault, technique) in records:
+            log.warning(
+                "%s:%d: duplicate record for (%s, %s); keeping the later one",
+                path,
+                lineno,
+                fault,
+                technique,
+            )
+        records[(fault, technique)] = record
     return list(records.values())
