@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 
@@ -11,37 +12,53 @@ class ModelError(Exception):
     """Invalid construction or use of a model object."""
 
 
-@dataclass(frozen=True)
-class ProgramElement:
+class ProgramElement(tuple):
     """A statement location: (file_id, line, stmt_index), optionally inside a method.
 
     stmt_index distinguishes multiple statements starting on the same line.
-    method_id does not participate in equality so that score sources that do
-    and do not annotate methods can be joined. The hash is the generated one,
-    hash((file_id, line, stmt_index)), computed once.
+    The element is the tuple (file_id, line, stmt_index), so hashing and
+    equality run in C: it equals the plain 3-tuple, hashes as
+    hash((file_id, line, stmt_index)), sorts like it and serializes to JSON as
+    a list. method_id is an attribute outside the tuple, so that score
+    sources that do and do not annotate methods can be joined. Elements are
+    immutable.
     """
 
-    file_id: str
-    line: int
-    stmt_index: int = 0
-    method_id: Optional[str] = field(default=None, compare=False)
+    def __new__(cls, file_id: str, line: int, stmt_index: int = 0, method_id: Optional[str] = None):
+        if line < 1:
+            raise ModelError(f"line must be positive, got {line}")
+        if stmt_index < 0:
+            raise ModelError(f"stmt_index must be non-negative, got {stmt_index}")
+        self = tuple.__new__(cls, (file_id, line, stmt_index))
+        self.__dict__["method_id"] = method_id
+        return self
 
-    def __post_init__(self):
-        if self.line < 1:
-            raise ModelError(f"line must be positive, got {self.line}")
-        if self.stmt_index < 0:
-            raise ModelError(f"stmt_index must be non-negative, got {self.stmt_index}")
-        object.__setattr__(self, "_hash", hash((self.file_id, self.line, self.stmt_index)))
+    file_id = property(itemgetter(0))
+    line = property(itemgetter(1))
+    stmt_index = property(itemgetter(2))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getnewargs__(self):
+        return (*self, self.method_id)
 
     @property
     def key(self) -> str:
-        return f"{self.file_id}:{self.line}:{self.stmt_index}"
+        return f"{self[0]}:{self[1]}:{self[2]}"
 
     def __str__(self) -> str:
         return self.key
+
+    def __repr__(self) -> str:
+        file_id, line, stmt_index = self
+        return (
+            f"ProgramElement(file_id={file_id!r}, line={line!r},"
+            f" stmt_index={stmt_index!r}, method_id={self.method_id!r})"
+        )
 
 
 def parse_element_key(key: str) -> ProgramElement:

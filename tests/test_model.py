@@ -1,5 +1,6 @@
-import dataclasses
+import json
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -43,14 +44,37 @@ class TestProgramElement:
         assert hash(a) == hash(b)
 
     def test_hash_is_that_of_the_compared_fields(self):
-        """The hash is computed once, and equals the generated one, so set
-        orders do not change; a replaced element gets its own."""
+        """The hash equals that of (file_id, line, stmt_index), so set orders
+        do not change; an element at another place gets its own."""
         e = ProgramElement("src/a.ml", 12, 1, method_id="m1")
         assert hash(e) == hash(("src/a.ml", 12, 1))
-        other = dataclasses.replace(e, method_id="m2")
+        other = ProgramElement("src/a.ml", 12, 1, method_id="m2")
         assert other == e and hash(other) == hash(e)
-        moved = dataclasses.replace(e, line=13)
+        moved = ProgramElement("src/a.ml", 13, 1, method_id="m1")
         assert moved != e and hash(moved) == hash(("src/a.ml", 13, 1))
+
+    def test_is_the_plain_tuple(self):
+        e = ProgramElement("src/a.ml", 12, 1, method_id="m1")
+        assert e == ("src/a.ml", 12, 1) and tuple(e) == ("src/a.ml", 12, 1)
+        assert (e.file_id, e.line, e.stmt_index, e.method_id) == ("src/a.ml", 12, 1, "m1")
+        assert sorted([e, ProgramElement("src/a.ml", 3, 0)]) == [("src/a.ml", 3, 0), e]
+        assert json.loads(json.dumps(e)) == ["src/a.ml", 12, 1]
+        assert repr(e) == "ProgramElement(file_id='src/a.ml', line=12, stmt_index=1, method_id='m1')"
+        copied = pickle.loads(pickle.dumps(e))
+        assert type(copied) is ProgramElement and copied.method_id == "m1"
+
+    @pytest.mark.parametrize("name", ["file_id", "line", "stmt_index", "method_id", "other"])
+    def test_immutable(self, name):
+        e = ProgramElement("f", 1, 0, method_id="m")
+        with pytest.raises(AttributeError):
+            setattr(e, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+        assert (e.key, e.method_id) == ("f:1:0", "m")
+
+    def test_invalid_stmt_index(self):
+        with pytest.raises(ModelError):
+            ProgramElement("f", 1, -1)
 
 
 class TestRankElements:
