@@ -9,11 +9,15 @@ is deterministic, so a flipped run repeats the original up to that event.
 
 Each statement and expression node is compiled once, on its first run, into a
 closure over its children's closures that takes (interpreter, frame), and the
-closure is cached on the node as _code. Programs share nodes: a mutant shares
-with its original every node off the path to its mutation. That is safe
-because no node changes after parse except the `grows` mark and the cached
-code, and both depend only on the node and what it contains. A call looks its
-callee up in the running program, not in the one it was compiled for.
+closure is cached on the node as _code. An expression's closure returns its
+value. The running statement collects its dependences in one list on the
+interpreter: each variable read adds its defining event and each call its
+callee's return event, while the callee's statements collect theirs in lists
+of their own. Programs share nodes: a mutant shares with its original every
+node off the path to its mutation. That is safe because no node changes after
+parse except the `grows` mark and the cached code, and both depend only on the
+node and what it contains. A call looks its callee up in the running program,
+not in the one it was compiled for.
 
 A loop whose variables repeat at its head ends as a "budget" crash there, as it
 would after running out of steps. Nothing else can change while it runs: there
@@ -124,7 +128,8 @@ class Event(NamedTuple):
     control: Optional[int]  # trace position of the controlling branch event
 
 
-# _new(Event, (element, deps, control)) skips the Python-level __new__ of Event.
+# _new(Event, (element, deps, control)) skips the Python-level __new__ of a
+# NamedTuple; run() builds its ExecutionTrace the same way.
 _new = tuple.__new__
 
 
@@ -139,8 +144,9 @@ class TestCase:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
+    """One test's run. A tuple, so run() builds it without a Python __new__."""
+
     test_id: str
     outcome: Outcome
     covered: frozenset
@@ -242,7 +248,7 @@ class _ReturnSignal(Exception):
         self.event_index = event_index
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     function: str
     env: dict
@@ -251,6 +257,11 @@ class _Frame:
 
 
 class _Interp:
+    __slots__ = (
+        "program", "flip", "flip_applied", "step_budget", "events", "predicate_instances",
+        "frames", "current_event", "deps", "largest_step",
+    )
+
     def __init__(self, program: Program, flip=None, step_budget=STEP_BUDGET):
         self.program = program
         self.flip = flip  # trace position of the predicate event to invert, or None
@@ -262,6 +273,7 @@ class _Interp:
         self.predicate_instances: list[int] = []
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
+        self.deps: list = []  # the running statement's dependences so far
         self.largest_step = 0  # the largest |e| a marked site has added
 
     def settle_events(self):
@@ -288,9 +300,10 @@ class _Interp:
 def _code(node):
     """The closure that runs node, compiled on first use and cached on it; a
     Function's code is the tuple of its body's closures. Each closure takes
-    (interp, frame), the frame it runs in. An expression's returns (value, deps),
-    with deps a set the caller may change. A statement's adds its event: a
-    pending pair (_begin), then an Event once its deps are known."""
+    (interp, frame), the frame it runs in. An expression's returns its value and
+    adds the trace positions it depends on to interp.deps. A statement's adds
+    its event: a pending pair and a fresh interp.deps (_begin), then an Event
+    once its deps are collected."""
     code = getattr(node, "_code", None)
     if code is None:
         code = node._code = _compile(node)
@@ -302,28 +315,27 @@ def _codes(nodes) -> tuple:
 
 
 def _begin(interp, frame, elem) -> int:
-    """Add a statement's pending event, and return its trace position."""
+    """Add a statement's pending event, start its deps, and return its trace position."""
     events = interp.events
     idx = interp.current_event = len(events)
     if idx >= interp.step_budget:
         raise _Crash("budget")
     events.append((elem, frame.control[-1]))
+    interp.deps = []
     return idx
 
 
-def _eval_all(codes, interp, frame):
-    """The values of a list of expressions, and their deps."""
-    values, deps = [], set()
+def _eval_all(codes, interp, frame) -> list:
+    """The values of a list of expressions."""
+    values = []
     for code in codes:
-        value, d = code(interp, frame)
-        values.append(value)
-        deps |= d
-    return values, deps
+        values.append(code(interp, frame))
+    return values
 
 
 def _zero(interp, frame):
     """An omitted initializer or return value: 0, with no event to depend on."""
-    return 0, ()
+    return 0
 
 
 def _divide(left, right):
@@ -348,14 +360,14 @@ def _predicate(stmt):
     cond = _code(stmt.cond)
 
     def predicate(interp, frame, idx):
-        value, deps = cond(interp, frame)
+        value = cond(interp, frame)
         if type(value) is not bool:
             raise _Crash("type")
         if idx == interp.flip:
             value = not value
             interp.flip_applied = True
         interp.predicate_instances.append(idx)
-        return value, deps
+        return value
 
     return predicate
 
@@ -374,35 +386,37 @@ def _compile(node):
             if name not in env:
                 raise _Crash("undefined-var")
             defined = frame.var_events.get(name)
-            return env[name], (set() if defined is None else {defined})
+            if defined is not None:
+                interp.deps.append(defined)
+            return env[name]
 
         return var
     if kind is Num or kind is BoolLit:
         value = node.value
-        return lambda interp, frame: (value, set())
+        return lambda interp, frame: value
     if kind is Unary:
         operand, negate = _code(node.operand), node.op == "-"
 
         def unary(interp, frame):
-            value, deps = operand(interp, frame)
+            value = operand(interp, frame)
             if type(value) is not (int if negate else bool):  # int excludes bool
                 raise _Crash("type")
-            return (-value if negate else not value), deps
+            return -value if negate else not value
 
         return unary
     if kind is Binary and node.op in ("&&", "||"):
         left, right, stop = _code(node.left), _code(node.right), node.op == "||"
 
         def logic(interp, frame):
-            value, deps = left(interp, frame)
+            value = left(interp, frame)
             if type(value) is not bool:
                 raise _Crash("type")
             if value is stop:  # the left value decides the result
-                return value, deps
-            value, d2 = right(interp, frame)
+                return value
+            value = right(interp, frame)
             if type(value) is not bool:
                 raise _Crash("type")
-            return value, deps | d2
+            return value
 
         return logic
     if kind is Binary:
@@ -410,29 +424,27 @@ def _compile(node):
         ints, checked = node.op not in ("==", "!="), node.op in ("+", "-", "*")
 
         def binary(interp, frame):
-            a, deps = left(interp, frame)
-            b, d2 = right(interp, frame)
-            deps |= d2
+            a = left(interp, frame)
+            b = right(interp, frame)
             if ints and (type(a) is not int or type(b) is not int):
                 raise _Crash("type")
             value = function(a, b)
             if checked and (value > INT_LIMIT or value < -INT_LIMIT):
                 raise _Crash("overflow")
-            return value, deps
+            return value
 
         return binary
     if kind is Index:
         base, index = _code(node.base), _code(node.index)
 
         def subscript(interp, frame):
-            array, deps = base(interp, frame)
-            pos, d2 = index(interp, frame)
-            deps |= d2
+            array = base(interp, frame)
+            pos = index(interp, frame)
             if type(array) is not list or type(pos) is not int:
                 raise _Crash("type")
             if pos < 0 or pos >= len(array):
                 raise _Crash("bounds")
-            return array[pos], deps
+            return array[pos]
 
         return subscript
     if kind is ArrayLit:
@@ -446,8 +458,8 @@ def _compile(node):
             params = fn.params
             if len(args) != len(params):
                 raise _Crash("arity")
-            values, deps = _eval_all(args, interp, frame)
-            call_event = interp.current_event
+            values = _eval_all(args, interp, frame)
+            call_event, deps = interp.current_event, interp.deps
             callee = _Frame(fn.name, dict(zip(params, values)), dict.fromkeys(params, call_event), [call_event])
             frames = interp.frames
             if len(frames) >= MAX_CALL_DEPTH:
@@ -459,13 +471,13 @@ def _compile(node):
                 value = 0  # fell off the end of the function: implicit return 0 with no event
             except _ReturnSignal as ret:
                 value = ret.value
-                deps.add(ret.event_index)
+                deps.append(ret.event_index)
             # A crash propagates past this point without unwinding interp.frames,
             # deliberately: crash_stack() needs the frames as they were.
             frames.pop()
-            # A later call in the same statement has the same call site.
-            interp.current_event = call_event
-            return value, deps
+            # The rest of the statement, and a later call in it, runs at this call site.
+            interp.current_event, interp.deps = call_event, deps
+            return value
 
         return call
     elem = node.elem
@@ -475,15 +487,14 @@ def _compile(node):
 
         def assign(interp, frame):
             idx = _begin(interp, frame, elem)
-            value, deps = source(interp, frame)
+            value = source(interp, frame)
             env, var_events = frame.env, frame.var_events
             if index is not None:
-                pos, d2 = index(interp, frame)
-                deps |= d2
+                pos = index(interp, frame)
                 if target not in env:
                     raise _Crash("undefined-var")
                 if target in var_events:
-                    deps.add(var_events[target])
+                    interp.deps.append(var_events[target])
                 array = env[target]
                 if type(array) is not list or type(pos) is not int:
                     raise _Crash("type")
@@ -498,7 +509,7 @@ def _compile(node):
                 interp.largest_step = max(interp.largest_step, abs(value - env[target]))
             env[target] = value
             var_events[target] = idx
-            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return assign
     if kind is While:
@@ -511,8 +522,8 @@ def _compile(node):
             lap, next_save, saved, start, before = 0, 1, None, None, None
             while True:
                 idx = _begin(interp, frame, elem)
-                value, deps = predicate(interp, frame, idx)
-                events[idx] = _new(Event, (elem, frozenset(deps), control[-1]))
+                value = predicate(interp, frame, idx)
+                events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
                 if not value:
                     return
                 # A repeat loops forever unless an accumulator could overflow or
@@ -545,9 +556,9 @@ def _compile(node):
 
         def branch(interp, frame):
             idx = _begin(interp, frame, elem)
-            value, deps = predicate(interp, frame, idx)
+            value = predicate(interp, frame, idx)
             control = frame.control
-            interp.events[idx] = _new(Event, (elem, frozenset(deps), control[-1]))
+            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
             control.append(idx)
             try:
                 for code in then_body if value else else_body:
@@ -561,10 +572,10 @@ def _compile(node):
 
         def declare(interp, frame):
             idx = _begin(interp, frame, elem)
-            value, deps = init(interp, frame)
+            value = init(interp, frame)
             frame.env[name] = value
             frame.var_events[name] = idx
-            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return declare
     if kind is Return:
@@ -572,8 +583,8 @@ def _compile(node):
 
         def return_(interp, frame):
             idx = _begin(interp, frame, elem)
-            value, deps = result(interp, frame)
-            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+            value = result(interp, frame)
+            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
             raise _ReturnSignal(value, idx)
 
         return return_
@@ -582,10 +593,10 @@ def _compile(node):
 
         def check(interp, frame):
             idx = _begin(interp, frame, elem)
-            value, deps = cond(interp, frame)
+            value = cond(interp, frame)
             if type(value) is not bool:
                 raise _Crash("type")
-            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
             if not value:
                 raise _AssertFailed()
 
@@ -595,8 +606,8 @@ def _compile(node):
 
         def evaluate(interp, frame):
             idx = _begin(interp, frame, elem)
-            _, deps = expr(interp, frame)
-            interp.events[idx] = _new(Event, (elem, frozenset(deps), frame.control[-1]))
+            expr(interp, frame)
+            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return evaluate
     raise AssertionError(f"unhandled node {node!r}")
@@ -652,15 +663,16 @@ def run(
         interp.settle_events()
         outcome = Outcome(CRASH, crash_kind=crash.kind, stack=interp.crash_stack())
         criterion = len(interp.events) - 1 if interp.events else None
-    # Hash each distinct element object once, not once per event.
-    covered = frozenset({id(ev.element): ev.element for ev in interp.events}.values())
-    return ExecutionTrace(
-        test_id=test.test_id,
-        outcome=outcome,
-        covered=covered,
-        events=tuple(interp.events),
-        predicate_instances=tuple(interp.predicate_instances),
-        criterion_event=criterion,
-        value=value,
-        flip_applied=interp.flip_applied,
+    return _new(
+        ExecutionTrace,
+        (
+            test.test_id,
+            outcome,
+            frozenset([ev[0] for ev in interp.events]),
+            tuple(interp.events),
+            tuple(interp.predicate_instances),
+            criterion,
+            value,
+            interp.flip_applied,
+        ),
     )

@@ -552,6 +552,25 @@ class TestDependences:
         assert [(e.control, e.deps) for e in returns] == [(0, {0}), (0, {0})]
         assert tr.events[0].deps == {1, 2}
 
+    def test_call_in_index_and_loop_condition(self):
+        """A statement's deps are its own reads and the callee's return event,
+        not the reads of the callee's statements."""
+        prog = parse(
+            "func g(x) {\n var y = x + 1;\n return y - 1;\n}\n"
+            "func f(a) {\n var i = 0;\n var b = a;\n b[g(i)] = i;\n"
+            " while (g(i) < 2) {\n  i = i + 1;\n }\n return b[0];\n}"
+        )
+        tr = run(prog, MLTest("t", "f", ([5],), 0))
+        at = {line: [i for i, e in enumerate(tr.events) if e.element.line == line] for line in range(1, 14)}
+        [decl_i], [decl_b], [store] = at[6], at[7], at[8]
+        decl_y, returns, heads, steps = at[2], at[3], at[9], at[10]
+        assert (len(returns), len(heads), len(steps)) == (4, 3, 2)
+        assert [tr.events[r].deps for r in returns] == [{y} for y in decl_y]
+        assert tr.events[store].deps == {decl_i, decl_b, returns[0]}
+        assert [tr.events[h].deps for h in heads] == [
+            {decl_i, returns[1]}, {steps[0], returns[2]}, {steps[1], returns[3]},
+        ]
+
 
 class TestPendingEvents:
     """A statement whose evaluation raises keeps its event, with no deps."""
