@@ -38,11 +38,12 @@ branches, calls and crashes and adds the same amount to each accumulator. So
 the loop stops only if neither new outcome can come: no overflow, because each
 accumulator is back at its value at the snapshot or has |v| + steps left × M
 <= INT_LIMIT, where M is the largest |e| of a literal e at the loop's
-accumulator sites or that any `v = v ± e` with a non-literal e, inside a loop,
-has added in the run; and no exit, because the drift variable has moved since
-the snapshot the way that keeps the predicate true (down or not at all under <
-and <=, up under > and >=, the reverse under !). Each While node is classified
-by one recursive walk when it is compiled, before its body.
+accumulator sites or that any `v = v ± e` with a non-literal e has added
+during this execution of the loop, nested loops and calls included; and no
+exit, because the drift variable has moved since the snapshot the way that
+keeps the predicate true (down or not at all under < and <=, up under > and
+>=, the reverse under !). Each While node is classified by one recursive walk
+when it is compiled, before its body.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ class _Interp:
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
         self.deps: list = []  # the running statement's dependences so far
-        self.largest_step = 0  # the largest |e| a marked site has added
+        self.largest_step = 0  # the largest |e| a marked site has added in the running loop
 
     def settle_events(self):
         """Turn each pair an exception left pending into an Event with no deps."""
@@ -520,35 +521,41 @@ def _compile(node):
         def loop(interp, frame):
             events, control, env = interp.events, frame.control, frame.env
             lap, next_save, saved, start, before = 0, 1, None, None, None
-            while True:
-                idx = _begin(interp, frame, elem)
-                value = predicate(interp, frame, idx)
-                events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
-                if not value:
-                    return
-                # A repeat loops forever unless an accumulator could overflow or
-                # the drift variable is heading for the exit (module docstring).
-                if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
-                    if before is None:  # the snapshot's values, kept before they are overwritten
-                        before = tuple(map(saved.get, growing))
-                    for name in growing:
-                        if name in env:  # one that is undefined stays so
-                            saved[name] = env[name]
-                    same = env == saved and _same_types(env, saved)
-                    if same and interp.cannot_overflow(env, growing, before, literal_step):
-                        raise _Crash("budget")
-                lap += 1
-                if lap == next_save:
-                    next_save *= 2
-                    # While a flip is pending, the trace position matters too: no snapshot.
-                    if interp.flip_applied:
-                        saved, start, before = dict(env), env.get(drift), None
-                control.append(idx)
-                try:
-                    for code in body:
-                        code(interp, frame)
-                finally:
-                    control.pop()
+            # The steps of this execution alone bound its stop; an enclosing
+            # loop's execution also covers this one's.
+            outer_step, interp.largest_step = interp.largest_step, 0
+            try:
+                while True:
+                    idx = _begin(interp, frame, elem)
+                    value = predicate(interp, frame, idx)
+                    events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
+                    if not value:
+                        return
+                    # A repeat loops forever unless an accumulator could overflow or
+                    # the drift variable is heading for the exit (module docstring).
+                    if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
+                        if before is None:  # the snapshot's values, kept before they are overwritten
+                            before = tuple(map(saved.get, growing))
+                        for name in growing:
+                            if name in env:  # one that is undefined stays so
+                                saved[name] = env[name]
+                        same = env == saved and _same_types(env, saved)
+                        if same and interp.cannot_overflow(env, growing, before, literal_step):
+                            raise _Crash("budget")
+                    lap += 1
+                    if lap == next_save:
+                        next_save *= 2
+                        # While a flip is pending, the trace position matters too: no snapshot.
+                        if interp.flip_applied:
+                            saved, start, before = dict(env), env.get(drift), None
+                    control.append(idx)
+                    try:
+                        for code in body:
+                            code(interp, frame)
+                    finally:
+                        control.pop()
+            finally:
+                interp.largest_step = max(outer_step, interp.largest_step)
 
         return loop
     if kind is If:

@@ -418,6 +418,21 @@ class TestAccumulatorStop:
                 ([1152921504606846976],),
                 (CRASH, "overflow", None),
             ),
+            # The same, added by an inner loop: its steps count toward the outer loop's stop.
+            (
+                "func f(a) { var s = 0; while (true) { var j = 0;"
+                " while (j < 1) { s = s + a[0]; j = j + 1; } } return s; }",
+                ([1152921504606846976],),
+                (CRASH, "overflow", None),
+            ),
+            # The same, with a call to a loop that returns from inside: the caller's
+            # loop keeps its step.
+            (
+                "func g() { while (true) { return 0; } return 1; }"
+                " func f(a) { var s = 0; while (true) { s = s + a[0]; g(); } return s; }",
+                ([1152921504606846976],),
+                (CRASH, "overflow", None),
+            ),
             # Every other lap t falls by 2**61 and then rises by 2**62; at the fourth
             # head it is back at its value at the first snapshot, but not the latest.
             (
@@ -440,13 +455,13 @@ class TestAccumulatorStop:
         assert tr.flip_applied and tr.value == 12
 
     def test_original_runs_alike_after_its_mutant(self):
-        # Deleting `t = x;` makes x an accumulator in the mutant's copy of the first
-        # loop, which shares `x = x + a[0]` with the original. The step that site adds
-        # bounds the second loop's stop, so it must count the same in both runs.
+        # Deleting `t = x;` makes x an accumulator in the mutant's copy of the
+        # loop, which shares `x = x + a[0]` with the original. The step that site
+        # adds once bounds the stop of s's loop, so it must count the same in both runs.
         src = (
-            "func f(a) {\n var x = 0; var t = 0; var k = 0;\n"
-            " while (k < 1) {\n x = x + a[0];\n t = x;\n k = k + 1; }\n"
-            " var s = 0; while (true) { s = s + 1; } return 0; }"
+            "func f(a) {\n var x = 0; var t = 0; var k = 0; var s = 0;\n"
+            " while (true) {\n if (k < 1) { x = x + a[0];\n t = x;\n k = k + 1; }\n"
+            " s = s + 1; } return 0; }"
         )
         test = MLTest("t", "f", ([10**16],), "pass")
         fresh = run(parse(src), test, step_budget=10**4)
@@ -456,6 +471,18 @@ class TestAccumulatorStop:
         again = run(prog, test, step_budget=10**4)
         assert (again.outcome, again.events) == (fresh.outcome, fresh.events)
         assert fresh.outcome.crash_kind == "budget"
+        assert len(fresh.events) > 9000  # without the step, s's loop stops on its third lap
+
+    def test_earlier_loop_step_does_not_bound_a_later_stop(self):
+        # The first loop adds 10**17 once. The second repeats, but for t, at its
+        # third head (event 9); t adds 1 a lap and cannot overflow in the budget.
+        src = (
+            "func f(a) { var s = 0; var k = 0; while (k < 1) { s = s + a[0]; k = k + 1; }"
+            " var t = 0; while (true) { t = t + 1; } return 0; }"
+        )
+        tr = run(parse(src), MLTest("t", "f", ([10**17],), "pass"), step_budget=5000)
+        assert (tr.outcome.status, tr.outcome.crash_kind, tr.outcome.stack) == (CRASH, "budget", ("f",))
+        assert len(tr.events) == 10
 
     def test_each_loop_is_classified_once(self, monkeypatch):
         prog = parse("func f(n) { var s = 0; var i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }")
