@@ -30,7 +30,7 @@ def expected_first_faulty_rank(ranking: Ranking, faulty: set) -> Fraction:
     for group, start in zip(ranking.groups, ranking.start_positions):
         t_f = len(group & faulty)
         if t_f:
-            return start + Fraction(len(group) - t_f, t_f + 1)
+            return Fraction(start * (t_f + 1) + len(group) - t_f, t_f + 1)
     raise NotLocalizedError("no faulty element appears in the ranking")
 
 
