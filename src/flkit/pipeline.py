@@ -103,10 +103,12 @@ def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
         for test in bundle.tests:
             # A mutation stays inside its statement and the interpreter is
             # deterministic, so a test that never reaches it behaves as before.
-            tr = traces[test.test_id]
-            if mutant.element in tr.covered:
+            tid = test.test_id
+            if mutant.element in traces[tid].covered:
                 tr = run(mutant.program, test, step_budget=budget)
-            per_test[test.test_id] = (not tr.failed, tr.signature())
+                per_test[tid] = (not tr.failed, tr.signature())
+            else:
+                per_test[tid] = original[tid]
         mutant_runs[mutant.mutant_id] = per_test
     matrix = mbfl.build_outcome_matrix(original, mutant_runs, mutant_stmt)
     return {
