@@ -42,8 +42,21 @@ accumulator sites or that any `v = v ± e` with a non-literal e has added
 during this execution of the loop, nested loops and calls included; and no
 exit, because the drift variable has moved since the snapshot the way that
 keeps the predicate true (down or not at all under < and <=, up under > and
->=, the reverse under !). Each While node is classified by one recursive walk
-when it is compiled, before its body.
+>=, the reverse under !).
+
+The comparison also leaves out the loop's scaled variables: variables assigned
+in it only as `v = v * e`, never declared there, read nowhere else in it and
+with no `v = v ± e` site. Each period multiplies a scaled v by the same int P,
+whose factors are never 0 if P is not. So a v that is an int and has grown
+since the snapshot (|v| > |v at the snapshot| > 0) has |P| >= 2, never shrinks
+within a period, and first passes INT_LIMIT in period k = min{k >= 1 :
+|v|·|P|^k > INT_LIMIT} from here. With S the steps since the snapshot, the
+loop crashes "overflow" at its head if some such v has k·S <= the steps left,
+as any overflow in the body has that outcome. It crashes "budget" only if
+every such v has (k - 1)·S >= the steps left, so that the budget runs out
+before its period k begins, and no accumulator can overflow; otherwise it runs
+on. Each While node is classified by one recursive walk when it is compiled,
+before its body.
 """
 
 from __future__ import annotations
@@ -76,8 +89,8 @@ from .parse import (
 )
 
 # Steps before a run crashes with "budget". A loop whose variables repeat at
-# its head, leaving out accumulators that cannot change its outcome, crashes
-# with "budget" at once (see the module docstring).
+# its head, leaving out accumulators and scaled variables, crashes at once
+# with the outcome it would reach (see the module docstring).
 STEP_BUDGET = 10**6
 
 # Re-executions (mutants, predicate flips) can loop forever, so each gets
@@ -186,8 +199,9 @@ _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
 
 def _classify(loop: While) -> tuple:
-    """(accumulators, drift variable or None, its holding sign, the largest |e|
-    of a literal e at an accumulator site) of a loop (module docstring)."""
+    """(accumulators, scaled variables, drift variable or None, its holding
+    sign, the largest |e| of a literal e at an accumulator site) of a loop
+    (module docstring)."""
     reads, sites, fixed = set(), [], set()
     cond, sign, drift = loop.cond, 1, None
     if type(cond) is Unary and cond.op == "!":
@@ -196,29 +210,34 @@ def _classify(loop: While) -> tuple:
         drift, sign, cond = cond.left.name, sign * _HOLDING_DRIFT[cond.op], cond.right
     for node in [cond, *loop.body]:
         _scan(node, reads, sites, fixed)
-    growing = {site.target for site in sites} - fixed - reads
+    products = {site.target for site in sites if site.value.op == "*"}
+    sums = {site.target for site in sites if site.value.op != "*"}
+    growing = sums - products - fixed - reads
+    # The predicate reads its drift shape's variable too; only an accumulator may drift.
+    scaled = products - sums - fixed - reads - {drift}
     literal_step = max(
         (abs(site.value.right.value) for site in sites if site.target in growing and not site.grows),
         default=0,
     )
-    return sorted(growing), drift if drift in growing else None, sign, literal_step
+    return tuple(sorted(growing)), tuple(sorted(scaled)), drift if drift in growing else None, sign, literal_step
 
 
 def _scan(node, reads: set, sites: list, fixed: set):
-    """Add the names node reads to reads, its `v = v + e` and `v = v - e`
-    statements to sites, and the names it otherwise assigns or declares to fixed.
-    Marks each site whose e is not a literal as one whose steps the interpreter
-    tracks. The mark depends on the site alone, not on the loop: programs that
-    share the node (a mutant and its original) must run it alike."""
+    """Add the names node reads to reads, its `v = v + e`, `v = v - e` and
+    `v = v * e` statements to sites, and the names it otherwise assigns or
+    declares to fixed. Marks each + or - site whose e is not a literal as one
+    whose steps the interpreter tracks. The mark depends on the site alone, not
+    on the loop: programs that share the node (a mutant and its original) must
+    run it alike."""
     kind = type(node)
     if kind is Var:
         reads.add(node.name)
     elif kind is Assign:
         value = node.value
-        step = node.index is None and type(value) is Binary and value.op in ("+", "-")
+        step = node.index is None and type(value) is Binary and value.op in ("+", "-", "*")
         if step and type(value.left) is Var and value.left.name == node.target:
             sites.append(node)
-            node.grows = type(value.right) is not Num
+            node.grows = value.op != "*" and type(value.right) is not Num
             _scan(value.right, reads, sites, fixed)
             return
         fixed.add(node.target)
@@ -293,6 +312,25 @@ class _Interp:
         limit = INT_LIMIT - (self.step_budget - len(self.events)) * max(self.largest_step, literal_step)
         values = map(env.get, growing)
         return all(v == b or type(v) is not int or abs(v) <= limit for v, b in zip(values, before))
+
+    def repeat_crash(self, env, growing, scaled, before, literal_step, period) -> Optional[str]:
+        """The crash kind that a loop whose variables have repeated, but for its
+        accumulators and scaled variables, `period` steps after its snapshot
+        certainly reaches, or None if it must run on. before holds the
+        accumulators' values at the snapshot, then the scaled variables'."""
+        left = self.step_budget - len(self.events)
+        budget = True
+        for v, b in zip(map(env.get, scaled), before[len(growing):]):
+            if type(v) is int and type(b) is int and abs(v) > abs(b) > 0:
+                # Each period multiplies v by the same v / b and never shrinks it
+                # on the way, so |v| first passes INT_LIMIT in period k from here.
+                factor, size, k = abs(v) // abs(b), abs(v), 0
+                while size <= INT_LIMIT:
+                    size, k = size * factor, k + 1
+                if k * period <= left:
+                    return "overflow"
+                budget = budget and (k - 1) * period >= left
+        return "budget" if budget and self.cannot_overflow(env, growing, before, literal_step) else None
 
     def crash_stack(self) -> tuple:
         return tuple(frame.function for frame in reversed(self.frames))
@@ -515,12 +553,13 @@ def _compile(node):
         return assign
     if kind is While:
         # Classified before the body compiles: the walk marks the body's step sites.
-        growing, drift, sign, literal_step = _classify(node)
+        growing, scaled, drift, sign, literal_step = _classify(node)
+        skipped = growing + scaled  # left out of the repeat check
         predicate, body = _predicate(node), _codes(node.body)
 
         def loop(interp, frame):
             events, control, env = interp.events, frame.control, frame.env
-            lap, next_save, saved, start, before = 0, 1, None, None, None
+            lap, next_save, saved, start, before, saved_at = 0, 1, None, None, None, 0
             # The steps of this execution alone bound its stop; an enclosing
             # loop's execution also covers this one's.
             outer_step, interp.largest_step = interp.largest_step, 0
@@ -531,23 +570,27 @@ def _compile(node):
                     events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
                     if not value:
                         return
-                    # A repeat loops forever unless an accumulator could overflow or
-                    # the drift variable is heading for the exit (module docstring).
+                    # A repeat loops forever unless an accumulator or scaled variable
+                    # could overflow or the drift variable is heading for the exit
+                    # (module docstring).
                     if saved is not None and (drift is None or (env[drift] - start) * sign >= 0):
                         if before is None:  # the snapshot's values, kept before they are overwritten
-                            before = tuple(map(saved.get, growing))
-                        for name in growing:
+                            before = tuple(map(saved.get, skipped))
+                        for name in skipped:
                             if name in env:  # one that is undefined stays so
                                 saved[name] = env[name]
-                        same = env == saved and _same_types(env, saved)
-                        if same and interp.cannot_overflow(env, growing, before, literal_step):
-                            raise _Crash("budget")
+                        if env == saved and _same_types(env, saved):
+                            kind = interp.repeat_crash(
+                                env, growing, scaled, before, literal_step, len(events) - saved_at
+                            )
+                            if kind is not None:
+                                raise _Crash(kind)
                     lap += 1
                     if lap == next_save:
                         next_save *= 2
                         # While a flip is pending, the trace position matters too: no snapshot.
                         if interp.flip_applied:
-                            saved, start, before = dict(env), env.get(drift), None
+                            saved, start, before, saved_at = dict(env), env.get(drift), None, len(events)
                     control.append(idx)
                     try:
                         for code in body:

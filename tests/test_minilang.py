@@ -2,6 +2,8 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flkit.minilang import interp
 from flkit.minilang.interp import (
@@ -494,6 +496,176 @@ class TestAccumulatorStop:
         assert first > 0
         assert run(prog, MLTest("t", "f", (5,), 10)).outcome.status == PASS
         assert len(calls) == first
+
+
+def stop_free(prog, test, **options):
+    """run() with every loop stop turned off: no repeat ends the run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp._Interp, "repeat_crash", lambda *args: None)
+        return run(prog, test, **options)
+
+
+def assert_same_outcome(src, args, step_budget, flip=None) -> interp.ExecutionTrace:
+    """Run src at the budget, check it against its stop-free run, and return its trace."""
+    test = MLTest("t", "f", args, "pass")
+    stopped = run(parse(src), test, flip=flip, step_budget=step_budget)
+    full = stop_free(parse(src), test, flip=flip, step_budget=step_budget)
+    assert (stopped.outcome, stopped.signature(), stopped.flip_applied) == (
+        full.outcome, full.signature(), full.flip_applied,
+    )
+    assert stopped.events == full.events[: len(stopped.events)]
+    return stopped
+
+
+def loop_classes(src) -> tuple:
+    """(accumulators, scaled variables, drift variable) of src's first loop."""
+    (loop,) = [s for s in parse(src).statements() if isinstance(s, While)][:1]
+    growing, scaled, drift, _, _ = interp._classify(loop)
+    return growing, scaled, drift
+
+
+class TestScaledStop:
+    """A loop whose state repeats except for its accumulators and scaled
+    variables (the interp module docstring defines them) ends at the repeat
+    with the outcome it would reach: "overflow" when a scaled variable must
+    pass INT_LIMIT within the budget, "budget" when none can."""
+
+    @pytest.mark.parametrize(
+        "src,scaled",
+        [
+            ("func f(b) { var r = 1; var i = 0; while (i < 5) { r = r * b; i = i + 1; } return r; }", ("r",)),
+            # Inside an if and an inner loop, beside a second scaled variable.
+            (
+                "func f(b) { var r = 1; var q = 1; var k = 0; while (k < 5) { if (k > 2) { r = r * b; }"
+                " var j = 0; while (j < 2) { q = q * k; j = j + 1; } k = k + 1; } return r; }",
+                ("q", "r"),
+            ),
+            # r also has a + site; e reads r; r is read by an if; r is declared in
+            # the loop; r is stored at an index; r drifts in the predicate.
+            ("func f(b) { var r = 1; while (b < 5) { r = r * b; r = r + 1; } return r; }", ()),
+            ("func f(b) { var r = 1; while (b < 5) { r = r * (r - b); } return r; }", ()),
+            ("func f(b) { var r = 1; while (b < 5) { r = r * b; if (r > 9) { b = 9; } } return r; }", ()),
+            ("func f(b) { while (b < 5) { var r = 1; r = r * b; } return b; }", ()),
+            ("func f(b) { var r = [1]; while (b < 5) { r[0] = r * b; } return b; }", ()),
+            ("func f(b) { var r = 1; while (r < 5) { r = r * b; } return r; }", ()),
+        ],
+    )
+    def test_classified(self, src, scaled):
+        assert loop_classes(src)[1] == scaled
+
+    @pytest.mark.parametrize(
+        "src,args,kind",
+        [
+            # f06_powit's mutant: the counter is stuck while r doubles.
+            ("func f(b) { var r = 1; var i = 0; while (i < 3) { r = r * b; i = i + 0; } return r; }", (2,), "overflow"),
+            # |P| = 1: the sign flips each lap and the magnitude stays.
+            ("func f(b) { var r = 5; while (true) { r = r * b; } return r; }", (-1,), "budget"),
+            # P = 0: r is 0 from the first lap on.
+            ("func f(b) { var r = 5; while (true) { r = r * b; } return r; }", (0,), "budget"),
+            # A negative factor.
+            ("func f(b) { var r = 1; while (true) { r = r * b; } return r; }", (-3,), "overflow"),
+            # Two scaled variables: one fixed, one growing.
+            ("func f(b) { var r = 1; var q = 7; while (true) { r = r * b; q = q * 1; } return r; }", (2,), "overflow"),
+            # Beside an accumulator and a counter drifting away from its bound.
+            (
+                "func f(b) { var r = 1; var s = 0; var i = 0; while (i < 3) {"
+                " s = s + 1; r = r * b; i = i - 1; } return r; }",
+                (2,),
+                "overflow",
+            ),
+            # The site in an if, over a period of two laps.
+            (
+                "func f(b) { var r = 1; var k = 0; while (true) {"
+                " if (k == 0) { r = r * b; k = 1; } else { k = 0; } } return r; }",
+                (3,),
+                "overflow",
+            ),
+            # The site in an inner loop: each outer lap multiplies r by b twice.
+            (
+                "func f(b) { var r = 1; while (true) { var j = 0;"
+                " while (j < 2) { r = r * b; j = j + 1; } } return r; }",
+                (2,),
+                "overflow",
+            ),
+        ],
+    )
+    def test_stops_at_repeat(self, src, args, kind):
+        tr = assert_same_outcome(src, args, step_budget=10**4)
+        assert (tr.outcome.status, tr.outcome.crash_kind, tr.outcome.stack) == (CRASH, kind, ("f",))
+        assert len(tr.events) <= 40
+        loop = [s.elem for s in parse(src).statements() if isinstance(s, While)][0]
+        assert tr.events[tr.criterion_event].element == loop  # the outer loop's head
+
+    # After `var r = 1`, a lap is the head and `r = r * 2`, so the 64th
+    # assignment, at event 128, passes INT_LIMIT. The first repeat is at the
+    # second head (event 3).
+    DOUBLING = "func f() { var r = 1; while (true) { r = r * 2; } return r; }"
+
+    @pytest.mark.parametrize(
+        "budget,kind,steps",
+        [
+            (130, "overflow", 4),  # certain: the stop ends the run at its first repeat
+            (129, "overflow", 129),  # the overflow straddles the budget: run on to it
+            (128, "budget", 4),  # event 128 is never begun: certain budget
+        ],
+    )
+    def test_overflow_against_budget(self, budget, kind, steps):
+        tr = assert_same_outcome(self.DOUBLING, (), step_budget=budget)
+        assert (tr.outcome.crash_kind, len(tr.events)) == (kind, steps)
+
+    def test_pending_flip_disables_scaled_stop(self):
+        # The loop head's events are at positions 1, 3, 5, ...: flip the eleventh.
+        tr = assert_same_outcome(self.DOUBLING, (), step_budget=10**4, flip=21)
+        assert tr.outcome.status == PASS
+        assert tr.flip_applied and tr.value == 2**10
+
+    def test_factor_reading_the_variable_stays_compared(self):
+        # r = r * (r - r + 2) doubles r like DOUBLING, but e reads r, so r
+        # is compared, never repeats, and the run goes on to the overflow.
+        src = "func f() { var r = 1; while (true) { r = r * (r - r + 2); } return r; }"
+        tr = assert_same_outcome(src, (), step_budget=10**4)
+        assert (tr.outcome.crash_kind, len(tr.events)) == ("overflow", 129)
+
+
+# Building blocks of the generated loops: r and q are scaled while only
+# multiplied, s is an accumulator, i may drift and k toggles.
+_FACTORS = ("2", "-2", "3", "-1", "0", "a", "(k + 2)", "(0 - a)")
+_FLAT = (
+    *(f"r = r * {e};" for e in _FACTORS),
+    "q = q * 2;", "s = s + a;", "s = s - 1;", "s = s + 4611686018427387904;",
+    "i = i + 1;", "i = i - 1;", "k = 1 - k;", "r = r * r;", "r = r + 1;",
+)
+_CONDS = ("true", "k < 2", "i < b", "!(i < b)", "i != b")
+_flat = st.sampled_from(_FLAT)
+_statement = st.one_of(
+    _flat,
+    st.tuples(_flat, _flat).map(lambda pair: "if (k == 0) { %s } else { %s }" % pair),
+    _flat.map(lambda stmt: "var j = 0; while (j < 2) { %s j = j + 1; }" % stmt),
+)
+
+
+@st.composite
+def scaled_loops(draw) -> str:
+    body = draw(st.lists(_statement, max_size=3))
+    body.insert(draw(st.integers(0, len(body))), f"r = r * {draw(st.sampled_from(_FACTORS))};")
+    body = " ".join(body)
+    return (
+        f"func f(a, b) {{ var r = {draw(st.integers(-2, 3))}; var q = 1; var s = 0; var i = 0;"
+        f" var k = 0; while ({draw(st.sampled_from(_CONDS))}) {{ {body} }} return r + s; }}"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scaled_loops(),
+    st.integers(-3, 3),
+    st.integers(-2, 4),
+    st.sampled_from([60, 129, 130, 1000, 3000]),
+    st.one_of(st.none(), st.integers(0, 60)),
+)
+def test_loop_stops_keep_the_outcome(src, a, b, step_budget, flip):
+    """Every loop stop ends a run with the outcome the run reaches without it."""
+    assert_same_outcome(src, (a, b), step_budget=step_budget, flip=flip)
 
 
 def all_nodes(prog) -> list:
