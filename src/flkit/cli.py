@@ -110,7 +110,8 @@ def cmd_localize(args) -> int:
             raise PipelineError(f"technique {tech!r} not produced by preset level{args.preset}")
     bundle = load_fault(Path(args.corpus) / args.fault)
     analysis = analyze_fault(bundle, cmb.preset_families(args.preset))
-    for tech in args.technique or sorted(analysis.scores):
+    # Each technique once, in the order first given.
+    for tech in dict.fromkeys(args.technique or sorted(analysis.scores)):
         ranking = full_universe_ranking(analysis.scores[tech], bundle.elements)
         value = expected_first_faulty_rank(ranking, set(bundle.faulty))
         print(f"== {tech} (E_inspect = {value})")
@@ -152,6 +153,8 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_combine(args) -> int:
+    if args.fault is not None and not args.load:
+        raise PipelineError("--fault applies only with --load")
     bundles = load_corpus(args.corpus)
     if args.load:
         model = cmb.RankModel.from_json(Path(args.load).read_text())

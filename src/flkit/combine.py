@@ -197,6 +197,12 @@ class RankModel:
     margin: float = MARGIN
 
     def __post_init__(self):
+        if not self.techniques:
+            raise CombineError("model has no techniques")
+        if len(set(self.techniques)) != len(self.techniques):
+            raise CombineError(f"model repeats a technique: {list(self.techniques)}")
+        if type(self.seed) is not int:
+            raise CombineError(f"model seed must be an int, got {self.seed!r}")
         if len(self.weights) != len(self.techniques):
             raise CombineError(f"model has {len(self.weights)} weights for {len(self.techniques)} techniques")
         if not all(math.isfinite(w) for w in self.weights):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -217,6 +218,24 @@ class TestTraining:
     def test_weight_count_must_match_techniques(self):
         with pytest.raises(CombineError, match="2 weights for 3 techniques"):
             RankModel(("x", "y", "z"), (1.0, 2.0), seed=0)
+
+    @pytest.mark.parametrize(
+        "techniques,weights,seed,message",
+        [
+            (("x", "y", "x"), (1.0, 2.0, 3.0), 0, "repeats a technique"),
+            ((), (), 0, "no techniques"),
+            (("x",), (1.0,), "0", "seed must be an int"),
+            (("x",), (1.0,), 1.5, "seed must be an int"),
+            (("x",), (1.0,), True, "seed must be an int"),
+        ],
+        ids=["repeated", "empty", "string-seed", "float-seed", "bool-seed"],
+    )
+    def test_model_fields_checked(self, techniques, weights, seed, message):
+        with pytest.raises(CombineError, match=message):
+            RankModel(techniques, weights, seed)
+        text = json.dumps({"techniques": list(techniques), "weights": list(weights), "seed": seed})
+        with pytest.raises(CombineError, match=message):
+            RankModel.from_json(text)
 
     @pytest.mark.parametrize(
         "text",

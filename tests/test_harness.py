@@ -488,6 +488,15 @@ class TestCli:
         [message] = [line for line in captured.err.splitlines() if not line.startswith(("usage:", " "))]
         assert message.startswith(f"flkit {argv[0]}: error: argument {flag}: ")
 
+    def test_localize_shows_each_technique_once(self, capsys):
+        rc = cli_main(
+            ["localize", "--corpus", str(CORPUS), "--fault", "f01_absval", "--preset", "level2",
+             "--technique", "ochiai", "--technique", "dstar", "--technique", "ochiai", "--top", "1"]
+        )
+        headers = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("==")]
+        assert rc == 0
+        assert headers == ["ochiai", "dstar"]
+
     def test_localize_unknown_technique(self, capsys):
         rc = cli_main(
             ["localize", "--corpus", str(CORPUS), "--fault", "f01_absval",
@@ -625,8 +634,11 @@ class TestCli:
              ("2 weights for 3 techniques",)),
             ('{"techniques": ["history", "stacktrace", "ir"], "seed": 0}', ("'weights'",)),
             ("weights: 1, 2, 3", ("not JSON",)),
+            ('{"techniques": ["ir", "ir"], "weights": [1.0, 2.0], "seed": 0}', ("repeats a technique",)),
+            ('{"techniques": [], "weights": [], "seed": 0}', ("no techniques",)),
+            ('{"techniques": ["ir"], "weights": [1.0], "seed": "0"}', ("seed must be an int",)),
         ],
-        ids=["weight-count", "no-weights", "not-json"],
+        ids=["weight-count", "no-weights", "not-json", "repeated-technique", "no-techniques", "string-seed"],
     )
     def test_bad_model_file(self, tmp_path, capsys, text, words):
         model = tmp_path / "model.json"
@@ -637,6 +649,14 @@ class TestCli:
         )
         assert rc == 1
         self.assert_one_error_line(capsys, *words)
+
+    def test_combine_fault_needs_load(self, capsys, monkeypatch):
+        # --fault selects the fault a loaded model scores; without --load it
+        # used to be ignored while the whole corpus was trained on.
+        monkeypatch.setattr(cmb, "train", lambda *a, **k: pytest.fail("trained without --load"))
+        rc = cli_main(["combine", "--corpus", str(CORPUS), "--preset", "1", "--fault", "f01_absval"])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "--fault", "--load")
 
     def test_unreadable_model_file(self, tmp_path, capsys):
         rc = cli_main(
