@@ -15,18 +15,14 @@ from typing import Iterable, Mapping
 
 from .model import ScoredList
 
-_CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+# An ASCII word: capitals before a capitalized word ("XML" in "XMLParser"),
+# capitals then lowercase letters or digits ("Parser", "of3"), or capitals alone.
+_WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]*[a-z0-9]+|[A-Z]+")
 
 
 def tokenize(text: str) -> list[str]:
     """Split on non-alphanumerics, then camelCase and underscores; lowercase."""
-    out = []
-    for chunk in re.split(r"[^0-9A-Za-z_]+", text):
-        for part in chunk.split("_"):
-            for word in _CAMEL.split(part):
-                if word:
-                    out.append(word.lower())
-    return out
+    return [word.lower() for word in _WORD.findall(text)]
 
 
 def ir_rank_files(report_text: str, files: Mapping[str, str]) -> ScoredList:

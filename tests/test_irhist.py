@@ -1,6 +1,11 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flkit.irhist import (
     Commit,
@@ -12,6 +17,31 @@ from flkit.irhist import (
     tokenize,
 )
 from flkit.model import ProgramElement
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+_CAMEL = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """tokenize as it was first written: split on non-alphanumerics, then on
+    underscores, then at camelCase boundaries; lowercase."""
+    out = []
+    for chunk in re.split(r"[^0-9A-Za-z_]+", text):
+        for part in chunk.split("_"):
+            for word in _CAMEL.split(part):
+                if word:
+                    out.append(word.lower())
+    return out
+
+
+def corpus_texts() -> list:
+    """Every text the ir and history families tokenize in the corpus, and its programs."""
+    texts = []
+    for fault in sorted(CORPUS.iterdir()):
+        texts += [(fault / "report.txt").read_text(), (fault / "program.ml").read_text()]
+        texts += [commit["msg"] for commit in json.loads((fault / "history.json").read_text())["commits"]]
+    return texts
 
 
 class TestTokenize:
@@ -31,6 +61,17 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("...") == []
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet="aBz09_ -.Z\u00e9\n"))
+    def test_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_matches_reference_on_corpus(self):
+        texts = corpus_texts()
+        assert len(texts) > 20
+        for text in texts:
+            assert tokenize(text) == reference_tokenize(text)
 
 
 class TestIrRanking:
