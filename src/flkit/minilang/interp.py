@@ -303,21 +303,11 @@ class _Interp:
             if type(ev) is tuple:
                 events[idx] = Event(ev[0], frozenset(), ev[1])
 
-    def cannot_overflow(self, env, growing, before, literal_step) -> bool:
-        """Whether no accumulator can pass INT_LIMIT in the steps left. One back at
-        its value before the period replays that period's values; one that is
-        undefined or not an int is never added to, as that crashes; any other
-        moves at most M a step (module docstring), as the period it replays
-        added nothing larger."""
-        limit = INT_LIMIT - (self.step_budget - len(self.events)) * max(self.largest_step, literal_step)
-        values = map(env.get, growing)
-        return all(v == b or type(v) is not int or abs(v) <= limit for v, b in zip(values, before))
-
     def repeat_crash(self, env, growing, scaled, before, literal_step, period) -> Optional[str]:
         """The crash kind that a loop whose variables have repeated, but for its
         accumulators and scaled variables, `period` steps after its snapshot
-        certainly reaches, or None if it must run on. before holds the
-        accumulators' values at the snapshot, then the scaled variables'."""
+        certainly reaches, or None if it must run on (module docstring). before
+        holds the accumulators' values at the snapshot, then the scaled ones'."""
         left = self.step_budget - len(self.events)
         budget = True
         for v, b in zip(map(env.get, scaled), before[len(growing):]):
@@ -330,7 +320,15 @@ class _Interp:
                 if k * period <= left:
                     return "overflow"
                 budget = budget and (k - 1) * period >= left
-        return "budget" if budget and self.cannot_overflow(env, growing, before, literal_step) else None
+        # An accumulator back at its value at the snapshot replays that period's
+        # values; one that is undefined or not an int is never added to, as that
+        # crashes; any other moves at most M a step, as the period it replays
+        # added nothing larger.
+        limit = INT_LIMIT - left * max(self.largest_step, literal_step)
+        values = map(env.get, growing)
+        if budget and all(v == b or type(v) is not int or abs(v) <= limit for v, b in zip(values, before)):
+            return "budget"
+        return None
 
     def crash_stack(self) -> tuple:
         return tuple(frame.function for frame in reversed(self.frames))
