@@ -219,7 +219,8 @@ def _classify(loop: While) -> tuple:
         (abs(site.value.right.value) for site in sites if site.target in growing and not site.grows),
         default=0,
     )
-    return tuple(sorted(growing)), tuple(sorted(scaled)), drift if drift in growing else None, sign, literal_step
+    drift = drift if drift in growing else None
+    return tuple(sorted(growing)), tuple(sorted(scaled)), drift, sign, literal_step
 
 
 def _scan(node, reads: set, sites: list, fixed: set):
@@ -578,11 +579,11 @@ def _compile(node):
                             if name in env:  # one that is undefined stays so
                                 saved[name] = env[name]
                         if env == saved and _same_types(env, saved):
-                            kind = interp.repeat_crash(
+                            crash = interp.repeat_crash(
                                 env, growing, scaled, before, literal_step, len(events) - saved_at
                             )
-                            if kind is not None:
-                                raise _Crash(kind)
+                            if crash is not None:
+                                raise _Crash(crash)
                     lap += 1
                     if lap == next_save:
                         next_save *= 2

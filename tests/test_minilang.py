@@ -517,11 +517,10 @@ def assert_same_outcome(src, args, step_budget, flip=None) -> interp.ExecutionTr
     return stopped
 
 
-def loop_classes(src) -> tuple:
-    """(accumulators, scaled variables, drift variable) of src's first loop."""
-    (loop,) = [s for s in parse(src).statements() if isinstance(s, While)][:1]
-    growing, scaled, drift, _, _ = interp._classify(loop)
-    return growing, scaled, drift
+def scaled_variables(src) -> tuple:
+    """The scaled variables of src's first loop."""
+    loop = next(s for s in parse(src).statements() if isinstance(s, While))
+    return interp._classify(loop)[1]
 
 
 class TestScaledStop:
@@ -551,13 +550,17 @@ class TestScaledStop:
         ],
     )
     def test_classified(self, src, scaled):
-        assert loop_classes(src)[1] == scaled
+        assert scaled_variables(src) == scaled
 
     @pytest.mark.parametrize(
         "src,args,kind",
         [
             # f06_powit's mutant: the counter is stuck while r doubles.
-            ("func f(b) { var r = 1; var i = 0; while (i < 3) { r = r * b; i = i + 0; } return r; }", (2,), "overflow"),
+            (
+                "func f(b) { var r = 1; var i = 0; while (i < 3) { r = r * b; i = i + 0; } return r; }",
+                (2,),
+                "overflow",
+            ),
             # |P| = 1: the sign flips each lap and the magnitude stays.
             ("func f(b) { var r = 5; while (true) { r = r * b; } return r; }", (-1,), "budget"),
             # P = 0: r is 0 from the first lap on.
@@ -565,7 +568,11 @@ class TestScaledStop:
             # A negative factor.
             ("func f(b) { var r = 1; while (true) { r = r * b; } return r; }", (-3,), "overflow"),
             # Two scaled variables: one fixed, one growing.
-            ("func f(b) { var r = 1; var q = 7; while (true) { r = r * b; q = q * 1; } return r; }", (2,), "overflow"),
+            (
+                "func f(b) { var r = 1; var q = 7; while (true) { r = r * b; q = q * 1; } return r; }",
+                (2,),
+                "overflow",
+            ),
             # Beside an accumulator and a counter drifting away from its bound.
             (
                 "func f(b) { var r = 1; var s = 0; var i = 0; while (i < 3) {"
