@@ -36,7 +36,7 @@ def reference_tokenize(text: str) -> list[str]:
 
 
 def corpus_texts() -> list:
-    """Every text the ir and history families tokenize in the corpus, and its programs."""
+    """Every bug report, program and commit message in the corpus."""
     texts = []
     for fault in sorted(CORPUS.iterdir()):
         texts += [(fault / "report.txt").read_text(), (fault / "program.ml").read_text()]
