@@ -52,7 +52,10 @@ since the snapshot (|v| > |v at the snapshot| > 0) has |P| >= 2, never shrinks
 within a period, and first passes INT_LIMIT in period k = min{k >= 1 :
 |v|·|P|^k > INT_LIMIT} from here. With S the steps since the snapshot, the
 loop crashes "overflow" at its head if some such v has k·S <= the steps left,
-as any overflow in the body has that outcome. It crashes "budget" only if
+as any overflow in the body has that outcome. Only a re-execution, run with
+fewer steps than STEP_BUDGET, stops so: a mutant's or a flip's run is read for
+its outcome alone, but an original run's events up to the overflow feed its
+slices, its flips and the re-execution budget. It crashes "budget" only if
 every such v has (k - 1)·S >= the steps left, so that the budget runs out
 before its period k begins, and no accumulator can overflow; otherwise it runs
 on. Each While node is classified by one recursive walk when it is compiled,
@@ -319,7 +322,8 @@ class _Interp:
                 while size <= INT_LIMIT:
                     size, k = size * factor, k + 1
                 if k * period <= left:
-                    return "overflow"
+                    # An original run goes on to the overflow (module docstring).
+                    return "overflow" if self.step_budget < STEP_BUDGET else None
                 budget = budget and (k - 1) * period >= left
         # An accumulator back at its value at the snapshot replays that period's
         # values; one that is undefined or not an int is never added to, as that

@@ -527,7 +527,8 @@ class TestScaledStop:
     """A loop whose state repeats except for its accumulators and scaled
     variables (the interp module docstring defines them) ends at the repeat
     with the outcome it would reach: "overflow" when a scaled variable must
-    pass INT_LIMIT within the budget, "budget" when none can."""
+    pass INT_LIMIT within the budget, in a re-execution only, and "budget"
+    when none can."""
 
     @pytest.mark.parametrize(
         "src,scaled",
@@ -625,6 +626,23 @@ class TestScaledStop:
         tr = assert_same_outcome(self.DOUBLING, (), step_budget=10**4, flip=21)
         assert tr.outcome.status == PASS
         assert tr.flip_applied and tr.value == 2**10
+
+    @pytest.mark.parametrize("b,e", [(2, 3), (3, 1), (5, 2)])
+    def test_original_runs_on_to_the_overflow(self, b, e):
+        # f06_powit with its counter stuck. The original run keeps every event
+        # up to the overflow at `r = r * b`: its slice criterion, its predicate
+        # instances and the re-execution budget all come from them. A
+        # re-execution at that budget still ends at the first repeat.
+        src = (CORPUS / "f06_powit" / "program.ml").read_text().replace("i = i + 2", "i = i + 0")
+        prog, test = parse(src), MLTest("t", "powit", (b, e), b**e)
+        original = run(prog, test)
+        assert original == stop_free(prog, test)
+        (site,) = [s.elem for s in prog.statements() if isinstance(s, Assign) and s.target == "r"]
+        assert original.outcome.crash_kind == "overflow"
+        assert original.events[original.criterion_event].element == site
+        again = run(prog, test, step_budget=interp.reexec_step_budget([original]))
+        assert (again.outcome, again.signature()) == (original.outcome, original.signature())
+        assert len(again.events) < 10
 
     def test_factor_reading_the_variable_stays_compared(self):
         # r = r * (r - r + 2) doubles r like DOUBLING, but e reads r, so r
