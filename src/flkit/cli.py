@@ -110,7 +110,6 @@ def cmd_localize(args) -> int:
             raise PipelineError(f"technique {tech!r} not produced by preset level{args.preset}")
     bundle = load_fault(Path(args.corpus) / args.fault)
     analysis = analyze_fault(bundle, cmb.preset_families(args.preset))
-    # Each technique once, in the order first given.
     for tech in dict.fromkeys(args.technique or sorted(analysis.scores)):
         ranking = full_universe_ranking(analysis.scores[tech], bundle.elements)
         value = expected_first_faulty_rank(ranking, set(bundle.faulty))

@@ -651,8 +651,6 @@ class TestCli:
         self.assert_one_error_line(capsys, *words)
 
     def test_combine_fault_needs_load(self, capsys, monkeypatch):
-        # --fault selects the fault a loaded model scores; without --load it
-        # used to be ignored while the whole corpus was trained on.
         monkeypatch.setattr(cmb, "train", lambda *a, **k: pytest.fail("trained without --load"))
         rc = cli_main(["combine", "--corpus", str(CORPUS), "--preset", "1", "--fault", "f01_absval"])
         assert rc == 1
