@@ -3,9 +3,12 @@
 Every executed statement (and every dynamic predicate evaluation) produces one
 trace event recording its element, the trace positions of the events it
 depends on (dynamic data dependences, including values returned by calls), and
-its dynamic control parent. A predicate evaluation, named by the trace position
-of its if's or while's event, can be inverted for predicate switching: a run
-is deterministic, so a flipped run repeats the original up to that event.
+its dynamic control parent. A re-execution, a mutant's or a predicate flip's
+run with fewer steps than STEP_BUDGET, is read for its outcome alone: its
+events record no dependences. A predicate evaluation, named by the trace
+position of its if's or while's event, can be inverted for predicate
+switching: a run is deterministic, so a flipped run repeats the original's
+elements and control parents up to that event.
 
 Each statement and expression node is compiled once, on its first run, into a
 closure over its children's closures that takes (interpreter, frame), and the
@@ -106,9 +109,10 @@ REEXEC_STEP_SLACK = 250
 
 
 def reexec_step_budget(originals) -> int:
-    """Step budget for re-executing any test of a fault with these original runs."""
+    """Step budget for re-executing any test of a fault with these original runs:
+    below STEP_BUDGET, so that every re-execution runs as one."""
     longest = max(len(trace.events) for trace in originals)
-    return min(STEP_BUDGET, REEXEC_STEP_FACTOR * longest + REEXEC_STEP_SLACK)
+    return min(STEP_BUDGET - 1, REEXEC_STEP_FACTOR * longest + REEXEC_STEP_SLACK)
 
 
 # Mini-language call depth that crashes with "stack-overflow". A call costs two
@@ -141,13 +145,16 @@ _ASSERT_FAILED = Outcome(ASSERT_FAIL)
 
 class Event(NamedTuple):
     element: ProgramElement
-    deps: frozenset  # trace positions of events this one data-depends on
+    # Trace positions of events this one data-depends on: none in a re-execution,
+    # nor for a statement that a crash or a failed assert cut short.
+    deps: frozenset
     control: Optional[int]  # trace position of the controlling branch event
 
 
 # _new(Event, (element, deps, control)) skips the Python-level __new__ of a
 # NamedTuple; run() builds its ExecutionTrace the same way.
 _new = tuple.__new__
+_NO_DEPS = frozenset()
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,8 @@ class TestCase:
 
 
 class ExecutionTrace(NamedTuple):
-    """One test's run. A tuple, so run() builds it without a Python __new__."""
+    """One test's run. A tuple, so run() builds it without a Python __new__. A
+    re-execution's events carry no dependences."""
 
     test_id: str
     outcome: Outcome
@@ -282,7 +290,7 @@ class _Frame:
 
 class _Interp:
     __slots__ = (
-        "program", "flip", "flip_applied", "step_budget", "events", "predicate_instances",
+        "program", "flip", "flip_applied", "step_budget", "reexec", "events", "predicate_instances",
         "frames", "current_event", "deps", "largest_step",
     )
 
@@ -291,21 +299,15 @@ class _Interp:
         self.flip = flip  # trace position of the predicate event to invert, or None
         self.flip_applied = flip is None  # whether no flip is pending
         self.step_budget = step_budget
-        # An Event per finished statement; a pending (element, control) pair
-        # while its dependences are still being evaluated.
+        self.reexec = step_budget < STEP_BUDGET  # records no deps; stops at a certain overflow
+        # An Event per statement begun, with no deps until the statement
+        # finishes in a run that records them.
         self.events: list = []
         self.predicate_instances: list[int] = []
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
         self.deps: list = []  # the running statement's dependences so far
         self.largest_step = 0  # the largest |e| a marked site has added in the running loop
-
-    def settle_events(self):
-        """Turn each pair an exception left pending into an Event with no deps."""
-        events = self.events
-        for idx, ev in enumerate(events):
-            if type(ev) is tuple:
-                events[idx] = Event(ev[0], frozenset(), ev[1])
 
     def repeat_crash(self, env, growing, scaled, before, literal_step, period) -> Optional[str]:
         """The crash kind that a loop whose variables have repeated, but for its
@@ -323,7 +325,7 @@ class _Interp:
                     size, k = size * factor, k + 1
                 if k * period <= left:
                     # An original run goes on to the overflow (module docstring).
-                    return "overflow" if self.step_budget < STEP_BUDGET else None
+                    return "overflow" if self.reexec else None
                 budget = budget and (k - 1) * period >= left
         # An accumulator back at its value at the snapshot replays that period's
         # values; one that is undefined or not an int is never added to, as that
@@ -344,8 +346,8 @@ def _code(node):
     Function's code is the tuple of its body's closures. Each closure takes
     (interp, frame), the frame it runs in. An expression's returns its value and
     adds the trace positions it depends on to interp.deps. A statement's adds
-    its event: a pending pair and a fresh interp.deps (_begin), then an Event
-    once its deps are collected."""
+    its event with no deps and starts a fresh interp.deps (_begin), then, unless
+    the run is a re-execution, replaces the event with one holding its deps."""
     code = getattr(node, "_code", None)
     if code is None:
         code = node._code = _compile(node)
@@ -357,12 +359,12 @@ def _codes(nodes) -> tuple:
 
 
 def _begin(interp, frame, elem) -> int:
-    """Add a statement's pending event, start its deps, and return its trace position."""
+    """Add a statement's event, with no deps yet, start its deps, and return its trace position."""
     events = interp.events
     idx = interp.current_event = len(events)
     if idx >= interp.step_budget:
         raise _Crash("budget")
-    events.append((elem, frame.control[-1]))
+    events.append(_new(Event, (elem, _NO_DEPS, frame.control[-1])))
     interp.deps = []
     return idx
 
@@ -551,7 +553,8 @@ def _compile(node):
                 interp.largest_step = max(interp.largest_step, abs(value - env[target]))
             env[target] = value
             var_events[target] = idx
-            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
+            if not interp.reexec:
+                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return assign
     if kind is While:
@@ -570,7 +573,8 @@ def _compile(node):
                 while True:
                     idx = _begin(interp, frame, elem)
                     value = predicate(interp, frame, idx)
-                    events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
+                    if not interp.reexec:
+                        events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
                     if not value:
                         return
                     # A repeat loops forever unless an accumulator or scaled variable
@@ -611,7 +615,8 @@ def _compile(node):
             idx = _begin(interp, frame, elem)
             value = predicate(interp, frame, idx)
             control = frame.control
-            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
+            if not interp.reexec:
+                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
             control.append(idx)
             try:
                 for code in then_body if value else else_body:
@@ -628,7 +633,8 @@ def _compile(node):
             value = init(interp, frame)
             frame.env[name] = value
             frame.var_events[name] = idx
-            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
+            if not interp.reexec:
+                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return declare
     if kind is Return:
@@ -637,7 +643,8 @@ def _compile(node):
         def return_(interp, frame):
             idx = _begin(interp, frame, elem)
             value = result(interp, frame)
-            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
+            if not interp.reexec:
+                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
             raise _ReturnSignal(value, idx)
 
         return return_
@@ -649,7 +656,8 @@ def _compile(node):
             value = cond(interp, frame)
             if type(value) is not bool:
                 raise _Crash("type")
-            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
+            if not interp.reexec:
+                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
             if not value:
                 raise _AssertFailed()
 
@@ -660,7 +668,8 @@ def _compile(node):
         def evaluate(interp, frame):
             idx = _begin(interp, frame, elem)
             expr(interp, frame)
-            interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
+            if not interp.reexec:
+                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return evaluate
     raise AssertionError(f"unhandled node {node!r}")
@@ -672,7 +681,10 @@ def run(
     flip: Optional[int] = None,
     step_budget: int = STEP_BUDGET,
 ) -> ExecutionTrace:
-    """Execute one test, optionally inverting the predicate evaluation at trace position ``flip``."""
+    """Execute one test, optionally inverting the predicate evaluation at trace position ``flip``.
+
+    A run with fewer steps than STEP_BUDGET is a re-execution: its events carry no dependences.
+    """
     if test.entry not in program.functions:
         raise ValueError(f"entry function {test.entry!r} not defined")
     interp = _Interp(program, flip=flip, step_budget=step_budget)
@@ -708,12 +720,9 @@ def run(
             # wrong result: the harness assertion fails (not a crash)
             outcome = _ASSERT_FAILED
     except _AssertFailed:
-        # An assert inside a callee leaves the caller's statements pending.
-        interp.settle_events()
         outcome = _ASSERT_FAILED
         criterion = len(interp.events) - 1
     except _Crash as crash:
-        interp.settle_events()
         outcome = Outcome(CRASH, crash_kind=crash.kind, stack=interp.crash_stack())
         criterion = len(interp.events) - 1 if interp.events else None
     return _new(

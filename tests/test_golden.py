@@ -19,7 +19,7 @@ import pytest
 
 from flkit.cli import main as cli_main
 from flkit.corpus import load_corpus
-from flkit.minilang import gen_mutants, run
+from flkit.minilang import gen_mutants, interp, run
 from flkit.minilang.interp import reexec_step_budget
 from flkit.minilang.parse import iter_exprs
 from flkit.pipeline import emit_report, evaluate_corpus
@@ -220,6 +220,49 @@ def test_original_runs_alike_after_its_mutants():
                 run(mutant.program, t, step_budget=budget)
         again = [run(bundle.program, t) for t in bundle.tests]
         assert list(map(trace_text, again)) == list(map(trace_text, originals))
+
+
+def recording_runs(bundle) -> dict:
+    """fault_runs with every run recording dependences as an original does.
+    Only the recording changes: the overflow stop still ends re-executions."""
+    init, stop = interp._Interp.__init__, interp._Interp.repeat_crash
+
+    def records(self, *args, **options):
+        init(self, *args, **options)
+        self.reexec = False
+
+    def stops(self, *args):
+        self.reexec = self.step_budget < interp.STEP_BUDGET
+        try:
+            return stop(self, *args)
+        finally:
+            self.reexec = False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp._Interp, "__init__", records)
+        patch.setattr(interp._Interp, "repeat_crash", stops)
+        return fault_runs(bundle)
+
+
+def test_reexecutions_record_no_deps():
+    """Every mutant and flip run at the re-execution budget is its recording
+    run but for its events' deps, which are all empty; originals record."""
+    counts, recorded = {"mutant": 0, "flip": 0}, 0
+    for bundle in load_corpus(CORPUS):
+        runs, reference = fault_runs(bundle), recording_runs(bundle)
+        assert runs["original"] == reference["original"]
+        for kind in counts:
+            for tr, full in zip(runs[kind], reference[kind], strict=True):
+                fields = lambda t: (
+                    t.outcome, t.signature(), t.value, t.criterion_event, t.flip_applied,
+                    t.covered, t.predicate_instances, [(ev.element, ev.control) for ev in t.events],
+                )
+                assert fields(tr) == fields(full)
+                assert all(ev.deps == frozenset() for ev in tr.events)
+                recorded += any(ev.deps for ev in full.events)
+            counts[kind] += len(runs[kind])
+    assert counts == {"mutant": 932, "flip": 82}
+    assert recorded == 793  # runs whose recording holds a dependence
 
 
 def traces_by_run(text: str) -> dict:

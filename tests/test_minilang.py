@@ -1,5 +1,6 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -644,6 +645,17 @@ class TestScaledStop:
         assert (again.outcome, again.signature()) == (original.outcome, original.signature())
         assert len(again.events) < 10
 
+    @pytest.mark.parametrize("longest", [99_974, 99_975, 10**5])
+    def test_longest_original_still_gives_a_reexecution(self, longest):
+        # Stand-in originals: only their event counts matter. From 99,975
+        # events on, 10 × longest + 250 steps would reach STEP_BUDGET, the
+        # budget of an original run.
+        budget = interp.reexec_step_budget([SimpleNamespace(events=range(longest))])
+        assert budget == min(10 * longest + 250, interp.STEP_BUDGET - 1)
+        tr = run(parse(self.DOUBLING), MLTest("t", "f", (), "pass"), step_budget=budget)
+        assert (tr.outcome.crash_kind, len(tr.events)) == ("overflow", 4)
+        assert [e.deps for e in tr.events] == [frozenset()] * 4
+
     def test_factor_reading_the_variable_stays_compared(self):
         # r = r * (r - r + 2) doubles r like DOUBLING, but e reads r, so r
         # is compared, never repeats, and the run goes on to the overflow.
@@ -828,24 +840,43 @@ class TestPendingEvents:
         assert tr.events[inner].control == call
 
     def test_budget_crash_at_while_head(self):
+        # i never moves, so the repeat stop ends g's loop as "budget" at its
+        # second head. The heads and the body finish with their deps; the
+        # crash cuts f's call statement short.
+        prog = parse(
+            "func g(n) {\n var i = 0;\n while (i < n) {\n  i = i + 0;\n }\n return i;\n}\n"
+            "func f() {\n var x = g(100);\n return x;\n}"
+        )
+        tr = run(prog, MLTest("t", "f", (), 100))
+        assert (tr.outcome.crash_kind, tr.outcome.stack) == ("budget", ("g", "f"))
+        [call], [decl], heads, body = self.at(tr, 9), self.at(tr, 2), self.at(tr, 3), self.at(tr, 4)
+        assert (call, decl, heads, body) == (0, 1, [2, 4], [3])
+        assert tr.criterion_event == 4 == len(tr.events) - 1
+        assert tr.events[call].deps == frozenset()
+        assert tr.events[call].control is None
+        assert tr.events[2].deps == {call, decl}  # n is defined by the call
+        assert tr.events[3].deps == {decl}
+        assert tr.events[3].control == 2
+        assert tr.events[4].deps == {call, 3}
+        assert tr.events[4].control == call
+
+    def test_short_budget_run_records_no_deps(self):
+        # A run with fewer steps than STEP_BUDGET is a re-execution: it keeps
+        # the full run's elements and control parents, but no deps. Events:
+        # f's call, g's declaration, then head and body in turn; the seventh
+        # event would be a loop head.
         prog = parse(
             "func g(n) {\n var i = 0;\n while (i < n) {\n  i = i + 1;\n }\n return i;\n}\n"
             "func f() {\n var x = g(100);\n return x;\n}"
         )
-        # Events: f's call, g's declaration, then head and body in turn; the
-        # seventh event would be a loop head.
-        tr = run(prog, MLTest("t", "f", (), 100), step_budget=6)
+        test = MLTest("t", "f", (), 100)
+        tr, full = run(prog, test, step_budget=6), run(prog, test)
         assert (tr.outcome.crash_kind, tr.outcome.stack) == ("budget", ("g", "f"))
-        assert len(tr.events) == 6
-        [call], heads, body = self.at(tr, 9), self.at(tr, 3), self.at(tr, 4)
-        assert (call, heads, body) == (0, [2, 4], [3, 5])
-        assert tr.events[call].deps == frozenset()
-        assert tr.events[call].control is None
-        assert tr.criterion_event == 5
-        assert tr.events[5].deps == {3}
-        assert tr.events[5].control == 4
-        assert tr.events[4].deps == {call, 3}  # n is defined by the call
-        assert tr.events[4].control == call
+        assert tr.criterion_event == 5 == len(tr.events) - 1
+        assert [(e.element, e.control) for e in tr.events] == [(e.element, e.control) for e in full.events[:6]]
+        assert [e.deps for e in tr.events] == [frozenset()] * 6
+        assert full.outcome.status == PASS
+        assert [e.deps for e in full.events[1:6]] == [frozenset(), {0, 1}, {1}, {0, 3}, {3}]
 
 
 class TestPredicateFlips:

@@ -130,8 +130,8 @@ class TestMultiTest:
 def test_flipped_run_repeats_the_original_up_to_the_flip():
     """Positional flips rest on this: a run is deterministic, so flipping the
     predicate evaluation at position p of a failing test's original run gives
-    a run whose first p events are the original's and that applies the flip at
-    the same predicate."""
+    a run whose events up to p have the original's elements and control
+    parents, and that applies the flip at the same predicate."""
     flips = 0
     for bundle in load_corpus(Path(__file__).resolve().parent.parent / "corpus"):
         originals = [run(bundle.program, t) for t in bundle.tests]
@@ -142,8 +142,8 @@ def test_flipped_run_repeats_the_original_up_to_the_flip():
             for p in original.predicate_instances:
                 flipped = run(bundle.program, test, flip=p, step_budget=budget)
                 assert flipped.flip_applied
-                assert flipped.events[:p] == original.events[:p]
-                assert flipped.events[p].element == original.events[p].element
+                shape = [(ev.element, ev.control) for ev in flipped.events[: p + 1]]
+                assert shape == [(ev.element, ev.control) for ev in original.events[: p + 1]]
                 flips += 1
     assert flips == 82
 
