@@ -300,14 +300,21 @@ class _Interp:
         self.flip_applied = flip is None  # whether no flip is pending
         self.step_budget = step_budget
         self.reexec = step_budget < STEP_BUDGET  # records no deps; stops at a certain overflow
-        # An Event per statement begun, with no deps until the statement
-        # finishes in a run that records them.
+        # An Event per finished statement; in an original run, a pending
+        # (element, control) pair while its dependences are still being evaluated.
         self.events: list = []
         self.predicate_instances: list[int] = []
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
         self.deps: list = []  # the running statement's dependences so far
         self.largest_step = 0  # the largest |e| a marked site has added in the running loop
+
+    def settle_events(self):
+        """Turn each pair an exception left pending into an Event with no deps."""
+        events = self.events
+        for idx, ev in enumerate(events):
+            if type(ev) is tuple:
+                events[idx] = Event(ev[0], frozenset(), ev[1])
 
     def repeat_crash(self, env, growing, scaled, before, literal_step, period) -> Optional[str]:
         """The crash kind that a loop whose variables have repeated, but for its
@@ -346,8 +353,8 @@ def _code(node):
     Function's code is the tuple of its body's closures. Each closure takes
     (interp, frame), the frame it runs in. An expression's returns its value and
     adds the trace positions it depends on to interp.deps. A statement's adds
-    its event with no deps and starts a fresh interp.deps (_begin), then, unless
-    the run is a re-execution, replaces the event with one holding its deps."""
+    its event and a fresh interp.deps (_begin), then, unless the run is a
+    re-execution, an Event once its deps are collected."""
     code = getattr(node, "_code", None)
     if code is None:
         code = node._code = _compile(node)
@@ -359,12 +366,15 @@ def _codes(nodes) -> tuple:
 
 
 def _begin(interp, frame, elem) -> int:
-    """Add a statement's event, with no deps yet, start its deps, and return its trace position."""
+    """Add a statement's event, start its deps, and return its trace position.
+    A re-execution's event is final; an original run's is a pending (element,
+    control) pair until the statement finishes."""
     events = interp.events
     idx = interp.current_event = len(events)
     if idx >= interp.step_budget:
         raise _Crash("budget")
-    events.append(_new(Event, (elem, _NO_DEPS, frame.control[-1])))
+    control = frame.control[-1]
+    events.append(_new(Event, (elem, _NO_DEPS, control)) if interp.reexec else (elem, control))
     interp.deps = []
     return idx
 
@@ -720,9 +730,12 @@ def run(
             # wrong result: the harness assertion fails (not a crash)
             outcome = _ASSERT_FAILED
     except _AssertFailed:
+        # An assert inside a callee leaves the caller's statements pending.
+        interp.settle_events()
         outcome = _ASSERT_FAILED
         criterion = len(interp.events) - 1
     except _Crash as crash:
+        interp.settle_events()
         outcome = Outcome(CRASH, crash_kind=crash.kind, stack=interp.crash_stack())
         criterion = len(interp.events) - 1 if interp.events else None
     return _new(
