@@ -145,9 +145,7 @@ _ASSERT_FAILED = Outcome(ASSERT_FAIL)
 
 class Event(NamedTuple):
     element: ProgramElement
-    # Trace positions of events this one data-depends on: none in a re-execution,
-    # nor for a statement that a crash or a failed assert cut short.
-    deps: frozenset
+    deps: frozenset  # trace positions of events this one data-depends on; none in a re-execution
     control: Optional[int]  # trace position of the controlling branch event
 
 
@@ -310,7 +308,9 @@ class _Interp:
         self.largest_step = 0  # the largest |e| a marked site has added in the running loop
 
     def settle_events(self):
-        """Turn each pair an exception left pending into an Event with no deps."""
+        """Turn each pair an exception left pending in an original run into an Event with no deps."""
+        if self.reexec:  # its events are final when begun
+            return
         events = self.events
         for idx, ev in enumerate(events):
             if type(ev) is tuple:
