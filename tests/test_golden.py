@@ -244,6 +244,14 @@ def recording_runs(bundle) -> dict:
         return fault_runs(bundle)
 
 
+def without_deps(trace) -> tuple:
+    """Every field of a trace but its events' deps."""
+    return (
+        trace.outcome, trace.signature(), trace.value, trace.criterion_event, trace.flip_applied,
+        trace.covered, trace.predicate_instances, [(ev.element, ev.control) for ev in trace.events],
+    )
+
+
 def test_reexecutions_record_no_deps():
     """Every mutant and flip run at the re-execution budget is its recording
     run but for its events' deps, which are all empty; originals record."""
@@ -253,11 +261,7 @@ def test_reexecutions_record_no_deps():
         assert runs["original"] == reference["original"]
         for kind in counts:
             for tr, full in zip(runs[kind], reference[kind], strict=True):
-                fields = lambda t: (
-                    t.outcome, t.signature(), t.value, t.criterion_event, t.flip_applied,
-                    t.covered, t.predicate_instances, [(ev.element, ev.control) for ev in t.events],
-                )
-                assert fields(tr) == fields(full)
+                assert without_deps(tr) == without_deps(full)
                 assert all(ev.deps == frozenset() for ev in tr.events)
                 recorded += any(ev.deps for ev in full.events)
             counts[kind] += len(runs[kind])
