@@ -13,14 +13,18 @@ elements and control parents up to that event.
 Each statement and expression node is compiled once, on its first run, into a
 closure over its children's closures that takes (interpreter, frame), and the
 closure is cached on the node as _code. An expression's closure returns its
-value. The running statement collects its dependences in one list on the
-interpreter: each variable read adds its defining event and each call its
-callee's return event, while the callee's statements collect theirs in lists
-of their own. Programs share nodes: a mutant shares with its original every
-node off the path to its mutation. That is safe because no node changes after
-parse except the `grows` mark and the cached code, and both depend only on the
-node and what it contains. A call looks its callee up in the running program,
-not in the one it was compiled for.
+value. A statement's returns whether a return statement ran: the return stores
+its value and event on its frame, and each enclosing if and while passes True
+on to the call or run() that reads them, so a return raises no Python
+exception. In an original run the running statement collects its dependences
+in one list on the interpreter: each variable read adds its defining event and
+each call its callee's return event, while the callee's statements collect
+theirs in lists of their own. A re-execution keeps no dependence bookkeeping:
+no defining events, no lists. Programs share nodes: a mutant shares with its
+original every node off the path to its mutation. That is safe because no node
+changes after parse except the `grows` mark and the cached code, and both
+depend only on the node and what it contains. A call looks its callee up in
+the running program, not in the one it was compiled for.
 
 A loop whose variables repeat at its head ends as a "budget" crash there, as it
 would after running out of steps. Nothing else can change while it runs: there
@@ -68,7 +72,7 @@ before its body.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, NamedTuple, Optional
 
@@ -157,13 +161,20 @@ _NO_DEPS = frozenset()
 
 @dataclass(frozen=True)
 class TestCase:
+    """A call of entry with args, whose result must equal expect. values holds
+    args as run-time values, arrays as lists, bound once and shared by every
+    run: the language never changes an array in place."""
+
     test_id: str
     entry: str
     args: tuple
     expect: Any  # concrete value, or the string "pass" for run-to-completion
+    values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+        args = tuple(self.args)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "values", tuple(list(a) if isinstance(a, (list, tuple)) else a for a in args))
 
 
 class ExecutionTrace(NamedTuple):
@@ -272,18 +283,16 @@ class _AssertFailed(Exception):
     pass
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value, event_index):
-        self.value = value
-        self.event_index = event_index
-
-
 @dataclass(slots=True)
 class _Frame:
+    """One function call's state. A return statement stores its value and
+    event on the frame, and its closure returns True to end the call."""
+
     function: str
     env: dict
-    var_events: dict  # name -> defining event index
+    var_events: Optional[dict]  # name -> defining event index; None in a re-execution
     control: list  # the call-site event, then the enclosing branch events
+    returned: Optional[tuple] = None  # (value, event index) once a return has run
 
 
 class _Interp:
@@ -297,14 +306,14 @@ class _Interp:
         self.flip = flip  # trace position of the predicate event to invert, or None
         self.flip_applied = flip is None  # whether no flip is pending
         self.step_budget = step_budget
-        self.reexec = step_budget < STEP_BUDGET  # records no deps; stops at a certain overflow
+        self.reexec = step_budget < STEP_BUDGET  # keeps no deps; stops at a certain overflow
         # An Event per finished statement; in an original run, a pending
         # (element, control) pair while its dependences are still being evaluated.
         self.events: list = []
         self.predicate_instances: list[int] = []
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
-        self.deps: list = []  # the running statement's dependences so far
+        self.deps: list = []  # the running statement's dependences so far (original runs only)
         self.largest_step = 0  # the largest |e| a marked site has added in the running loop
 
     def settle_events(self):
@@ -351,10 +360,11 @@ class _Interp:
 def _code(node):
     """The closure that runs node, compiled on first use and cached on it; a
     Function's code is the tuple of its body's closures. Each closure takes
-    (interp, frame), the frame it runs in. An expression's returns its value and
-    adds the trace positions it depends on to interp.deps. A statement's adds
-    its event and a fresh interp.deps (_begin), then, unless the run is a
-    re-execution, an Event once its deps are collected."""
+    (interp, frame), the frame it runs in. An expression's returns its value
+    and, in an original run, adds the trace positions it depends on to
+    interp.deps. A statement's adds its event (_begin), then, unless the run is
+    a re-execution, an Event once its deps are collected; it returns True if a
+    return statement ran, which ends the call."""
     code = getattr(node, "_code", None)
     if code is None:
         code = node._code = _compile(node)
@@ -366,16 +376,19 @@ def _codes(nodes) -> tuple:
 
 
 def _begin(interp, frame, elem) -> int:
-    """Add a statement's event, start its deps, and return its trace position.
-    A re-execution's event is final; an original run's is a pending (element,
-    control) pair until the statement finishes."""
+    """Add a statement's event and return its trace position. A re-execution's
+    event is final; an original run's is a pending (element, control) pair
+    until the statement finishes, and its deps start afresh."""
     events = interp.events
     idx = interp.current_event = len(events)
     if idx >= interp.step_budget:
         raise _Crash("budget")
     control = frame.control[-1]
-    events.append(_new(Event, (elem, _NO_DEPS, control)) if interp.reexec else (elem, control))
-    interp.deps = []
+    if interp.reexec:
+        events.append(_new(Event, (elem, _NO_DEPS, control)))
+    else:
+        events.append((elem, control))
+        interp.deps = []
     return idx
 
 
@@ -439,9 +452,10 @@ def _compile(node):
             env = frame.env
             if name not in env:
                 raise _Crash("undefined-var")
-            defined = frame.var_events.get(name)
-            if defined is not None:
-                interp.deps.append(defined)
+            if not interp.reexec:
+                defined = frame.var_events.get(name)
+                if defined is not None:
+                    interp.deps.append(defined)
             return env[name]
 
         return var
@@ -513,24 +527,26 @@ def _compile(node):
             if len(args) != len(params):
                 raise _Crash("arity")
             values = _eval_all(args, interp, frame)
-            call_event, deps = interp.current_event, interp.deps
-            callee = _Frame(fn.name, dict(zip(params, values)), dict.fromkeys(params, call_event), [call_event])
+            call_event, deps, reexec = interp.current_event, interp.deps, interp.reexec
+            var_events = None if reexec else dict.fromkeys(params, call_event)
+            callee = _Frame(fn.name, dict(zip(params, values)), var_events, [call_event])
             frames = interp.frames
             if len(frames) >= MAX_CALL_DEPTH:
                 raise _Crash("stack-overflow")
             frames.append(callee)
-            try:
-                for stmt in _code(fn):
-                    stmt(interp, callee)
-                value = 0  # fell off the end of the function: implicit return 0 with no event
-            except _ReturnSignal as ret:
-                value = ret.value
-                deps.append(ret.event_index)
+            for stmt in _code(fn):
+                if stmt(interp, callee):
+                    break
             # A crash propagates past this point without unwinding interp.frames,
             # deliberately: crash_stack() needs the frames as they were.
             frames.pop()
             # The rest of the statement, and a later call in it, runs at this call site.
             interp.current_event, interp.deps = call_event, deps
+            if callee.returned is None:
+                return 0  # fell off the end of the function: implicit return 0 with no event
+            value, returned_at = callee.returned
+            if not reexec:
+                deps.append(returned_at)
             return value
 
         return call
@@ -542,13 +558,13 @@ def _compile(node):
         def assign(interp, frame):
             idx = _begin(interp, frame, elem)
             value = source(interp, frame)
-            env, var_events = frame.env, frame.var_events
+            env = frame.env
             if index is not None:
                 pos = index(interp, frame)
                 if target not in env:
                     raise _Crash("undefined-var")
-                if target in var_events:
-                    interp.deps.append(var_events[target])
+                if not interp.reexec and target in frame.var_events:
+                    interp.deps.append(frame.var_events[target])
                 array = env[target]
                 if type(array) is not list or type(pos) is not int:
                     raise _Crash("type")
@@ -562,8 +578,8 @@ def _compile(node):
             elif grows:  # marked by an enclosing loop's _classify
                 interp.largest_step = max(interp.largest_step, abs(value - env[target]))
             env[target] = value
-            var_events[target] = idx
             if not interp.reexec:
+                frame.var_events[target] = idx
                 interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return assign
@@ -611,7 +627,8 @@ def _compile(node):
                     control.append(idx)
                     try:
                         for code in body:
-                            code(interp, frame)
+                            if code(interp, frame):
+                                return True
                     finally:
                         control.pop()
             finally:
@@ -630,7 +647,8 @@ def _compile(node):
             control.append(idx)
             try:
                 for code in then_body if value else else_body:
-                    code(interp, frame)
+                    if code(interp, frame):
+                        return True
             finally:
                 control.pop()
 
@@ -642,8 +660,8 @@ def _compile(node):
             idx = _begin(interp, frame, elem)
             value = init(interp, frame)
             frame.env[name] = value
-            frame.var_events[name] = idx
             if not interp.reexec:
+                frame.var_events[name] = idx
                 interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return declare
@@ -655,7 +673,8 @@ def _compile(node):
             value = result(interp, frame)
             if not interp.reexec:
                 interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
-            raise _ReturnSignal(value, idx)
+            frame.returned = (value, idx)
+            return True
 
         return return_
     if kind is Assert:
@@ -693,7 +712,9 @@ def run(
 ) -> ExecutionTrace:
     """Execute one test, optionally inverting the predicate evaluation at trace position ``flip``.
 
-    A run with fewer steps than STEP_BUDGET is a re-execution: its events carry no dependences.
+    The entry function starts from the test's shared argument values. A run with fewer steps
+    than STEP_BUDGET is a re-execution: it keeps no dependence bookkeeping, and its events
+    carry no dependences.
     """
     if test.entry not in program.functions:
         raise ValueError(f"entry function {test.entry!r} not defined")
@@ -701,25 +722,25 @@ def run(
     fn = program.functions[test.entry]
     if len(test.args) != len(fn.params):
         raise ValueError(f"{test.entry} expects {len(fn.params)} args, got {len(test.args)}")
-    args = [list(a) if isinstance(a, (list, tuple)) else a for a in test.args]
-    frame = _Frame(fn.name, dict(zip(fn.params, args)), {}, [None])
+    frame = _Frame(fn.name, dict(zip(fn.params, test.values)), None if interp.reexec else {}, [None])
     interp.frames.append(frame)
     value = None
     criterion = None
     try:
         try:
             for code in _code(fn):
-                code(interp, frame)
-            value = 0
-            criterion = len(interp.events) - 1 if interp.events else None
-        except _ReturnSignal as ret:
-            value = ret.value
-            criterion = ret.event_index
+                if code(interp, frame):
+                    break
         except RecursionError:
             # Backstop: deeply nested expressions inside deep recursion can
             # still exhaust Python's stack, while compiling or running, before
             # MAX_CALL_DEPTH trips.
             raise _Crash("stack-overflow") from None
+        if frame.returned is None:
+            value = 0
+            criterion = len(interp.events) - 1 if interp.events else None
+        else:
+            value, criterion = frame.returned
         if test.expect == "pass" or value == test.expect or (
             isinstance(test.expect, (list, tuple))
             and isinstance(value, list)

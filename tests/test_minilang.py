@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -806,6 +807,94 @@ class TestDependences:
         assert [tr.events[h].deps for h in heads] == [
             {decl_i, returns[1]}, {steps[0], returns[2]}, {steps[1], returns[3]},
         ]
+
+
+class TestReturnByValue:
+    """A return ends its call through the statement closures' results, not a
+    Python exception, and unwinds the control stacks as it goes."""
+
+    # Lines 5 and 16 return from inside an if inside a while, in a callee and
+    # in the entry function.
+    NESTED = (
+        "func g(n) {\n var i = 0;\n while (i < n) {\n  if (i == 2) {\n   return i * 10;\n  }\n"
+        "  i = i + 1;\n }\n return 0;\n}\n"
+        "func f(n) {\n var k = 0;\n while (true) {\n  var x = g(n);\n  if (x > 5) {\n   return x + k;\n  }\n"
+        "  k = k + 1;\n }\n return 0;\n}"
+    )
+
+    @staticmethod
+    def traced_exceptions(fn) -> tuple:
+        """fn()'s result and the exception types raised in Python frames during it."""
+        raised = []
+
+        def trace(frame, event, arg):
+            if event == "exception":
+                raised.append(arg[0])
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            return fn(), raised
+        finally:
+            sys.settrace(previous)
+
+    @pytest.mark.parametrize("step_budget", [interp.STEP_BUDGET, interp.STEP_BUDGET - 1], ids=["original", "reexec"])
+    def test_return_inside_if_inside_while(self, step_budget):
+        tr = run(parse(self.NESTED), MLTest("t", "f", (5,), 20), step_budget=step_budget)
+        lines_run = [e.element.line for e in tr.events]
+        assert lines_run == [12, 13, 14, 2, 3, 4, 7, 3, 4, 7, 3, 4, 5, 15, 16]
+        assert (tr.outcome.status, tr.value, tr.criterion_event) == (PASS, 20, 14)
+        # Each return's control parent is its if; after g returns, f's if runs
+        # under f's loop head again.
+        assert [e.control for e in tr.events] == [None, None, 1, 2, 2, 4, 4, 2, 7, 7, 2, 10, 11, 1, 13]
+        call, returned = lines_run.index(14), lines_run.index(5)
+        if step_budget == interp.STEP_BUDGET:
+            assert tr.events[call].deps == {returned}
+            assert tr.events[14].deps == {call, 0}
+        else:
+            assert all(e.deps == frozenset() for e in tr.events)
+
+    def test_falling_off_the_end_returns_zero_with_no_dependence(self):
+        prog = parse("func g(n) {\n if (n > 0) {\n  return n;\n }\n}\nfunc f(n) {\n var x = g(n);\n return x;\n}")
+        tr = run(prog, MLTest("t", "f", (0,), 0))
+        assert [e.element.line for e in tr.events] == [7, 2, 8]
+        assert (tr.outcome.status, tr.value, tr.criterion_event) == (PASS, 0, 2)
+        assert tr.events[0].deps == frozenset()
+        assert tr.events[2].deps == {0}
+
+    def test_return_raises_no_python_exception(self):
+        prog, test = parse(self.NESTED), MLTest("t", "f", (5,), 20)
+        for step_budget in (interp.STEP_BUDGET, interp.STEP_BUDGET - 1):
+            tr, raised = self.traced_exceptions(lambda: run(prog, test, step_budget=step_budget))
+            assert tr.outcome.status == PASS
+            assert raised == []
+
+    @pytest.mark.parametrize(
+        "source, outcome",
+        [
+            ("func g(n) {\n while (n > 0) {\n  if (n == 1) {\n   return 1 / (n - 1);\n  }\n  n = n - 1;\n }\n"
+             " return 0;\n}\nfunc f() {\n return g(3);\n}",
+             interp.Outcome(CRASH, "div0", ("g", "f"))),
+            ("func g(n) {\n if (n > 0) {\n  assert(n < 2);\n  return n;\n }\n return 0;\n}\n"
+             "func f() {\n return g(3);\n}",
+             interp.Outcome(ASSERT_FAIL)),
+            ("func g(n) {\n if (n > 0) {\n  return n;\n }\n return 0;\n}\nfunc f() {\n return g(3);\n}",
+             interp.Outcome(ASSERT_FAIL)),
+        ],
+        ids=["crash-in-return", "failed-assert", "wrong-result"],
+    )
+    def test_crash_and_failure_outcomes(self, source, outcome):
+        tr = run(parse(source), MLTest("t", "f", (), 0))
+        assert tr.outcome == outcome
+
+    def test_stores_into_an_array_argument_leave_the_test_unchanged(self):
+        prog, test = parse("func f(a) { a[0] = 9; return a[0]; }"), MLTest("t", "f", ([1, 2],), 9)
+        assert (test.args, test.values) == (([1, 2],), ([1, 2],))
+        first, second = run(prog, test), run(prog, test)
+        assert first == second
+        assert (first.outcome.status, first.value) == (PASS, 9)
+        assert (test.args, test.values) == (([1, 2],), ([1, 2],))
 
 
 class TestPendingEvents:
