@@ -110,9 +110,13 @@ class Ranking:
     scores: tuple
 
     def __post_init__(self):
+        if not len(self.groups) == len(self.start_positions) == len(self.scores):
+            raise ModelError("groups, start positions and scores differ in length")
+        if not all(self.groups):
+            raise ModelError("empty tie-group")
         pos = 1
-        for i, group in enumerate(self.groups):
-            if self.start_positions[i] != pos:
+        for group, start in zip(self.groups, self.start_positions):
+            if start != pos:
                 raise ModelError("start positions inconsistent with group sizes")
             pos += len(group)
         for a, b in zip(self.scores, self.scores[1:]):

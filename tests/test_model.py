@@ -100,6 +100,22 @@ class TestRankElements:
         with pytest.raises(ModelError):
             rank_elements(ScoredList("t", []))
 
+    @pytest.mark.parametrize(
+        "groups, starts, scores, message",
+        [
+            ("ab", (1,), (2.0, 1.0), "differ in length"),
+            ("a", (1, 2), (2.0,), "differ in length"),
+            ("a", (1,), (1.0, 0.5), "differ in length"),
+            ("a-", (1, 2), (2.0, 1.0), "empty tie-group"),
+        ],
+        ids=["fewer-starts", "more-starts", "more-scores", "empty-group"],
+    )
+    def test_invalid_parts_rejected(self, groups, starts, scores, message):
+        a, b = elems(1, 2)
+        members = {"a": frozenset({a}), "b": frozenset({b}), "-": frozenset()}
+        with pytest.raises(ModelError, match=message):
+            Ranking(tuple(members[g] for g in groups), starts, scores)
+
     def test_duplicate_element_rejected(self):
         a = ProgramElement("f", 1)
         with pytest.raises(ModelError):
