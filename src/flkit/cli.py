@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -96,6 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out):
+    """Fail as writing out would, before the work, if its directory does not exist."""
+    if out and not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _write(text: str, out):
     if out:
         Path(out).write_text(text)
@@ -128,6 +136,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out(args.out)
     bundles = load_corpus(args.corpus)
     results = evaluate_corpus(
         bundles,
@@ -154,6 +163,8 @@ def cmd_correlate(args) -> int:
 def cmd_combine(args) -> int:
     if args.fault is not None and not args.load:
         raise PipelineError("--fault applies only with --load")
+    if not args.load:  # --load ignores --save
+        _check_out(args.save)
     bundles = load_corpus(args.corpus)
     if args.load:
         model = cmb.RankModel.from_json(Path(args.load).read_text())
@@ -179,6 +190,7 @@ def cmd_combine(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_out(args.out)
     bundles = load_corpus(args.corpus)
     records = ingest_scores(args.scores)
     results = evaluate_score_records(records, bundles, granularity=args.granularity)

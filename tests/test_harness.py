@@ -9,7 +9,7 @@ import pytest
 from collections import Counter
 
 from flkit import combine as cmb
-from flkit import mbfl, pipeline
+from flkit import cli, mbfl, pipeline
 from flkit.cli import main as cli_main
 from flkit.corpus import (
     CorpusError,
@@ -649,6 +649,24 @@ class TestCli:
         )
         assert rc == 1
         self.assert_one_error_line(capsys, *words)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--preset", "4", "--out"],
+            ["report", "--scores", "scores.jsonl", "--out"],
+            ["combine", "--preset", "4", "--save"],
+        ],
+        ids=["evaluate", "report", "combine"],
+    )
+    def test_missing_output_directory_fails_before_the_work(self, tmp_path, capsys, monkeypatch, argv):
+        for name in ("load_corpus", "evaluate_corpus", "analyze_corpus", "evaluate_score_records"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("worked before checking the output"))
+        out = tmp_path / "absent" / "out.json"
+        rc = cli_main([argv[0], "--corpus", str(CORPUS), *argv[1:], str(out)])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "[Errno 2]", str(out))
+        assert list(tmp_path.iterdir()) == []
 
     def test_combine_fault_needs_load(self, capsys, monkeypatch):
         monkeypatch.setattr(cmb, "train", lambda *a, **k: pytest.fail("trained without --load"))
