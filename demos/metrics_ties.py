@@ -11,24 +11,15 @@ import itertools
 from fractions import Fraction
 
 from flkit.metrics import expected_first_faulty_rank
-from flkit.model import ProgramElement, ScoredList, rank_elements
+from flkit.model import ProgramElement, rank_elements
 
 
 def main():
     # five statements; the faulty one is tied with two others at the top score
     elems = [ProgramElement("demo.ml", i) for i in range(1, 6)]
-    scored = ScoredList(
-        "ochiai",
-        [
-            (elems[0], 0.9),
-            (elems[1], 0.9),
-            (elems[2], 0.9),
-            (elems[3], 0.4),
-            (elems[4], 0.1),
-        ],
-    )
+    scores = {elems[0]: 0.9, elems[1]: 0.9, elems[2]: 0.9, elems[3]: 0.4, elems[4]: 0.1}
     faulty = {elems[1]}
-    ranking = rank_elements(scored)
+    ranking = rank_elements(scores)
     print("tie-groups:",
           [sorted(e.line for e in g) for g in ranking.groups])
 

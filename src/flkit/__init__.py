@@ -7,7 +7,6 @@ tie-aware expected-rank evaluation metrics, and a learning-to-rank combiner.
 from .model import (
     ProgramElement,
     Ranking,
-    ScoredList,
     adjust_ground_truth_for_insertions,
     full_universe_ranking,
     lift_to_method_granularity,

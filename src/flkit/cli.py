@@ -26,14 +26,14 @@ from .pipeline import (
 
 
 def _parse_preset(text: str) -> int:
-    if text.startswith("level"):
-        text = text[len("level") :]
+    levels = [f.level for f in cmb.FAMILIES]
+    low, high = min(levels), max(levels)
     try:
-        level = int(text)
+        level = int(text.removeprefix("level"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad preset {text!r}; expected level1..level4")
-    if level not in (1, 2, 3, 4):
-        raise argparse.ArgumentTypeError(f"preset level {level} out of range 1..4")
+        raise argparse.ArgumentTypeError(f"bad preset {text!r}; expected level{low}..level{high}")
+    if level not in levels:
+        raise argparse.ArgumentTypeError(f"preset level {level} out of range {low}..{high}")
     return level
 
 

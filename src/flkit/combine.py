@@ -31,7 +31,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .metrics import expected_first_faulty_rank
-from .model import ScoredList, rank_elements
+from .model import rank_elements
 
 PAIR_CAP = 50  # correct elements sampled per faulty element
 L2_LAMBDA = 0.01
@@ -81,8 +81,9 @@ class CombineError(Exception):
 
 
 def preset_families(level: int) -> tuple:
-    if level not in {f.level for f in FAMILIES}:
-        raise CombineError(f"unknown time level {level}; expected 1..4")
+    levels = [f.level for f in FAMILIES]
+    if level not in levels:
+        raise CombineError(f"unknown time level {level}; expected {min(levels)}..{max(levels)}")
     return tuple(f.name for f in FAMILIES if f.level <= level)
 
 
@@ -91,18 +92,17 @@ def preset_techniques(level: int) -> tuple:
     return tuple(t for f in FAMILIES if f.name in families for t in f.techniques)
 
 
-def normalize(scored: ScoredList, universe: Iterable) -> dict:
+def normalize(scores: Mapping, universe: Iterable) -> dict:
     """Min-max normalize to [0, 1] over the whole element universe.
 
     Unscored elements count as raw 0. +inf maps to 1 and -inf to 0, and both
     are excluded from the finite range; a degenerate (constant) score vector
-    maps to all zeros.
+    maps to all zeros. A NaN score is a CombineError.
     """
     universe = list(universe)
     if not universe:
         raise CombineError("empty element universe")
-    have = scored.as_dict()
-    raw = {e: float(have.get(e, 0.0)) for e in universe}
+    raw = {e: float(scores.get(e, 0.0)) for e in universe}
     finite = [v for v in raw.values() if math.isfinite(v)]
     out = {}
     if finite:
@@ -110,6 +110,8 @@ def normalize(scored: ScoredList, universe: Iterable) -> dict:
     else:
         lo = hi = 0.0
     for e, v in raw.items():
+        if math.isnan(v):
+            raise CombineError(f"NaN score for {e}")
         if math.isinf(v):
             out[e] = 1.0 if v > 0 else 0.0
         elif hi == lo:
@@ -152,7 +154,7 @@ class FaultFeatures:
 
 def build_features(
     fault_id: str,
-    technique_scores: Mapping[str, ScoredList],
+    technique_scores: Mapping[str, Mapping],
     universe: Iterable,
     faulty: Iterable,
     techniques: Sequence[str],
@@ -463,13 +465,12 @@ def violations(model: RankModel, pairs: Sequence) -> int:
     return count
 
 
-def predict(model: RankModel, features: FaultFeatures) -> ScoredList:
+def predict(model: RankModel, features: FaultFeatures) -> dict:
     if features.techniques != model.techniques:
         raise CombineError(
             f"feature techniques {features.techniques} do not match model {model.techniques}"
         )
-    scores = [_dot(row, model.weights) for row in features.matrix]
-    return ScoredList("combined", list(zip(features.elements, scores)))
+    return {e: _dot(row, model.weights) for e, row in zip(features.elements, features.matrix)}
 
 
 def combined_e_inspect(model: RankModel, fault: FaultFeatures) -> Fraction:

@@ -15,7 +15,9 @@ Pre-computed suspiciousness scores are exchanged as JSON lines:
 
     {"fault": "...", "technique": "...", "scores": [["file:line:idx", 0.5], ...]}
 
-with the literal token "inf" standing for +infinity.
+A score is a JSON number other than a bool or NaN, or one of the strings
+"inf" and "-inf", which stand for +infinity and -infinity. No element appears
+twice in one record.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .minilang import MiniSyntaxError, Program, TestCase, parse
 from .model import (
     ModelError,
     ProgramElement,
-    ScoredList,
     adjust_ground_truth_for_insertions,
     parse_element_key,
 )
@@ -167,7 +168,7 @@ def load_corpus(corpus_dir: str | Path) -> list[FaultBundle]:
 class ScoreRecord:
     fault_id: str
     technique_id: str
-    scores: ScoredList
+    scores: dict  # element -> score
 
 
 def ingest_scores(path: str | Path) -> list[ScoreRecord]:
@@ -183,18 +184,25 @@ def ingest_scores(path: str | Path) -> list[ScoreRecord]:
             technique = data["technique"]
             if not (isinstance(fault, str) and isinstance(technique, str)):
                 raise TypeError("fault and technique must be strings")
-            entries = []
+            scores = {}
             for key, score in data["scores"]:
-                if score == "inf":
-                    score = math.inf
-                entries.append((parse_element_key(key), float(score)))
-            record = ScoreRecord(fault, technique, ScoredList(technique, entries))
+                elem = parse_element_key(key)
+                if score in ("inf", "-inf"):
+                    score = float(score)
+                elif type(score) not in (int, float):  # a bool is not a score
+                    raise TypeError(f'score {json.dumps(score)} for {elem} is not a number, "inf" or "-inf"')
+                if math.isnan(score):
+                    raise ValueError(f"NaN score for {elem}")
+                if elem in scores:
+                    raise ValueError(f"duplicate element {elem}")
+                scores[elem] = float(score)
+            record = ScoreRecord(fault, technique, scores)
         except (
             KeyError,
             TypeError,
             ValueError,
+            OverflowError,
             ModelError,
-            json.JSONDecodeError,
         ) as exc:
             raise CorpusError(f"{path}:{lineno}: malformed score record: {exc}") from exc
         if (fault, technique) in records:

@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .model import ScoredList
-
 # An ASCII word: capitals before a capitalized word ("XML" in "XMLParser"),
 # capitals then lowercase letters or digits ("Parser", "of3"), or capitals alone.
 _WORD = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]*[a-z0-9]+|[A-Z]+")
@@ -25,7 +23,7 @@ def tokenize(text: str) -> list[str]:
     return [word.lower() for word in _WORD.findall(text)]
 
 
-def ir_rank_files(report_text: str, files: Mapping[str, str]) -> ScoredList:
+def ir_rank_files(report_text: str, files: Mapping[str, str]) -> dict:
     """Cosine similarity between TF-IDF vectors of the bug report and each file.
 
     tf is the raw term count; idf = ln(N/df) over the file corpus, dropping
@@ -48,16 +46,16 @@ def ir_rank_files(report_text: str, files: Mapping[str, str]) -> ScoredList:
 
     qv = vec(query)
     qnorm = math.sqrt(sum(w * w for w in qv.values()))
-    entries = []
+    scores = {}
     for fid, counts in docs.items():
         dv = vec(counts)
         dnorm = math.sqrt(sum(w * w for w in dv.values()))
         if qnorm == 0 or dnorm == 0:
-            entries.append((fid, 0.0))
+            scores[fid] = 0.0
             continue
         dot = sum(w * dv.get(t, 0.0) for t, w in qv.items())
-        entries.append((fid, dot / (qnorm * dnorm)))
-    return ScoredList("ir", entries)
+        scores[fid] = dot / (qnorm * dnorm)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def _check_history(commits: list) -> None:
         raise ValueError("history log timestamps must be finite and non-decreasing")
 
 
-def history_rank_files(commits: Iterable[Commit], now: float) -> ScoredList:
+def history_rank_files(commits: Iterable[Commit], now: float) -> dict:
     """Sum recency weights of each file's fix commits; no fix commits -> all zero."""
     commits = list(commits)
     _check_history(commits)
@@ -103,7 +101,7 @@ def history_rank_files(commits: Iterable[Commit], now: float) -> ScoredList:
             w = recency_weight(t_norm)
             for f in c.files:
                 scores[f] += w
-    return ScoredList("history", tuple(scores.items()))
+    return scores
 
 
 def commits_from_json(text: str) -> list[Commit]:
@@ -120,14 +118,11 @@ def commits_from_json(text: str) -> list[Commit]:
     return commits
 
 
-def propagate_file_scores(
-    file_scores: ScoredList, file_elements: Mapping[str, Iterable]
-) -> ScoredList:
+def propagate_file_scores(file_scores: Mapping, file_elements: Mapping[str, Iterable]) -> dict:
     """Every executable statement receives its file's score; unscored files give 0."""
-    scores = file_scores.as_dict()
-    entries = []
+    scores = {}
     for fid, elements in file_elements.items():
-        score = scores.get(fid, 0.0)
+        score = file_scores.get(fid, 0.0)
         for elem in elements:
-            entries.append((elem, score))
-    return ScoredList(file_scores.technique_id, entries)
+            scores[elem] = score
+    return scores

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple
 
-from .model import ProgramElement, ScoredList
+from .model import ProgramElement
 
 
 class MutantKills(NamedTuple):
@@ -65,7 +65,7 @@ def metallaxis_mutant_score(failed_m: int, passed_m: int, total_failed: int) -> 
     return failed_m / math.sqrt(total_failed * (failed_m + passed_m))
 
 
-def aggregate_to_statement(technique: str, matrix: tuple, universe) -> ScoredList:
+def aggregate_to_statement(technique: str, matrix: tuple, universe) -> dict:
     """Score each mutant from `build_outcome_matrix`'s counts, then each
     statement: MUSE averages its mutants' scores, Metallaxis takes the maximum.
     Statements without mutants score 0."""
@@ -84,13 +84,13 @@ def aggregate_to_statement(technique: str, matrix: tuple, universe) -> ScoredLis
     by_stmt: dict = {}
     for k, score in zip(kills.values(), scores):
         by_stmt.setdefault(k.stmt, []).append(score)
-    entries = []
+    out = {}
     for elem in universe:
         stmt_scores = by_stmt.get(elem)
         if not stmt_scores:
-            entries.append((elem, 0.0))
+            out[elem] = 0.0
         elif technique == "muse":
-            entries.append((elem, sum(stmt_scores) / len(stmt_scores)))
+            out[elem] = sum(stmt_scores) / len(stmt_scores)
         else:
-            entries.append((elem, max(stmt_scores)))
-    return ScoredList(technique, entries)
+            out[elem] = max(stmt_scores)
+    return out

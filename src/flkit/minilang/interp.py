@@ -22,9 +22,9 @@ each call its callee's return event, while the callee's statements collect
 theirs in lists of their own. A re-execution keeps no dependence bookkeeping:
 no defining events, no lists. Programs share nodes: a mutant shares with its
 original every node off the path to its mutation. That is safe because no node
-changes after parse except the `grows` mark and the cached code, and both
-depend only on the node and what it contains. A call looks its callee up in
-the running program, not in the one it was compiled for.
+changes after parse except its cached code, which depends only on the node and
+what it contains. A call looks its callee up in the running program, not in
+the one it was compiled for.
 
 A loop whose variables repeat at its head ends as a "budget" crash there, as it
 would after running out of steps. Nothing else can change while it runs: there
@@ -44,12 +44,12 @@ accumulator. Once the rest of the state repeats, every later period repeats its
 branches, calls and crashes and adds the same amount to each accumulator. So
 the loop stops only if neither new outcome can come: no overflow, because each
 accumulator is back at its value at the snapshot or has |v| + steps left × M
-<= INT_LIMIT, where M is the largest |e| of a literal e at the loop's
-accumulator sites or that any `v = v ± e` with a non-literal e has added
-during this execution of the loop, nested loops and calls included; and no
-exit, because the drift variable has moved since the snapshot the way that
-keeps the predicate true (down or not at all under < and <=, up under > and
->=, the reverse under !).
+<= INT_LIMIT, where M is the largest |e| that any `v = v ± e` has added during
+this execution of the loop, nested loops and calls included (a later period
+replays the period since the snapshot, which ran in this execution, so M
+covers every e it adds); and no exit, because the drift variable has moved
+since the snapshot the way that keeps the predicate true (down or not at all
+under < and <=, up under > and >=, the reverse under !).
 
 The comparison also leaves out the loop's scaled variables: variables assigned
 in it only as `v = v * e`, never declared there, read nowhere else in it and
@@ -65,8 +65,7 @@ its outcome alone, but an original run's events up to the overflow feed its
 slices, its flips and the re-execution budget. It crashes "budget" only if
 every such v has (k - 1)·S >= the steps left, so that the budget runs out
 before its period k begins, and no accumulator can overflow; otherwise it runs
-on. Each While node is classified by one recursive walk when it is compiled,
-before its body.
+on. Each While node is classified by one recursive walk when it is compiled.
 """
 
 from __future__ import annotations
@@ -220,8 +219,7 @@ _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
 def _classify(loop: While) -> tuple:
     """(accumulators, scaled variables, drift variable or None, its holding
-    sign, the largest |e| of a literal e at an accumulator site) of a loop
-    (module docstring)."""
+    sign) of a loop (module docstring)."""
     reads, sites, fixed = set(), [], set()
     cond, sign, drift = loop.cond, 1, None
     if type(cond) is Unary and cond.op == "!":
@@ -235,31 +233,30 @@ def _classify(loop: While) -> tuple:
     growing = sums - products - fixed - reads
     # The predicate reads its drift shape's variable too; only an accumulator may drift.
     scaled = products - sums - fixed - reads - {drift}
-    literal_step = max(
-        (abs(site.value.right.value) for site in sites if site.target in growing and not site.grows),
-        default=0,
-    )
     drift = drift if drift in growing else None
-    return tuple(sorted(growing)), tuple(sorted(scaled)), drift, sign, literal_step
+    return tuple(sorted(growing)), tuple(sorted(scaled)), drift, sign
+
+
+def _step_op(node: Assign) -> Optional[str]:
+    """The operator of a `v = v + e`, `v = v - e` or `v = v * e` statement, or None."""
+    value = node.value
+    if node.index is None and type(value) is Binary and value.op in ("+", "-", "*"):
+        if type(value.left) is Var and value.left.name == node.target:
+            return value.op
+    return None
 
 
 def _scan(node, reads: set, sites: list, fixed: set):
     """Add the names node reads to reads, its `v = v + e`, `v = v - e` and
     `v = v * e` statements to sites, and the names it otherwise assigns or
-    declares to fixed. Marks each + or - site whose e is not a literal as one
-    whose steps the interpreter tracks. The mark depends on the site alone, not
-    on the loop: programs that share the node (a mutant and its original) must
-    run it alike."""
+    declares to fixed."""
     kind = type(node)
     if kind is Var:
         reads.add(node.name)
     elif kind is Assign:
-        value = node.value
-        step = node.index is None and type(value) is Binary and value.op in ("+", "-", "*")
-        if step and type(value.left) is Var and value.left.name == node.target:
+        if _step_op(node):
             sites.append(node)
-            node.grows = value.op != "*" and type(value.right) is not Num
-            _scan(value.right, reads, sites, fixed)
+            _scan(node.value.right, reads, sites, fixed)
             return
         fixed.add(node.target)
     elif kind is VarDecl:
@@ -314,7 +311,7 @@ class _Interp:
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
         self.deps: list = []  # the running statement's dependences so far (original runs only)
-        self.largest_step = 0  # the largest |e| a marked site has added in the running loop
+        self.largest_step = 0  # the largest |e| a `v = v ± e` has added in the running loop
 
     def settle_events(self):
         """Turn each pair an exception left pending in an original run into an Event with no deps."""
@@ -325,7 +322,7 @@ class _Interp:
             if type(ev) is tuple:
                 events[idx] = Event(ev[0], frozenset(), ev[1])
 
-    def repeat_crash(self, env, growing, scaled, before, literal_step, period) -> Optional[str]:
+    def repeat_crash(self, env, growing, scaled, before, period) -> Optional[str]:
         """The crash kind that a loop whose variables have repeated, but for its
         accumulators and scaled variables, `period` steps after its snapshot
         certainly reaches, or None if it must run on (module docstring). before
@@ -347,7 +344,7 @@ class _Interp:
         # values; one that is undefined or not an int is never added to, as that
         # crashes; any other moves at most M a step, as the period it replays
         # added nothing larger.
-        limit = INT_LIMIT - left * max(self.largest_step, literal_step)
+        limit = INT_LIMIT - left * self.largest_step
         values = map(env.get, growing)
         if budget and all(v == b or type(v) is not int or abs(v) <= limit for v, b in zip(values, before)):
             return "budget"
@@ -552,7 +549,7 @@ def _compile(node):
         return call
     elem = node.elem
     if kind is Assign:
-        target, source, grows = node.target, _code(node.value), getattr(node, "grows", False)
+        target, source, grows = node.target, _code(node.value), _step_op(node) in ("+", "-")
         index = None if node.index is None else _code(node.index)
 
         def assign(interp, frame):
@@ -575,7 +572,7 @@ def _compile(node):
                 value = array
             elif target not in env:
                 raise _Crash("undefined-var")
-            elif grows:  # marked by an enclosing loop's _classify
+            elif grows:  # bounds the stop of each loop running it (module docstring)
                 interp.largest_step = max(interp.largest_step, abs(value - env[target]))
             env[target] = value
             if not interp.reexec:
@@ -584,8 +581,7 @@ def _compile(node):
 
         return assign
     if kind is While:
-        # Classified before the body compiles: the walk marks the body's step sites.
-        growing, scaled, drift, sign, literal_step = _classify(node)
+        growing, scaled, drift, sign = _classify(node)
         skipped = growing + scaled  # left out of the repeat check
         predicate, body = _predicate(node), _codes(node.body)
 
@@ -613,9 +609,7 @@ def _compile(node):
                             if name in env:  # one that is undefined stays so
                                 saved[name] = env[name]
                         if env == saved and _same_types(env, saved):
-                            crash = interp.repeat_crash(
-                                env, growing, scaled, before, literal_step, len(events) - saved_at
-                            )
+                            crash = interp.repeat_crash(env, growing, scaled, before, len(events) - saved_at)
                             if crash is not None:
                                 raise _Crash(crash)
                     lap += 1

@@ -1,4 +1,8 @@
-"""Shared data model: program elements, scored lists, tie-aware rankings."""
+"""Shared data model: program elements, scores and tie-aware rankings.
+
+A technique's scores are a plain dict from element to score. Scores may be
++inf or -inf, never NaN; a ranking rejects NaN with a ModelError.
+"""
 
 from __future__ import annotations
 
@@ -74,34 +78,6 @@ def parse_element_key(key: str) -> ProgramElement:
 
 
 @dataclass(frozen=True)
-class ScoredList:
-    """Scores assigned by one technique. Scores may be +inf; no element repeats."""
-
-    technique_id: str
-    entries: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen = set()
-        for elem, score in self.entries:
-            if elem in seen:
-                raise ModelError(f"duplicate element {elem} in scored list")
-            seen.add(elem)
-            if math.isnan(score):
-                raise ModelError(f"NaN score for {elem}")
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-    @property
-    def elements(self) -> set:
-        return {e for e, _ in self.entries}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class Ranking:
     """Tie-groups in strictly decreasing score order, with 1-based start positions."""
 
@@ -131,6 +107,9 @@ def _group(entries: Iterable) -> Ranking:
         by_score.setdefault(score, []).append(elem)
     if not by_score:
         raise ModelError("cannot rank an empty scored list")
+    for score, members in by_score.items():
+        if math.isnan(score):
+            raise ModelError(f"NaN score for {members[0]}")
     groups = []
     starts = []
     pos = 1
@@ -143,37 +122,34 @@ def _group(entries: Iterable) -> Ranking:
     return Ranking(tuple(groups), tuple(starts), tuple(scores))
 
 
-def rank_elements(scored: ScoredList) -> Ranking:
+def rank_elements(scores: Mapping) -> Ranking:
     """Group elements by exact score equality, ordered by decreasing score.
 
     +inf sorts above every finite score and forms its own tie-group.
     """
-    return _group(scored.entries)
+    return _group(scores.items())
 
 
-def full_universe_ranking(scored: ScoredList, universe: Iterable) -> Ranking:
+def full_universe_ranking(scores: Mapping, universe: Iterable) -> Ranking:
     """Rank the whole element universe; elements the technique left unscored get 0."""
     universe = set(universe)
-    have = scored.as_dict()
-    outside = have.keys() - universe
+    outside = scores.keys() - universe
     if outside:
         raise ModelError(f"scored elements outside universe: {sorted(map(str, outside))}")
-    return _group((e, have.get(e, 0.0)) for e in universe)
+    return _group((e, scores.get(e, 0.0)) for e in universe)
 
 
-def lift_to_method_granularity(
-    scored: ScoredList, method_of: Mapping[Hashable, str]
-) -> ScoredList:
+def lift_to_method_granularity(scores: Mapping, method_of: Mapping[Hashable, str]) -> dict:
     """Lift statement scores to methods: a method scores the max of its statements."""
     out: dict = {}
-    for elem, score in scored.entries:
+    for elem, score in scores.items():
         try:
             method = method_of[elem]
         except KeyError:
             raise ModelError(f"element {elem} has no method mapping") from None
         if method not in out or score > out[method]:
             out[method] = score
-    return ScoredList(scored.technique_id, tuple(out.items()))
+    return out
 
 
 def adjust_ground_truth_for_insertions(

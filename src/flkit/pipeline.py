@@ -26,7 +26,7 @@ from .metrics import (
 )
 from .minilang import gen_mutants, run
 from .minilang.interp import reexec_step_budget
-from .model import ModelError, ScoredList, full_universe_ranking, lift_to_method_granularity
+from .model import ModelError, full_universe_ranking, lift_to_method_granularity
 from .predswitch import critical_predicates_for_tests
 from .slicing import Strategy, backward_slice, combine_slices
 from .stacktrace import score_stack_traces
@@ -43,7 +43,7 @@ class FaultAnalysis:
     """Per-fault technique scores (statement granularity) plus family timings."""
 
     bundle: FaultBundle
-    scores: dict = field(default_factory=dict)  # technique_id -> ScoredList
+    scores: dict = field(default_factory=dict)  # technique -> element -> score
     timings: dict = field(default_factory=dict)  # family -> seconds
 
 
@@ -69,11 +69,10 @@ def _score_slicing(bundle: FaultBundle, traces: dict) -> dict:
         for tr in traces.values()
         if tr.failed and tr.criterion_event is not None
     ]
-    scores = {}
-    for strategy in Strategy:
-        tech = f"slice-{strategy.value}"
-        scores[tech] = combine_slices(slices, strategy) if slices else ScoredList(tech)
-    return scores
+    return {
+        f"slice-{strategy.value}": combine_slices(slices, strategy) if slices else {}
+        for strategy in Strategy
+    }
 
 
 def _score_sbfl(bundle: FaultBundle, traces: dict) -> dict:
@@ -81,8 +80,8 @@ def _score_sbfl(bundle: FaultBundle, traces: dict) -> dict:
         [(tr.covered, tr.failed) for tr in traces.values()], bundle.elements
     )
     return {
-        "ochiai": sbfl.spectrum_scores(spectrum, sbfl.ochiai, "ochiai"),
-        "dstar": sbfl.spectrum_scores(spectrum, sbfl.dstar, "dstar"),
+        "ochiai": sbfl.spectrum_scores(spectrum, sbfl.ochiai),
+        "dstar": sbfl.spectrum_scores(spectrum, sbfl.dstar),
     }
 
 
@@ -118,7 +117,7 @@ def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
 
 
 # One scorer per row of combine.FAMILIES: (bundle, test_id -> original trace)
-# -> technique -> ScoredList.
+# -> technique -> element -> score.
 SCORERS = {
     "history": _score_history,
     "stacktrace": _score_stacktrace,
@@ -161,7 +160,7 @@ def analyze_fault(bundle: FaultBundle, families: Sequence[str]) -> FaultAnalysis
 
 
 def _granular(analysis: FaultAnalysis, granularity: str):
-    """(universe, faulty, technique->ScoredList) at the requested granularity."""
+    """(universe, faulty, technique -> scores) at the requested granularity."""
     bundle = analysis.bundle
     if granularity == "statement":
         return tuple(bundle.elements), set(bundle.faulty), analysis.scores

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 from .minilang.interp import PASS, run
 from .minilang.parse import Program
-from .model import ScoredList
 
 # Bounds the predicate instances examined per failing test, taken in
 # execution order; an instance of an already critical predicate is not re-run.
 INSTANCE_BUDGET = 10**4
 
 
-def critical_predicates_for_tests(program: Program, failing_runs, budget: int) -> tuple[ScoredList, int]:
+def critical_predicates_for_tests(program: Program, failing_runs, budget: int) -> tuple[dict, int]:
     """Union of critical predicates over (test, original failing trace) pairs, each flip run
-    within ``budget`` steps, as a set-valued scored list, plus the number of re-executions.
+    within ``budget`` steps, each scoring 1.0, plus the number of re-executions.
 
     Each failing run's predicate instances are flipped in execution order, one
     per re-execution. ``budget`` is ``reexec_step_budget`` of the fault's
@@ -34,4 +33,4 @@ def critical_predicates_for_tests(program: Program, failing_runs, budget: int) -
             reexecutions += 1
             if flipped.flip_applied and flipped.outcome.status == PASS:
                 critical.add(element)
-    return ScoredList("predswitch", [(e, 1.0) for e in critical]), reexecutions
+    return dict.fromkeys(critical, 1.0), reexecutions

@@ -64,10 +64,5 @@ def dstar(ef: int, ep: int, nf: int, np: int, star: int = 2) -> float:
     return ef**star / denom
 
 
-def spectrum_scores(spectrum: Spectrum, formula, technique_id: str):
-    from .model import ScoredList
-
-    entries = [
-        (elem, formula(c.ef, c.ep, c.nf, c.np)) for elem, c in spectrum.counts.items()
-    ]
-    return ScoredList(technique_id, entries)
+def spectrum_scores(spectrum: Spectrum, formula) -> dict:
+    return {elem: formula(c.ef, c.ep, c.nf, c.np) for elem, c in spectrum.counts.items()}

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
 from .minilang.interp import ExecutionTrace
-from .model import ScoredList
 
 
 class Strategy(Enum):
@@ -47,7 +47,7 @@ def backward_slice(trace: ExecutionTrace, criterion_event: Optional[int] = None)
     return DynamicSlice(trace.events[criterion_event].element, criterion_event, members)
 
 
-def combine_slices(slices: Iterable[DynamicSlice], strategy: Strategy) -> ScoredList:
+def combine_slices(slices: Iterable[DynamicSlice], strategy: Strategy) -> dict:
     """Combine one slice per failed test.
 
     Union and intersection are set outputs (members score 1); frequency scores
@@ -56,15 +56,9 @@ def combine_slices(slices: Iterable[DynamicSlice], strategy: Strategy) -> Scored
     slices = list(slices)
     if not slices:
         raise ValueError("need at least one slice")
-    technique = f"slice-{strategy.value}"
     if strategy is Strategy.UNION:
-        members = frozenset().union(*(s.members for s in slices))
-        return ScoredList(technique, [(e, 1.0) for e in members])
+        return dict.fromkeys(frozenset().union(*(s.members for s in slices)), 1.0)
     if strategy is Strategy.INTERSECTION:
-        members = frozenset.intersection(*(s.members for s in slices))
-        return ScoredList(technique, [(e, 1.0) for e in members])
-    counts: dict = {}
-    for s in slices:
-        for e in s.members:
-            counts[e] = counts.get(e, 0) + 1
-    return ScoredList(technique, [(e, c / len(slices)) for e, c in counts.items()])
+        return dict.fromkeys(frozenset.intersection(*(s.members for s in slices)), 1.0)
+    counts = Counter(e for s in slices for e in s.members)
+    return {e: c / len(slices) for e, c in counts.items()}

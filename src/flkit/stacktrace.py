@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .minilang.interp import CRASH, ExecutionTrace
-from .model import ProgramElement, ScoredList
+from .model import ProgramElement
 
 
 def method_scores_from_frames(frame_lists: Iterable[Iterable]) -> dict:
@@ -22,16 +22,15 @@ def method_scores_from_frames(frame_lists: Iterable[Iterable]) -> dict:
 
 def score_stack_traces(
     failed_traces: Iterable[ExecutionTrace], elements: Iterable[ProgramElement]
-) -> ScoredList:
+) -> dict:
     """Score methods from crash stacks and give each statement in `elements`
     the score of its method_id.
 
     Assertion failures come from the test harness, not the program, so they
-    contribute nothing; with no crashes at all the list is empty.
+    contribute nothing; with no crashes at all the scores are empty.
     """
     frame_lists = [
         t.outcome.stack for t in failed_traces if t.outcome.status == CRASH
     ]
     methods = method_scores_from_frames(frame_lists)
-    entries = [(e, methods[e.method_id]) for e in elements if e.method_id in methods]
-    return ScoredList("stacktrace", entries)
+    return {e: methods[e.method_id] for e in elements if e.method_id in methods}

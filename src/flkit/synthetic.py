@@ -12,7 +12,7 @@ import random
 
 from .combine import FaultFeatures, build_features
 from .metrics import expected_first_faulty_rank
-from .model import ScoredList, rank_elements
+from .model import rank_elements
 
 TECHNIQUES = ("alpha", "beta")
 
@@ -20,7 +20,7 @@ TECHNIQUES = ("alpha", "beta")
 def complementary_corpus(
     n_faults: int = 30, n_elements: int = 15, seed: int = 0
 ) -> tuple[list[FaultFeatures], dict]:
-    """Returns (per-fault features, per-technique standalone scored lists)."""
+    """Returns (per-fault features, per-technique standalone scores)."""
     rng = random.Random(seed)
     features = []
     standalone: dict = {t: {} for t in TECHNIQUES}
@@ -31,14 +31,13 @@ def complementary_corpus(
         perfect = "alpha" if i < n_faults // 2 else "beta"
         scores = {}
         for tech in TECHNIQUES:
-            entries = []
+            scores[tech] = {}
             for e in elements:
                 if tech == perfect:
                     s = 1.0 if e in faulty else rng.uniform(0.0, 0.1)
                 else:
                     s = rng.uniform(0.0, 1.0)
-                entries.append((e, s))
-            scores[tech] = ScoredList(tech, entries)
+                scores[tech][e] = s
         standalone["alpha"][fault_id] = (scores["alpha"], faulty)
         standalone["beta"][fault_id] = (scores["beta"], faulty)
         features.append(

@@ -23,7 +23,6 @@ from flkit.combine import (
     train,
     violations,
 )
-from flkit.model import ScoredList
 from flkit.synthetic import TECHNIQUES, complementary_corpus
 
 
@@ -83,51 +82,55 @@ class TestPresets:
 
 class TestNormalize:
     def test_min_max(self):
-        scored = ScoredList("t", [("a", 2.0), ("b", 6.0), ("c", 4.0)])
+        scored = {"a": 2.0, "b": 6.0, "c": 4.0}
         out = normalize(scored, ["a", "b", "c"])
         assert out == {"a": 0.0, "b": 1.0, "c": 0.5}
 
     def test_unscored_counts_as_zero(self):
-        scored = ScoredList("t", [("a", 5.0)])
+        scored = {"a": 5.0}
         out = normalize(scored, ["a", "b"])
         assert out == {"a": 1.0, "b": 0.0}
 
     def test_infinity_maps_to_one_and_is_excluded_from_max(self):
-        scored = ScoredList("t", [("a", math.inf), ("b", 3.0), ("c", 1.0)])
+        scored = {"a": math.inf, "b": 3.0, "c": 1.0}
         out = normalize(scored, ["a", "b", "c"])
         assert out["a"] == 1.0
         assert out["b"] == 1.0  # finite max
         assert out["c"] == 0.0
 
     def test_negative_infinity_maps_to_zero(self):
-        scored = ScoredList("t", [("a", -math.inf), ("b", 1.0), ("c", 0.5)])
+        scored = {"a": -math.inf, "b": 1.0, "c": 0.5}
         assert normalize(scored, ["a", "b", "c"]) == {"a": 0.0, "b": 1.0, "c": 0.0}
 
     def test_constant_vector_all_zero(self):
-        scored = ScoredList("t", [("a", 7.0), ("b", 7.0)])
+        scored = {"a": 7.0, "b": 7.0}
         assert normalize(scored, ["a", "b"]) == {"a": 0.0, "b": 0.0}
 
     def test_empty_universe_rejected(self):
         with pytest.raises(CombineError):
-            normalize(ScoredList("t", []), [])
+            normalize({}, [])
+
+    def test_nan_rejected(self):
+        with pytest.raises(CombineError, match="NaN score for b"):
+            normalize({"a": 1.0, "b": math.nan}, ["a", "b"])
 
     def test_overflowing_finite_range(self):
-        scored = ScoredList("t", [("a", 1e308), ("b", -1e308), ("c", 0.0)])
+        scored = {"a": 1e308, "b": -1e308, "c": 0.0}
         assert normalize(scored, ["a", "b", "c"]) == {"a": 1.0, "b": 0.0, "c": 0.5}
 
 
 class TestFeatures:
     def test_build_features_shape_and_range(self):
         scores = {
-            "x": ScoredList("x", [("a", 1.0), ("b", 3.0)]),
-            "y": ScoredList("y", [("a", -2.0)]),
+            "x": {"a": 1.0, "b": 3.0},
+            "y": {"a": -2.0},
         }
         feats = build_features("f1", scores, ("a", "b"), {"a"}, ("x", "y"))
         assert len(feats.matrix) == 2 and all(len(row) == 2 for row in feats.matrix)
         assert feats.matrix[feats.elements.index("b")] == (1.0, 1.0)  # y: b unscored 0 > -2
 
     def test_overflowing_finite_range_accepted(self):
-        scores = {"x": ScoredList("x", [("a", 1e308), ("b", -1e308), ("c", 0.0)])}
+        scores = {"x": {"a": 1e308, "b": -1e308, "c": 0.0}}
         feats = build_features("f1", scores, ("a", "b", "c"), {"a"}, ("x",))
         assert feats.matrix == ((1.0,), (0.0,), (0.5,))
 
@@ -254,7 +257,7 @@ class TestTraining:
     def test_predict_scores_are_linear(self):
         faults, _ = complementary_corpus(n_faults=1, n_elements=4, seed=0)
         model = RankModel(TECHNIQUES, (2.0, 1.0), seed=0)
-        scored = predict(model, faults[0]).as_dict()
+        scored = predict(model, faults[0])
         f = faults[0]
         for row, e in zip(f.matrix, f.elements):
             assert scored[e] == pytest.approx(2.0 * row[0] + 1.0 * row[1])
@@ -273,7 +276,7 @@ class TestTraining:
             frozenset({faulty}),
         )
         model = RankModel(techniques, self.TIE_WEIGHTS, seed=0)
-        scored = predict(model, fault).as_dict()
+        scored = predict(model, fault)
         assert scored["a"] == scored["c"]
         assert combined_e_inspect(model, fault) == Fraction(3, 2)
 

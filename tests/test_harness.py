@@ -20,7 +20,7 @@ from flkit.corpus import (
     load_fault,
 )
 from flkit.minilang import TestCase as MLTest, gen_mutants, parse, run
-from flkit.model import ProgramElement, ScoredList
+from flkit.model import ProgramElement
 from flkit.pipeline import (
     SCORERS,
     PipelineError,
@@ -108,7 +108,7 @@ def write_scores(records, path):
     """Write score records as the JSON lines `ingest_scores` reads."""
     with open(path, "w") as fh:
         for rec in records:
-            scores = [[str(e), "inf" if math.isinf(v) else v] for e, v in rec.scores.entries]
+            scores = [[str(e), str(v) if math.isinf(v) else v] for e, v in rec.scores.items()]
             fh.write(json.dumps({"fault": rec.fault_id, "technique": rec.technique_id, "scores": scores}) + "\n")
 
 
@@ -123,9 +123,11 @@ def write_fault(fault_dir, program="func f(x) { return x; }", entry="f", args=(1
 
 class TestScoreRecords:
     def rec(self, fault="f1", tech="ochiai"):
-        scored = ScoredList(
-            tech, [(ProgramElement("program.ml", 1), 0.5), (ProgramElement("program.ml", 2), math.inf)]
-        )
+        scored = {
+            ProgramElement("program.ml", 1): 0.5,
+            ProgramElement("program.ml", 2): math.inf,
+            ProgramElement("program.ml", 3): -math.inf,
+        }
         return ScoreRecord(fault, tech, scored)
 
     def test_round_trip_including_infinity(self, tmp_path):
@@ -133,19 +135,19 @@ class TestScoreRecords:
         write_scores([self.rec()], path)
         (record,) = ingest_scores(path)
         assert record.fault_id == "f1"
-        assert record.scores.as_dict() == self.rec().scores.as_dict()
+        assert record.scores == self.rec().scores
 
     def test_duplicate_last_wins(self, tmp_path, caplog):
         path = tmp_path / "scores.jsonl"
         first = self.rec()
         second = ScoreRecord(
-            "f1", "ochiai", ScoredList("ochiai", [(ProgramElement("program.ml", 9), 1.0)])
+            "f1", "ochiai", {ProgramElement("program.ml", 9): 1.0}
         )
         write_scores([first, second], path)
         with caplog.at_level("WARNING"):
             records = ingest_scores(path)
         assert len(records) == 1
-        assert records[0].scores.as_dict() == second.scores.as_dict()
+        assert records[0].scores == second.scores
         assert any("duplicate" in m for m in caplog.messages)
 
     @pytest.mark.parametrize(
@@ -155,8 +157,16 @@ class TestScoreRecords:
             '{"fault": "f01_absval", "technique": ["x"], "scores": []}',
             '{"fault": "f1", "technique": 5, "scores": [["a:1:0", 1.0]]}',
             '{"fault": "f1", "technique": "t", "scores": [[5, 1.0]]}',
+            '{"fault": "f1", "technique": "t", "scores": [["a:1:0", 1.0], ["a:1:0", 2.0]]}',
+            '{"fault": "f1", "technique": "t", "scores": [["a:1:0", NaN]]}',
+            '{"fault": "f1", "technique": "t", "scores": [["a:1:0", true]]}',
+            '{"fault": "f1", "technique": "t", "scores": [["a:1:0", "0.5"]]}',
+            '{"fault": "f1", "technique": "t", "scores": [["a:1:0", 1%s]]}' % ("0" * 400),
         ],
-        ids=["not-json", "list-technique", "int-technique", "int-element"],
+        ids=[
+            "not-json", "list-technique", "int-technique", "int-element", "repeated-element",
+            "nan-score", "bool-score", "string-score", "huge-int-score",
+        ],
     )
     def test_malformed_line_reports_line_number(self, tmp_path, line):
         path = tmp_path / "scores.jsonl"
@@ -322,7 +332,7 @@ class TestMutantExecution:
     def test_flip_of_early_exit_is_critical(self):
         bundle, traces = early_exit_fault()
         scored = pipeline._score_predswitch(bundle, traces)["predswitch"]
-        assert {e.line for e in scored.elements} == {2}
+        assert {e.line for e in scored} == {2}
 
     def test_uncovered_pairs_are_not_run(self, bundles, monkeypatch):
         bundle, traces = self.fault(bundles, "f04_gcd")
@@ -414,7 +424,7 @@ class TestEvaluateScoreRecords:
         b = bundles[0]
         faulty_elem = next(iter(b.faulty))
         good = ScoreRecord(
-            b.fault_id, "ext", ScoredList("ext", [(faulty_elem, 1.0)])
+            b.fault_id, "ext", {faulty_elem: 1.0}
         )
         results = evaluate_score_records([good], bundles)
         summary = results["techniques"]["ext"]
@@ -423,7 +433,7 @@ class TestEvaluateScoreRecords:
         assert summary["not_localized"] == 9
 
     def test_unknown_fault_rejected(self, bundles):
-        bad = ScoreRecord("ghost", "t", ScoredList("t", [(ProgramElement("program.ml", 1), 1.0)]))
+        bad = ScoreRecord("ghost", "t", {ProgramElement("program.ml", 1): 1.0})
         with pytest.raises(PipelineError):
             evaluate_score_records([bad], bundles)
 
@@ -487,6 +497,23 @@ class TestCli:
         flag = argv[-2]
         [message] = [line for line in captured.err.splitlines() if not line.startswith(("usage:", " "))]
         assert message.startswith(f"flkit {argv[0]}: error: argument {flag}: ")
+
+    @pytest.mark.parametrize(
+        "preset,message",
+        [
+            ("level", "bad preset 'level'; expected level1..level4"),
+            ("levelx", "bad preset 'levelx'; expected level1..level4"),
+            ("level5", "preset level 5 out of range 1..4"),
+        ],
+        ids=["bare-level", "not-a-number", "out-of-range"],
+    )
+    def test_bad_preset_is_a_usage_error(self, capsys, preset, message):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["evaluate", "--corpus", str(CORPUS), "--preset", preset])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+        assert line == f"flkit evaluate: error: argument --preset: {message}"
 
     def test_localize_shows_each_technique_once(self, capsys):
         rc = cli_main(
@@ -588,7 +615,7 @@ class TestCli:
         b = bundles[0]
         scores = tmp_path / "scores.jsonl"
         write_scores(
-            [ScoreRecord(b.fault_id, "ext", ScoredList("ext", [(next(iter(b.faulty)), 2.0)]))],
+            [ScoreRecord(b.fault_id, "ext", {next(iter(b.faulty)): 2.0})],
             scores,
         )
         rc = cli_main(
@@ -620,7 +647,7 @@ class TestCli:
         b = bundles[0]
         scores = tmp_path / "scores.jsonl"
         outside = ProgramElement("program.ml", 999)
-        write_scores([ScoreRecord(b.fault_id, "ext", ScoredList("ext", [(outside, 1.0)]))], scores)
+        write_scores([ScoreRecord(b.fault_id, "ext", {outside: 1.0})], scores)
         rc = cli_main(
             ["report", "--corpus", str(CORPUS), "--scores", str(scores), "--granularity", granularity]
         )

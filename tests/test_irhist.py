@@ -80,13 +80,13 @@ class TestIrRanking:
             "calc.ml": "func addNumbers(a, b) { return a + b; }",
             "io.ml": "func readInput(buf) { return buf; }",
         }
-        scored = ir_rank_files("addNumbers returns the wrong sum", files).as_dict()
+        scored = ir_rank_files("addNumbers returns the wrong sum", files)
         assert scored["calc.ml"] > scored["io.ml"]
 
     def test_cosine_manual_check(self):
         # one shared discriminative term; verify against hand-computed cosine
         files = {"a": "alpha beta", "b": "gamma delta"}
-        scored = ir_rank_files("alpha", files).as_dict()
+        scored = ir_rank_files("alpha", files)
         # idf(alpha)=ln(2); query vector {alpha}; doc a vector {alpha, beta}
         w = math.log(2.0)
         expected = (w * w) / (w * math.sqrt(2 * w * w))
@@ -96,7 +96,7 @@ class TestIrRanking:
     def test_ubiquitous_term_carries_no_weight(self):
         # "func" appears in every file: idf = ln(1) = 0
         files = {"a": "func alpha", "b": "func beta"}
-        scored = ir_rank_files("func", files).as_dict()
+        scored = ir_rank_files("func", files)
         assert scored == {"a": 0.0, "b": 0.0}
 
     def test_empty_report_rejected(self):
@@ -109,7 +109,7 @@ class TestIrRanking:
 
     def test_scores_bounded(self):
         files = {"a": "alpha beta gamma", "b": "alpha", "c": "delta"}
-        for s in ir_rank_files("alpha beta", files).as_dict().values():
+        for s in ir_rank_files("alpha beta", files).values():
             assert 0.0 <= s <= 1.0 + 1e-12
 
 
@@ -129,7 +129,7 @@ class TestHistory:
             Commit(100, "fix a", ("old.ml",)),
             Commit(900, "fix b", ("new.ml",)),
         ]
-        scores = history_rank_files(commits, now=1000).as_dict()
+        scores = history_rank_files(commits, now=1000)
         assert scores["new.ml"] > scores["old.ml"]
         assert scores["new.ml"] == pytest.approx(recency_weight(800 / 900), abs=1e-12)
         assert scores["old.ml"] == pytest.approx(recency_weight(0.0), abs=1e-12)
@@ -139,19 +139,19 @@ class TestHistory:
             Commit(100, "fix a", ("hot.ml",)),
             Commit(500, "fix b", ("hot.ml",)),
         ]
-        scores = history_rank_files(commits, now=1000).as_dict()
+        scores = history_rank_files(commits, now=1000)
         expected = recency_weight(0.0) + recency_weight(400 / 900)
         assert scores["hot.ml"] == pytest.approx(expected, abs=1e-12)
 
     def test_no_fix_commits_scores_zero(self):
         commits = [Commit(1, "initial import", ("a.ml", "b.ml"))]
-        scores = history_rank_files(commits, now=10).as_dict()
+        scores = history_rank_files(commits, now=10)
         assert scores == {"a.ml": 0.0, "b.ml": 0.0}
 
     def test_single_fix_at_now(self):
         # zero span: the lone fix counts as the newest (t_norm = 1)
         commits = [Commit(50, "fix it", ("a.ml",))]
-        scores = history_rank_files(commits, now=50).as_dict()
+        scores = history_rank_files(commits, now=50)
         assert scores["a.ml"] == pytest.approx(0.5, abs=1e-12)
 
     def test_unordered_log_rejected(self):
@@ -190,13 +190,11 @@ class TestHistory:
 
 class TestPropagation:
     def test_uniform_statement_scores(self):
-        from flkit.model import ScoredList
-
         a1 = ProgramElement("a.ml", 1)
         a2 = ProgramElement("a.ml", 2)
         b1 = ProgramElement("b.ml", 1)
-        file_scores = ScoredList("ir", [("a.ml", 0.8)])
+        file_scores = {"a.ml": 0.8}
         stmts = propagate_file_scores(
             file_scores, {"a.ml": [a1, a2], "b.ml": [b1]}
-        ).as_dict()
+        )
         assert stmts == {a1: 0.8, a2: 0.8, b1: 0.0}

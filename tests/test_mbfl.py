@@ -159,10 +159,10 @@ class TestMatrix:
     def test_mutant_scores(self):
         # One mutant per statement, so each statement scores as its mutant.
         m = small_matrix()
-        muse = aggregate_to_statement("muse", m, [S1, S2]).as_dict()
+        muse = aggregate_to_statement("muse", m, [S1, S2])
         assert muse[S1] == pytest.approx(2.0, abs=1e-12)
         assert muse[S2] == pytest.approx(0 - 2.0 * 1, abs=1e-12)
-        met = aggregate_to_statement("metallaxis", m, [S1, S2]).as_dict()
+        met = aggregate_to_statement("metallaxis", m, [S1, S2])
         assert met[S1] == pytest.approx(2 / math.sqrt(2 * 2), abs=1e-12)
         assert met[S2] == pytest.approx(1 / math.sqrt(2 * 2), abs=1e-12)
 
@@ -179,15 +179,15 @@ class TestAggregation:
             "b": {"tf": (False, "s"), "tp": (True, "p")},   # no effect
         }
         m = build_outcome_matrix(original, mutants, {"a": S1, "b": S1})
-        muse = aggregate_to_statement("muse", m, [S1, S2]).as_dict()
-        met = aggregate_to_statement("metallaxis", m, [S1, S2]).as_dict()
+        muse = aggregate_to_statement("muse", m, [S1, S2])
+        met = aggregate_to_statement("metallaxis", m, [S1, S2])
         # muse scores: a=1, b=0 -> average 0.5; metallaxis: max(1, 0) = 1
         assert muse[S1] == pytest.approx(0.5, abs=1e-12)
         assert met[S1] == pytest.approx(1.0, abs=1e-12)
 
     def test_statement_without_mutants_scores_zero(self):
         m = small_matrix()
-        scored = aggregate_to_statement("metallaxis", m, [S1, S2, S3]).as_dict()
+        scored = aggregate_to_statement("metallaxis", m, [S1, S2, S3])
         assert scored[S3] == 0.0
 
 
@@ -222,4 +222,4 @@ def test_counts_and_scores_match_pair_oracle(case):
     assert list(matrix[1]) == list(mutants)
     for tech in ("muse", "metallaxis"):
         scored = aggregate_to_statement(tech, matrix, universe)
-        assert scored.entries == tuple(scores[tech].items())
+        assert list(scored.items()) == list(scores[tech].items())

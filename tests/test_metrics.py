@@ -16,7 +16,7 @@ from flkit.metrics import (
     expected_first_faulty_rank,
     r_squared,
 )
-from flkit.model import ProgramElement, Ranking, ScoredList, rank_elements
+from flkit.model import ProgramElement, Ranking, rank_elements
 from flkit.pipeline import _summary
 
 
@@ -94,12 +94,12 @@ class TestExpectedFirstFaultyRank:
 
     def test_untied_exact_position(self):
         a, b, c = (ProgramElement("f", i) for i in (1, 2, 3))
-        r = rank_elements(ScoredList("t", [(a, 3.0), (b, 2.0), (c, 1.0)]))
+        r = rank_elements({a: 3.0, b: 2.0, c: 1.0})
         assert expected_first_faulty_rank(r, {b}) == 2
 
     def test_only_first_faulty_group_counts(self):
         a, b, c = (ProgramElement("f", i) for i in (1, 2, 3))
-        r = rank_elements(ScoredList("t", [(a, 3.0), (b, 2.0), (c, 1.0)]))
+        r = rank_elements({a: 3.0, b: 2.0, c: 1.0})
         assert expected_first_faulty_rank(r, {b, c}) == 2
 
     def test_hand_worked_case(self):

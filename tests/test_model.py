@@ -12,7 +12,6 @@ from flkit.model import (
     ModelError,
     ProgramElement,
     Ranking,
-    ScoredList,
     adjust_ground_truth_for_insertions,
     full_universe_ranking,
     lift_to_method_granularity,
@@ -80,25 +79,25 @@ class TestProgramElement:
 class TestRankElements:
     def test_direct_grouping(self):
         a, b, c = elems(1, 2, 3)
-        r = rank_elements(ScoredList("t", [(a, 1.0), (b, 0.5), (c, 0.5)]))
+        r = rank_elements({a: 1.0, b: 0.5, c: 0.5})
         assert r.groups == (frozenset({a}), frozenset({b, c}))
         assert r.start_positions == (1, 2)
 
     def test_all_tied(self):
         a, b, c = elems(1, 2, 3)
-        r = rank_elements(ScoredList("t", [(a, 1.0), (b, 1.0), (c, 1.0)]))
+        r = rank_elements({a: 1.0, b: 1.0, c: 1.0})
         assert r.groups == (frozenset({a, b, c}),)
         assert r.start_positions == (1,)
 
     def test_infinity_sorts_first(self):
         a, b = elems(1, 2)
-        r = rank_elements(ScoredList("t", [(a, math.inf), (b, 3.0)]))
+        r = rank_elements({a: math.inf, b: 3.0})
         assert r.groups == (frozenset({a}), frozenset({b}))
         assert r.scores[0] == math.inf
 
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
-            rank_elements(ScoredList("t", []))
+            rank_elements({})
 
     @pytest.mark.parametrize(
         "groups, starts, scores, message",
@@ -115,11 +114,6 @@ class TestRankElements:
         members = {"a": frozenset({a}), "b": frozenset({b}), "-": frozenset()}
         with pytest.raises(ModelError, match=message):
             Ranking(tuple(members[g] for g in groups), starts, scores)
-
-    def test_duplicate_element_rejected(self):
-        a = ProgramElement("f", 1)
-        with pytest.raises(ModelError):
-            ScoredList("t", [(a, 1.0), (a, 2.0)])
 
     @given(
         st.lists(
@@ -139,7 +133,7 @@ class TestRankElements:
     def test_ranking_invariants(self, data):
         keys, scores = data
         entries = [(ProgramElement("f", l, i), s) for (l, i), s in zip(keys, scores)]
-        r = rank_elements(ScoredList("t", entries))
+        r = rank_elements(dict(entries))
         assert sum(len(g) for g in r.groups) == len(entries)
         assert list(r.start_positions) == sorted(set(r.start_positions))
         assert all(a > b for a, b in zip(r.scores, r.scores[1:]))
@@ -150,22 +144,22 @@ class TestRankElements:
 class TestFullUniverseRanking:
     def test_unscored_get_zero_tail_group(self):
         a, b, c = elems(1, 2, 3)
-        r = full_universe_ranking(ScoredList("t", [(a, 2.0)]), [a, b, c])
+        r = full_universe_ranking({a: 2.0}, [a, b, c])
         assert r.groups == (frozenset({a}), frozenset({b, c}))
         assert r.scores[1] == 0.0
 
     def test_scored_outside_universe_rejected(self):
         a, b = elems(1, 2)
         with pytest.raises(ModelError):
-            full_universe_ranking(ScoredList("t", [(a, 1.0)]), [b])
+            full_universe_ranking({a: 1.0}, [b])
 
 
-def two_step_rank(scored):
+def two_step_rank(scores):
     """Ranking as built before one grouping pass: entries into sets per score."""
-    if not scored.entries:
+    if not scores:
         raise ModelError("cannot rank an empty scored list")
     by_score: dict = {}
-    for elem, score in scored.entries:
+    for elem, score in scores.items():
         by_score.setdefault(score, set()).add(elem)
     ordered = sorted(by_score.items(), key=lambda kv: kv[0], reverse=True)
     starts, pos = [], 1
@@ -177,15 +171,13 @@ def two_step_rank(scored):
     )
 
 
-def two_step_universe_ranking(scored, universe):
-    """A second, validated, scored list over the universe, then ranked."""
+def two_step_universe_ranking(scores, universe):
+    """A second, validated, score dict over the universe, then ranked."""
     universe = set(universe)
-    have = scored.as_dict()
-    outside = set(have) - universe
+    outside = set(scores) - universe
     if outside:
         raise ModelError(f"scored elements outside universe: {sorted(map(str, outside))}")
-    entries = [(e, have.get(e, 0.0)) for e in universe]
-    return two_step_rank(ScoredList(scored.technique_id, entries))
+    return two_step_rank({e: scores.get(e, 0.0) for e in universe})
 
 
 def outcome(fn, *args):
@@ -210,10 +202,10 @@ class TestOneGroupingPass:
     )
     def test_equals_two_step_reference(self, rows, extra):
         rows = {ProgramElement("f", l, i): s for l, i, s in rows}
-        scored = ScoredList("t", [(e, s) for e, s in rows.items() if s is not None])
+        scored = {e: s for e, s in rows.items() if s is not None}
         universe = list(rows)
         outside = [e for e in (ProgramElement("f", *k) for k in extra) if e not in rows]
-        wider = ScoredList("t", scored.entries + tuple((e, 1.0) for e in outside))
+        wider = {**scored, **dict.fromkeys(outside, 1.0)}
         for s, u in (
             (scored, universe),
             (scored, universe + universe[:2]),
@@ -226,9 +218,9 @@ class TestOneGroupingPass:
     def test_signed_zero_tie_keeps_its_first_score(self):
         a, b, c = elems(1, 2, 3)
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            r = rank_elements(ScoredList("t", [(a, 1.0), (b, first), (c, second)]))
+            r = rank_elements({a: 1.0, b: first, c: second})
             assert r.groups[1] == frozenset({b, c}) and repr(r.scores[1]) == repr(first)
-        scored = ScoredList("t", [(b, -0.0)])
+        scored = {b: -0.0}
         assert outcome(full_universe_ranking, scored, [a, b, c]) == outcome(
             two_step_universe_ranking, scored, [a, b, c]
         )
@@ -237,11 +229,15 @@ class TestOneGroupingPass:
         a, b = elems(1, 2)
         for universe in ([], [b]):
             with pytest.raises(ModelError, match="outside universe"):
-                full_universe_ranking(ScoredList("t", [(a, 1.0)]), universe)
+                full_universe_ranking({a: 1.0}, universe)
         with pytest.raises(ModelError, match="empty scored list"):
-            full_universe_ranking(ScoredList("t"), [])
+            full_universe_ranking({}, [])
         with pytest.raises(ModelError, match="empty scored list"):
-            rank_elements(ScoredList("t"))
+            rank_elements({})
+        with pytest.raises(ModelError, match="NaN score for"):
+            rank_elements({a: 1.0, b: math.nan})
+        with pytest.raises(ModelError, match="NaN score for"):
+            full_universe_ranking({a: math.nan}, [a, b])
 
     def test_corpus_scores(self):
         analyses = analyze_corpus(load_corpus(CORPUS), 4)
@@ -263,32 +259,32 @@ class TestMethodLift:
     def test_max_of_statements(self):
         a, b = elems(1, 2)
         lifted = lift_to_method_granularity(
-            ScoredList("t", [(a, 0.2), (b, 0.9)]), {a: "m1", b: "m1"}
+            {a: 0.2, b: 0.9}, {a: "m1", b: "m1"}
         )
-        assert lifted.as_dict() == {"m1": 0.9}
+        assert lifted == {"m1": 0.9}
 
     def test_singleton(self):
         (a,) = elems(1)
-        lifted = lift_to_method_granularity(ScoredList("t", [(a, 0.4)]), {a: "m"})
-        assert lifted.as_dict() == {"m": 0.4}
+        lifted = lift_to_method_granularity({a: 0.4}, {a: "m"})
+        assert lifted == {"m": 0.4}
 
     def test_tie_across_methods(self):
         a, b, c = elems(1, 2, 3)
         lifted = lift_to_method_granularity(
-            ScoredList("t", [(a, 0.2), (b, 0.9), (c, 0.9)]),
+            {a: 0.2, b: 0.9, c: 0.9},
             {a: "m1", b: "m1", c: "m2"},
         )
-        assert lifted.as_dict() == {"m1": 0.9, "m2": 0.9}
+        assert lifted == {"m1": 0.9, "m2": 0.9}
 
     def test_missing_mapping_rejected(self):
         a, b = elems(1, 2)
         with pytest.raises(ModelError):
-            lift_to_method_granularity(ScoredList("t", [(a, 1.0), (b, 1.0)]), {a: "m"})
+            lift_to_method_granularity({a: 1.0, b: 1.0}, {a: "m"})
 
     def test_idempotent_on_method_level_input(self):
-        lifted = ScoredList("t", [("m1", 0.9), ("m2", 0.4)])
+        lifted = {"m1": 0.9, "m2": 0.4}
         again = lift_to_method_granularity(lifted, {"m1": "m1", "m2": "m2"})
-        assert again.as_dict() == lifted.as_dict()
+        assert again == lifted
 
 
 class TestGroundTruthAdjustment:

@@ -36,14 +36,14 @@ class TestFindCritical:
     def test_inverted_branch_is_critical(self):
         prog = parse(INVERTED)
         scored, reexec = switch(prog, MLTest("t", "absval", (-5,), 5))
-        assert {e.line for e in scored.elements} == {2}
+        assert {e.line for e in scored} == {2}
         assert reexec == 1
 
     def test_no_critical_predicate(self):
         # wrong constant, not a wrong branch: no flip can fix it
         prog = parse("func f(x) { if (x > 0) { return 7; } return 0; }")
         scored, _ = switch(prog, MLTest("t", "f", (3,), 3))
-        assert scored.elements == set()
+        assert scored.keys() == set()
 
     def test_loop_bound_flip(self):
         # off-by-one loop: flipping the final spurious iteration's test fixes it
@@ -52,7 +52,7 @@ class TestFindCritical:
             " while (i <= n) { s = s + 1; i = i + 1; } return s; }"
         )
         scored, reexec = switch(prog, MLTest("t", "f", (3,), 3))
-        assert len(scored.elements) == 1
+        assert len(scored) == 1
         # one per dynamic evaluation up to the critical fourth; the fifth
         # evaluates the same, already critical, predicate and is not re-run
         assert reexec == 4
@@ -65,14 +65,14 @@ class TestFindCritical:
         # n exceeds the array length and the baseline crashes; flipping the
         # loop test at the overrun iteration exits early and passes
         scored, _ = switch(prog, MLTest("t", "f", ([1, 2], 5), "pass"))
-        assert {e.stmt_index for e in scored.elements} == {2}  # the while statement
+        assert {e.stmt_index for e in scored} == {2}  # the while statement
 
     def test_crashing_flip_not_critical(self):
         # baseline fails the output check; the flipped branch crashes instead,
         # which does not qualify as critical
         prog = parse("func f(a, x) { if (x > 0) { return a[9]; } return 1; }")
         scored, _ = switch(prog, MLTest("t", "f", ([1], 0), 2))
-        assert scored.elements == set()
+        assert scored.keys() == set()
 
     def test_passing_test_rejected(self):
         prog = parse(INVERTED)
@@ -103,7 +103,7 @@ class TestFindCritical:
         test = MLTest("t", "f", (3000,), 0)
         assert len(run(prog, test).events) > 5_000
         scored, _ = switch(prog, test)
-        assert {e.line for e in scored.elements} == {3}
+        assert {e.line for e in scored} == {3}
 
 
 class TestMultiTest:
@@ -114,8 +114,8 @@ class TestMultiTest:
             MLTest("t2", "absval", (-9,), 9),
         ]
         scored, reexec = switch_all(prog, tests)
-        assert {e.line for e in scored.elements} == {2}
-        assert set(scored.as_dict().values()) == {1.0}
+        assert {e.line for e in scored} == {2}
+        assert set(scored.values()) == {1.0}
         assert reexec == 1  # t2's only instance is of t1's critical predicate
 
     def test_deterministic(self):
@@ -123,7 +123,7 @@ class TestMultiTest:
         tests = [MLTest("t1", "absval", (-5,), 5)]
         a = switch_all(prog, tests)
         b = switch_all(prog, tests)
-        assert a[0].as_dict() == b[0].as_dict()
+        assert a[0] == b[0]
         assert a[1] == b[1]
 
 
@@ -173,12 +173,12 @@ def test_skipped_flips_keep_every_corpus_critical_set(monkeypatch):
                 flips += 1
             calls.clear()
             scored, count = critical_predicates_for_tests(bundle.program, [(test, original)], budget)
-            assert scored.elements == local, (bundle.fault_id, test.test_id)
+            assert scored.keys() == local, (bundle.fault_id, test.test_id)
             assert count == len(calls)
             reference |= local
         calls.clear()
         scored, count = critical_predicates_for_tests(bundle.program, failing, budget)
-        assert scored.elements == reference, bundle.fault_id
+        assert scored.keys() == reference, bundle.fault_id
         assert count == len(calls)
         reexecutions += count
     assert (flips, reexecutions) == (82, 50)

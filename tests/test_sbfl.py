@@ -93,7 +93,7 @@ class TestSpectrum:
         a, b, c = self.elems()
         runs = [({a, b}, True), ({a, c}, False)]
         sp = build_spectrum(runs, [a, b, c])
-        scored = spectrum_scores(sp, ochiai, "ochiai")
+        scored = spectrum_scores(sp, ochiai)
         ranking = rank_elements(scored)
         # b covered only by the failing run ranks strictly first
         assert ranking.groups[0] == frozenset({b})

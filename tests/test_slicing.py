@@ -92,16 +92,16 @@ class TestCombineSlices:
 
     def test_union(self):
         combined = combine_slices(self.make_slices(), Strategy.UNION)
-        assert sorted(e.line for e in combined.elements) == [2, 3, 5, 6]
-        assert set(combined.as_dict().values()) == {1.0}
+        assert sorted(e.line for e in combined) == [2, 3, 5, 6]
+        assert set(combined.values()) == {1.0}
 
     def test_intersection(self):
         combined = combine_slices(self.make_slices(), Strategy.INTERSECTION)
-        assert sorted(e.line for e in combined.elements) == [2, 6]
+        assert sorted(e.line for e in combined) == [2, 6]
 
     def test_frequency(self):
         combined = combine_slices(self.make_slices(), Strategy.FREQUENCY)
-        scores = {e.line: s for e, s in combined.entries}
+        scores = {e.line: s for e, s in combined.items()}
         assert scores[2] == 1.0 and scores[6] == 1.0
         assert scores[3] == 0.5 and scores[5] == 0.5
 
@@ -109,8 +109,8 @@ class TestCombineSlices:
         (sl, _) = self.make_slices()
         for strategy in Strategy:
             combined = combine_slices([sl], strategy)
-            assert combined.elements == set(sl.members)
-            assert set(combined.as_dict().values()) == {1.0}
+            assert combined.keys() == set(sl.members)
+            assert set(combined.values()) == {1.0}
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ class TestScoreStackTraces:
         prog = parse(NESTED)
         tr = run(prog, MLTest("t", "top", ([1],), "pass"))
         stmts = score_stack_traces([tr], prog.elements())
-        by_line = {e.line: s for e, s in stmts.entries}
+        by_line = {e.line: s for e, s in stmts.items()}
         assert by_line[2] == 1.0      # leaf's statement
         assert by_line[5] == 0.5      # mid's statement
         assert by_line[8] == 1.0 / 3  # top's statement
@@ -62,5 +62,5 @@ class TestScoreStackTraces:
         crash = run(prog, MLTest("t1", "top", ([1],), "pass"))
         af = run(prog, MLTest("t2", "g", (0,), "pass"))
         stmts = score_stack_traces([crash, af], prog.elements())
-        by_method = {e.method_id: s for e, s in stmts.entries}
+        by_method = {e.method_id: s for e, s in stmts.items()}
         assert by_method == {"leaf": 1.0, "mid": 0.5, "top": 1.0 / 3}
