@@ -16,11 +16,13 @@ closure is cached on the node as _code. An expression's closure returns its
 value. A statement's returns whether a return statement ran: the return stores
 its value and event on its frame, and each enclosing if and while passes True
 on to the call or run() that reads them, so a return raises no Python
-exception. In an original run the running statement collects its dependences
-in one list on the interpreter: each variable read adds its defining event and
-each call its callee's return event, while the callee's statements collect
-theirs in lists of their own. A re-execution keeps no dependence bookkeeping:
-no defining events, no lists. Programs share nodes: a mutant shares with its
+exception. Each event is built once, final, when its statement begins. In an
+original run its deps are a set that the interpreter keeps as the running
+statement's: each variable read adds its defining event and each call its
+callee's return event, while the callee's statements fill sets of their own.
+So a statement that raises, or whose callee raises, keeps the reads it made
+before the raise. A re-execution keeps no dependence bookkeeping: no defining
+events, no sets. Programs share nodes: a mutant shares with its
 original every node off the path to its mutation. That is safe because no node
 changes after parse except its cached code, which depends only on the node and
 what it contains. A call looks its callee up in the running program, not in
@@ -148,7 +150,9 @@ _ASSERT_FAILED = Outcome(ASSERT_FAIL)
 
 class Event(NamedTuple):
     element: ProgramElement
-    deps: frozenset  # trace positions of events this one data-depends on; none in a re-execution
+    # Trace positions of events this one data-depends on: a set, filled while
+    # the statement runs, in an original run; an empty frozenset in a re-execution.
+    deps: frozenset | set
     control: Optional[int]  # trace position of the controlling branch event
 
 
@@ -177,8 +181,8 @@ class TestCase:
 
 
 class ExecutionTrace(NamedTuple):
-    """One test's run. A tuple, so run() builds it without a Python __new__. A
-    re-execution's events carry no dependences."""
+    """One test's run. A tuple, so run() builds it without a Python __new__. An
+    original run's events hold their deps as sets; a re-execution's carry none."""
 
     test_id: str
     outcome: Outcome
@@ -304,23 +308,12 @@ class _Interp:
         self.flip_applied = flip is None  # whether no flip is pending
         self.step_budget = step_budget
         self.reexec = step_budget < STEP_BUDGET  # keeps no deps; stops at a certain overflow
-        # An Event per finished statement; in an original run, a pending
-        # (element, control) pair while its dependences are still being evaluated.
-        self.events: list = []
+        self.events: list = []  # an Event per begun statement
         self.predicate_instances: list[int] = []
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
-        self.deps: list = []  # the running statement's dependences so far (original runs only)
+        self.deps = None  # the running statement's event's deps (original runs only)
         self.largest_step = 0  # the largest |e| a `v = v ± e` has added in the running loop
-
-    def settle_events(self):
-        """Turn each pair an exception left pending in an original run into an Event with no deps."""
-        if self.reexec:  # its events are final when begun
-            return
-        events = self.events
-        for idx, ev in enumerate(events):
-            if type(ev) is tuple:
-                events[idx] = Event(ev[0], frozenset(), ev[1])
 
     def repeat_crash(self, env, growing, scaled, before, period) -> Optional[str]:
         """The crash kind that a loop whose variables have repeated, but for its
@@ -359,9 +352,9 @@ def _code(node):
     Function's code is the tuple of its body's closures. Each closure takes
     (interp, frame), the frame it runs in. An expression's returns its value
     and, in an original run, adds the trace positions it depends on to
-    interp.deps. A statement's adds its event (_begin), then, unless the run is
-    a re-execution, an Event once its deps are collected; it returns True if a
-    return statement ran, which ends the call."""
+    interp.deps. A statement's first adds its event (_begin), whose deps its
+    expressions then fill; it returns True if a return statement ran, which
+    ends the call."""
     code = getattr(node, "_code", None)
     if code is None:
         code = node._code = _compile(node)
@@ -373,19 +366,18 @@ def _codes(nodes) -> tuple:
 
 
 def _begin(interp, frame, elem) -> int:
-    """Add a statement's event and return its trace position. A re-execution's
-    event is final; an original run's is a pending (element, control) pair
-    until the statement finishes, and its deps start afresh."""
+    """Add a statement's event, final from here on, and return its trace
+    position. In an original run the event's deps are a new set, also stored as
+    interp.deps for the statement's reads to add to."""
     events = interp.events
     idx = interp.current_event = len(events)
     if idx >= interp.step_budget:
         raise _Crash("budget")
-    control = frame.control[-1]
     if interp.reexec:
-        events.append(_new(Event, (elem, _NO_DEPS, control)))
+        events.append(_new(Event, (elem, _NO_DEPS, frame.control[-1])))
     else:
-        events.append((elem, control))
-        interp.deps = []
+        deps = interp.deps = set()
+        events.append(_new(Event, (elem, deps, frame.control[-1])))
     return idx
 
 
@@ -452,7 +444,7 @@ def _compile(node):
             if not interp.reexec:
                 defined = frame.var_events.get(name)
                 if defined is not None:
-                    interp.deps.append(defined)
+                    interp.deps.add(defined)
             return env[name]
 
         return var
@@ -543,7 +535,7 @@ def _compile(node):
                 return 0  # fell off the end of the function: implicit return 0 with no event
             value, returned_at = callee.returned
             if not reexec:
-                deps.append(returned_at)
+                deps.add(returned_at)
             return value
 
         return call
@@ -561,7 +553,7 @@ def _compile(node):
                 if target not in env:
                     raise _Crash("undefined-var")
                 if not interp.reexec and target in frame.var_events:
-                    interp.deps.append(frame.var_events[target])
+                    interp.deps.add(frame.var_events[target])
                 array = env[target]
                 if type(array) is not list or type(pos) is not int:
                     raise _Crash("type")
@@ -577,7 +569,6 @@ def _compile(node):
             env[target] = value
             if not interp.reexec:
                 frame.var_events[target] = idx
-                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return assign
     if kind is While:
@@ -594,10 +585,7 @@ def _compile(node):
             try:
                 while True:
                     idx = _begin(interp, frame, elem)
-                    value = predicate(interp, frame, idx)
-                    if not interp.reexec:
-                        events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
-                    if not value:
+                    if not predicate(interp, frame, idx):
                         return
                     # A repeat loops forever unless an accumulator or scaled variable
                     # could overflow or the drift variable is heading for the exit
@@ -634,13 +622,11 @@ def _compile(node):
 
         def branch(interp, frame):
             idx = _begin(interp, frame, elem)
-            value = predicate(interp, frame, idx)
+            body = then_body if predicate(interp, frame, idx) else else_body
             control = frame.control
-            if not interp.reexec:
-                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), control[-1]))
             control.append(idx)
             try:
-                for code in then_body if value else else_body:
+                for code in body:
                     if code(interp, frame):
                         return True
             finally:
@@ -656,7 +642,6 @@ def _compile(node):
             frame.env[name] = value
             if not interp.reexec:
                 frame.var_events[name] = idx
-                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return declare
     if kind is Return:
@@ -665,8 +650,6 @@ def _compile(node):
         def return_(interp, frame):
             idx = _begin(interp, frame, elem)
             value = result(interp, frame)
-            if not interp.reexec:
-                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
             frame.returned = (value, idx)
             return True
 
@@ -675,12 +658,10 @@ def _compile(node):
         cond = _code(node.cond)
 
         def check(interp, frame):
-            idx = _begin(interp, frame, elem)
+            _begin(interp, frame, elem)
             value = cond(interp, frame)
             if type(value) is not bool:
                 raise _Crash("type")
-            if not interp.reexec:
-                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
             if not value:
                 raise _AssertFailed()
 
@@ -689,10 +670,8 @@ def _compile(node):
         expr = _code(node.expr)
 
         def evaluate(interp, frame):
-            idx = _begin(interp, frame, elem)
+            _begin(interp, frame, elem)
             expr(interp, frame)
-            if not interp.reexec:
-                interp.events[idx] = _new(Event, (elem, frozenset(interp.deps), frame.control[-1]))
 
         return evaluate
     raise AssertionError(f"unhandled node {node!r}")
@@ -745,12 +724,9 @@ def run(
             # wrong result: the harness assertion fails (not a crash)
             outcome = _ASSERT_FAILED
     except _AssertFailed:
-        # An assert inside a callee leaves the caller's statements pending.
-        interp.settle_events()
         outcome = _ASSERT_FAILED
         criterion = len(interp.events) - 1
     except _Crash as crash:
-        interp.settle_events()
         outcome = Outcome(CRASH, crash_kind=crash.kind, stack=interp.crash_stack())
         criterion = len(interp.events) - 1 if interp.events else None
     return _new(

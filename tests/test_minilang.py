@@ -898,7 +898,8 @@ class TestReturnByValue:
 
 
 class TestPendingEvents:
-    """A statement whose evaluation raises keeps its event, with no deps."""
+    """A statement whose evaluation raises keeps its event, with the deps of
+    the reads it made before the raise."""
 
     @staticmethod
     def at(tr, line):
@@ -921,11 +922,11 @@ class TestPendingEvents:
         )
         tr = run(prog, MLTest("t", "f", (1,), 0))
         assert (tr.outcome.crash_kind, tr.outcome.stack) == ("bounds", ("g", "f"))
-        [branch], [call], [inner] = self.at(tr, 6), self.at(tr, 7), self.at(tr, 2)
+        [decl], [branch], [call], [inner] = self.at(tr, 5), self.at(tr, 6), self.at(tr, 7), self.at(tr, 2)
         assert tr.criterion_event == inner == len(tr.events) - 1
-        assert tr.events[call].deps == frozenset()
+        assert tr.events[call].deps == {decl}  # a was read; y, after the call, was not
         assert tr.events[call].control == branch
-        assert tr.events[inner].deps == frozenset()
+        assert tr.events[inner].deps == {call}  # g's a is defined by the call
         assert tr.events[inner].control == call
 
     def test_budget_crash_at_while_head(self):

@@ -67,6 +67,29 @@ class TestBackwardSlice:
         assert sl.criterion_element.line == 3
         assert slice_lines(sl) == [2, 3]
 
+    @pytest.mark.parametrize(
+        "src, args, lines",
+        [
+            # The bounds crash cuts x's statement short after it read i.
+            (
+                "func f(a, n) {\n var i = n + 1;\n var j = 0;\n var x = a[i];\n return x;\n}",
+                ([1, 2], 1),
+                [2, 4],
+            ),
+            # g's bounds crash cuts the call statement short after it read a.
+            (
+                "func g(a) {\n return a[3];\n}\n"
+                "func f(y) {\n var a = [y];\n if (y > 0) {\n  var x = g(a) + y;\n }\n return 0;\n}",
+                (1,),
+                [2, 5, 6, 7],
+            ),
+        ],
+    )
+    def test_crash_slice_keeps_reads_made_before_the_crash(self, src, args, lines):
+        tr = run(parse(src), MLTest("t", "f", args, 0))
+        assert tr.outcome.crash_kind == "bounds"
+        assert slice_lines(backward_slice(tr)) == lines
+
     def test_explicit_criterion(self):
         prog = parse("func f() {\n var a = 1;\n var b = a;\n return b;\n}")
         tr = run(prog, MLTest("t", "f", (), "pass"))
