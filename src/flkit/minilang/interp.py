@@ -270,9 +270,11 @@ def _scan(node, reads: set, sites: list, fixed: set):
 
 
 def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
+    """A value, or a test's expected value, as a hashable that tells bools from
+    ints: 1 == True in Python, but not in the language."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_freeze, value))
+    return ("bool", value) if type(value) is bool else value
 
 
 class _Crash(Exception):
@@ -714,11 +716,7 @@ def run(
             criterion = len(interp.events) - 1 if interp.events else None
         else:
             value, criterion = frame.returned
-        if test.expect == "pass" or value == test.expect or (
-            isinstance(test.expect, (list, tuple))
-            and isinstance(value, list)
-            and list(test.expect) == value
-        ):
+        if test.expect == "pass" or _freeze(value) == _freeze(test.expect):
             outcome = _PASSED
         else:
             # wrong result: the harness assertion fails (not a crash)

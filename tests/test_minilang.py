@@ -190,6 +190,22 @@ class TestInterpreter:
         assert tr.criterion_event is not None
         assert tr.events[tr.criterion_event].element.line == 1
 
+    @pytest.mark.parametrize(
+        "src, expect, status",
+        [
+            ("true", 1, ASSERT_FAIL),
+            ("0", False, ASSERT_FAIL),
+            ("[1, true]", [1, 1], ASSERT_FAIL),
+            ("[1]", (True,), ASSERT_FAIL),
+            ("true", True, PASS),
+            ("[1, true]", (1, True), PASS),
+        ],
+    )
+    def test_result_matches_expect_in_type(self, src, expect, status):
+        # 1 == True in Python, but not in the language.
+        prog = parse(f"func f() {{ return {src}; }}")
+        assert run(prog, MLTest("t", "f", (), expect)).outcome.status == status
+
     def test_assert_statement(self):
         prog = parse("func f(x) { assert(x > 0); return x; }")
         assert run(prog, MLTest("t", "f", (1,), "pass")).outcome.status == PASS
@@ -1023,6 +1039,14 @@ class TestMutants:
         sdl = [m for m in gen_mutants(prog) if m.operator == "sdl"]
         assert len(sdl) == 1
         assert sdl[0].element.stmt_index == 1  # the assignment
+
+    def test_sdl_leaving_zero_for_false_changes_the_signature(self):
+        prog = parse("func f() { var r = 0; r = false; return r; }")
+        test = MLTest("t", "f", (), "pass")
+        [sdl] = [m for m in gen_mutants(prog) if m.operator == "sdl"]
+        original, mutant = run(prog, test), run(sdl.program, test)
+        assert (original.value, mutant.value) == (False, 0)
+        assert original.signature() != mutant.signature()
 
     def test_mutants_do_not_share_ast_with_original(self):
         prog = parse("func f(a) { return a + 1; }")
