@@ -47,9 +47,14 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _add_preset(parser):
+    levels = [f.level for f in cmb.FAMILIES]
+    parser.add_argument("--preset", type=_parse_preset, default=2, help=f"level{min(levels)}..level{max(levels)}")
+
+
 def _add_common(parser):
     parser.add_argument("--corpus", required=True, help="corpus directory")
-    parser.add_argument("--preset", type=_parse_preset, default=2, help="level1..level4")
+    _add_preset(parser)
     parser.add_argument("--granularity", choices=("statement", "method"), default="statement")
 
 
@@ -60,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="rank suspicious statements for one fault")
     p.add_argument("--corpus", required=True)
     p.add_argument("--fault", required=True, help="fault id (corpus subdirectory)")
-    p.add_argument("--preset", type=_parse_preset, default=2)
+    _add_preset(p)
     p.add_argument(
         "--technique",
         action="append",
@@ -163,8 +168,9 @@ def cmd_correlate(args) -> int:
 def cmd_combine(args) -> int:
     if args.fault is not None and not args.load:
         raise PipelineError("--fault applies only with --load")
-    if not args.load:  # --load ignores --save
-        _check_out(args.save)
+    if args.save is not None and args.load:
+        raise PipelineError("--save applies only without --load")
+    _check_out(args.save)
     bundles = load_corpus(args.corpus)
     if args.load:
         model = cmb.RankModel.from_json(Path(args.load).read_text())

@@ -515,6 +515,15 @@ class TestCli:
         [line] = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
         assert line == f"flkit evaluate: error: argument --preset: {message}"
 
+    @pytest.mark.parametrize("command", ["localize", "evaluate", "correlate", "combine"])
+    def test_preset_help_follows_the_family_table(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cmb, "FAMILIES", cmb.FAMILIES + (cmb.Family("extra", 5, ("extra",)),))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "-h"])
+        assert exc.value.code == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("--preset")]
+        assert line.split() == ["--preset", "PRESET", "level1..level5"]
+
     def test_localize_shows_each_technique_once(self, capsys):
         rc = cli_main(
             ["localize", "--corpus", str(CORPUS), "--fault", "f01_absval", "--preset", "level2",
@@ -700,6 +709,15 @@ class TestCli:
         rc = cli_main(["combine", "--corpus", str(CORPUS), "--preset", "1", "--fault", "f01_absval"])
         assert rc == 1
         self.assert_one_error_line(capsys, "--fault", "--load")
+
+    def test_combine_save_with_load_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_corpus", lambda *a, **k: pytest.fail("worked despite --save with --load"))
+        model, out = tmp_path / "model.json", tmp_path / "out.json"
+        model.write_text('{"techniques": ["ir"], "weights": [1.0], "seed": 0}')
+        rc = cli_main(["combine", "--corpus", str(CORPUS), "--load", str(model), "--save", str(out)])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "--save", "--load")
+        assert not out.exists()
 
     def test_unreadable_model_file(self, tmp_path, capsys):
         rc = cli_main(
