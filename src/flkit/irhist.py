@@ -1,7 +1,9 @@
 """File-level scorers: bug-report text similarity and fix-history recency.
 
 Both produce file scores that are propagated uniformly onto every executable
-statement of the file.
+statement of the file. Text similarity needs two or more files to tell them
+apart: over a lone file every term's idf is 0, so it scores 0 without reading
+the file.
 """
 
 from __future__ import annotations
@@ -27,13 +29,19 @@ def ir_rank_files(report_text: str, files: Mapping[str, str]) -> dict:
     """Cosine similarity between TF-IDF vectors of the bug report and each file.
 
     tf is the raw term count; idf = ln(N/df) over the file corpus, dropping
-    query terms that occur in no file.
+    query terms that occur in no file. A lone file scores 0.0, and only the
+    report is tokenized.
     """
     if not files:
         raise ValueError("need at least one file")
     query = Counter(tokenize(report_text))
     if not query:
         raise ValueError("bug report is empty after tokenization")
+    if len(files) == 1:
+        # A lone file holds every term it has, so each idf is ln(1/1) = 0, both
+        # vectors are zero and the general path below gives 0.0 too (the same
+        # rule that zeroes a term shared by every file).
+        return dict.fromkeys(files, 0.0)
     docs = {fid: Counter(tokenize(text)) for fid, text in files.items()}
     n = len(docs)
     df = Counter()

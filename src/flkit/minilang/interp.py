@@ -165,8 +165,8 @@ _NO_DEPS = frozenset()
 @dataclass(frozen=True)
 class TestCase:
     """A call of entry with args, whose result must equal expect. values holds
-    args as run-time values, arrays as lists, bound once and shared by every
-    run: the language never changes an array in place."""
+    args as run-time values, arrays as lists at every depth, bound once and
+    shared by every run: the language never changes an array in place."""
 
     test_id: str
     entry: str
@@ -177,7 +177,12 @@ class TestCase:
     def __post_init__(self):
         args = tuple(self.args)
         object.__setattr__(self, "args", args)
-        object.__setattr__(self, "values", tuple(list(a) if isinstance(a, (list, tuple)) else a for a in args))
+        object.__setattr__(self, "values", tuple(map(_as_value, args)))
+
+
+def _as_value(arg):
+    """A test argument as a run-time value: a list or tuple becomes a list, at every depth."""
+    return list(map(_as_value, arg)) if isinstance(arg, (list, tuple)) else arg
 
 
 class ExecutionTrace(NamedTuple):

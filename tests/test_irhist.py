@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flkit import irhist, pipeline
+from flkit.corpus import load_corpus
 from flkit.irhist import (
     Commit,
     commits_from_json,
@@ -33,6 +35,35 @@ def reference_tokenize(text: str) -> list[str]:
                 if word:
                     out.append(word.lower())
     return out
+
+
+def reference_ir(report_text: str, files: dict) -> dict:
+    """TF-IDF cosine as the ir_rank_files docstring defines it, with no case for
+    one file: tf the raw count, idf = ln(N/df), query terms in no file dropped."""
+    docs = {fid: reference_tokenize(text) for fid, text in files.items()}
+
+    def weights(words: list) -> dict:
+        df = {t: sum(t in d for d in docs.values()) for t in dict.fromkeys(words)}
+        return {t: words.count(t) * math.log(len(docs) / n) for t, n in df.items() if n}
+
+    query = weights(reference_tokenize(report_text))
+    qnorm = math.sqrt(sum(w * w for w in query.values()))
+    scores = {}
+    for fid, words in docs.items():
+        doc = weights(words)
+        dnorm = math.sqrt(sum(w * w for w in doc.values()))
+        if qnorm == 0 or dnorm == 0:
+            scores[fid] = 0.0
+        else:
+            scores[fid] = sum(w * doc.get(t, 0.0) for t, w in query.items()) / (qnorm * dnorm)
+    return scores
+
+
+_IR_WORD = st.sampled_from(["alpha", "beta", "gamma", "delta", "parseXml", "max_of3", "func"])
+
+
+def _ir_text(min_size: int = 0):
+    return st.lists(_IR_WORD, min_size=min_size, max_size=8).map(" ".join)
 
 
 def corpus_texts() -> list:
@@ -111,6 +142,39 @@ class TestIrRanking:
         files = {"a": "alpha beta gamma", "b": "alpha", "c": "delta"}
         for s in ir_rank_files("alpha beta", files).values():
             assert 0.0 <= s <= 1.0 + 1e-12
+
+    @settings(max_examples=300)
+    @given(_ir_text(min_size=1), st.lists(_ir_text(), min_size=1, max_size=3))
+    def test_matches_reference(self, report, texts):
+        files = {f"f{i}.ml": text for i, text in enumerate(texts)}
+        assert ir_rank_files(report, files) == reference_ir(report, files)
+
+    @staticmethod
+    def count_tokenize(monkeypatch) -> list:
+        """The texts irhist.tokenize is called with from now on."""
+        seen = []
+        monkeypatch.setattr(irhist, "tokenize", lambda text: seen.append(text) or tokenize(text))
+        return seen
+
+    def test_lone_file_tokenizes_only_the_report(self, monkeypatch):
+        # A lone file scores 0 whatever it holds, so its text is never read.
+        seen = self.count_tokenize(monkeypatch)
+        assert ir_rank_files("alpha beta", {"a.ml": "alpha beta gamma"}) == {"a.ml": 0.0}
+        assert seen == ["alpha beta"]
+
+    def test_lone_file_empty_report_rejected(self, monkeypatch):
+        seen = self.count_tokenize(monkeypatch)
+        with pytest.raises(ValueError, match="empty"):
+            ir_rank_files("!!!", {"a.ml": "alpha beta gamma"})
+        assert seen == ["!!!"]
+
+    def test_every_corpus_fault_scores_zero(self):
+        # Every corpus fault is one file, so ir gives each statement 0.0.
+        bundles = load_corpus(CORPUS)
+        assert len(bundles) == 10
+        for bundle in bundles:
+            scored = pipeline._score_ir(bundle, {})["ir"]
+            assert scored == dict.fromkeys(bundle.elements, 0.0) and scored
 
 
 class TestHistory:

@@ -206,6 +206,15 @@ class TestInterpreter:
         prog = parse(f"func f() {{ return {src}; }}")
         assert run(prog, MLTest("t", "f", (), expect)).outcome.status == status
 
+    @pytest.mark.parametrize("args", [(((1, 2),),), ([(1, 2)],), ([[1, 2]],)], ids=["tuples", "mixed", "lists"])
+    def test_nested_array_arguments_become_lists(self, args):
+        # An array argument may be given as tuples at any depth; the test keeps
+        # its args as given and runs on lists.
+        test = MLTest("t", "f", args, 2)
+        assert test.args == args and test.values == ([[1, 2]],)
+        prog = parse("func f(a) { return a[0][1]; }")
+        assert run(prog, test).outcome.status == PASS
+
     def test_assert_statement(self):
         prog = parse("func f(x) { assert(x > 0); return x; }")
         assert run(prog, MLTest("t", "f", (1,), "pass")).outcome.status == PASS
