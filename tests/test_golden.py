@@ -6,8 +6,10 @@ in CHANGES.md) with:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -40,6 +42,7 @@ REPORT_FILES = {
 MUTANTS_FILE = GOLDEN / "mutants.tsv"
 TRACES_FILE = GOLDEN / "traces.tsv"
 WEIGHTS_FILE = GOLDEN / "weights.json"
+LOCALIZE_FILE = GOLDEN / "localize_level4.txt"
 # Weights key -> `flkit combine --seed 0` arguments.
 WEIGHT_RUNS = {
     "level4-statement": ["--preset", "level4"],
@@ -71,6 +74,19 @@ def weights_text() -> str:
     """WEIGHTS_FILE's text: combine_weights for every key of WEIGHT_RUNS."""
     weights = {key: combine_weights(key) for key in sorted(WEIGHT_RUNS)}
     return json.dumps(weights, indent=2) + "\n"
+
+
+def localize_text(bundles) -> str:
+    """`flkit localize --preset level4` for every fault, each technique
+    listing the fault's whole universe."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for bundle in bundles:
+            print(f"### {bundle.fault_id}")
+            argv = ["localize", "--corpus", str(CORPUS), "--fault", bundle.fault_id]
+            top = str(len(bundle.elements))
+            assert cli_main(argv + ["--preset", "level4", "--top", top]) == 0
+    return out.getvalue()
 
 
 def _render(node) -> str:
@@ -171,6 +187,10 @@ def test_cross_project_report_matches_golden():
 @pytest.mark.parametrize("key", sorted(WEIGHT_RUNS))
 def test_combine_weights_match_golden(key):
     assert combine_weights(key) == json.loads(WEIGHTS_FILE.read_text())[key]
+
+
+def test_localize_matches_golden():
+    assert localize_text(load_corpus(CORPUS)) == LOCALIZE_FILE.read_text()
 
 
 def test_mutants_match_golden():
@@ -284,7 +304,7 @@ def test_traces_match_golden():
     assert text == golden
 
 
-SEEDED_FILES = (TRACES_FILE, GOLDEN / "report_level4.json", WEIGHTS_FILE)
+SEEDED_FILES = (TRACES_FILE, GOLDEN / "report_level4.json", WEIGHTS_FILE, LOCALIZE_FILE)
 
 
 def seeded_texts() -> list:
@@ -294,6 +314,7 @@ def seeded_texts() -> list:
         traces_text(bundles),
         report_text(bundles, **REPORT_FILES[GOLDEN / "report_level4.json"]),
         weights_text(),
+        localize_text(bundles),
     ]
 
 
@@ -316,3 +337,4 @@ if __name__ == "__main__":
     MUTANTS_FILE.write_text(mutants_text(bundles))
     TRACES_FILE.write_text(traces_text(bundles))
     WEIGHTS_FILE.write_text(weights_text())
+    LOCALIZE_FILE.write_text(localize_text(bundles))
