@@ -9,32 +9,26 @@ Run from the repository root:
     python3 demos/localize_walkthrough.py [fault_id]
 """
 
+import itertools
 import sys
 from pathlib import Path
 
 from flkit.corpus import load_fault
 from flkit.metrics import expected_first_faulty_rank
 from flkit.minilang import run
-from flkit.model import full_universe_ranking
+from flkit.model import full_universe_ranking, ranked
 from flkit.pipeline import analyze_fault
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def show_ranking(tech, scored, bundle, top=5):
-    ranking = full_universe_ranking(scored, bundle.elements)
-    value = expected_first_faulty_rank(ranking, set(bundle.faulty))
+    scores = full_universe_ranking(scored, bundle.elements)
+    value = expected_first_faulty_rank(scores, bundle.faulty)
     print(f"\n{tech}: expected rank of the fault = {value}")
-    shown = 0
-    for group, start, score in zip(
-        ranking.groups, ranking.start_positions, ranking.scores
-    ):
-        for elem in sorted(group, key=str):
-            mark = "  <-- seeded fault" if elem in bundle.faulty else ""
-            print(f"  {start:>3}  {score:<10.4g} {elem}{mark}")
-            shown += 1
-            if shown >= top:
-                return
+    for start, score, elem in itertools.islice(ranked(scores), top):
+        mark = "  <-- seeded fault" if elem in bundle.faulty else ""
+        print(f"  {start:>3}  {score:<10.4g} {elem}{mark}")
 
 
 def main():

@@ -1,6 +1,6 @@
 """How tie-aware expected rank differs from naive best/worst-case ranks.
 
-Builds a small ranking with a tie-group containing the faulty element and
+Scores five statements with a tie-group containing the faulty element and
 shows the exact expected inspection position, the EXAM score, and how the
 closed form agrees with brute-force enumeration over tie orderings.
 
@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from flkit.metrics import expected_first_faulty_rank
-from flkit.model import ProgramElement, rank_elements
+from flkit.model import ProgramElement, ranked
 
 
 def main():
@@ -19,17 +19,18 @@ def main():
     elems = [ProgramElement("demo.ml", i) for i in range(1, 6)]
     scores = {elems[0]: 0.9, elems[1]: 0.9, elems[2]: 0.9, elems[3]: 0.4, elems[4]: 0.1}
     faulty = {elems[1]}
-    ranking = rank_elements(scores)
-    print("tie-groups:",
-          [sorted(e.line for e in g) for g in ranking.groups])
+    groups = {}
+    for start, _, elem in ranked(scores):
+        groups.setdefault(start, []).append(elem)
+    print("tie-groups:", [[e.line for e in g] for g in groups.values()])
 
-    value = expected_first_faulty_rank(ranking, faulty)
+    value = expected_first_faulty_rank(scores, faulty)
     print(f"expected first-faulty rank: {value} "
-          f"(best case 1, worst case {len(ranking.groups[0])})")
+          f"(best case 1, worst case {len(groups[1])})")
     print(f"EXAM over {len(elems)} statements: {value / len(elems)}")
 
     # brute force: average the faulty position over all orderings of the group
-    group = sorted(ranking.groups[0], key=lambda e: e.line)
+    group = groups[1]
     total = Fraction(0)
     perms = list(itertools.permutations(group))
     for perm in perms:

@@ -6,12 +6,10 @@ tie-aware expected-rank evaluation metrics, and a learning-to-rank combiner.
 
 from .model import (
     ProgramElement,
-    Ranking,
     adjust_ground_truth_for_insertions,
     full_universe_ranking,
     lift_to_method_granularity,
     parse_element_key,
-    rank_elements,
 )
 from .metrics import (
     CorrelationUndefinedError,

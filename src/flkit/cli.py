@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 from . import combine as cmb
 from .corpus import CorpusError, ingest_scores, load_corpus, load_fault
 from .metrics import expected_first_faulty_rank
-from .model import full_universe_ranking
+from .model import full_universe_ranking, ranked
 from .pipeline import (
     PipelineError,
     analyze_corpus,
@@ -124,19 +125,12 @@ def cmd_localize(args) -> int:
     bundle = load_fault(Path(args.corpus) / args.fault)
     analysis = analyze_fault(bundle, cmb.preset_families(args.preset))
     for tech in dict.fromkeys(args.technique or sorted(analysis.scores)):
-        ranking = full_universe_ranking(analysis.scores[tech], bundle.elements)
-        value = expected_first_faulty_rank(ranking, set(bundle.faulty))
+        scores = full_universe_ranking(analysis.scores[tech], bundle.elements)
+        value = expected_first_faulty_rank(scores, bundle.faulty)
         print(f"== {tech} (E_inspect = {value})")
-        shown = 0
-        for group, start, score in zip(ranking.groups, ranking.start_positions, ranking.scores):
-            for elem in sorted(group, key=str):
-                marker = " *" if elem in bundle.faulty else ""
-                print(f"  {start:>4}  {score:<12.6g} {elem}{marker}")
-                shown += 1
-                if shown >= args.top:
-                    break
-            if shown >= args.top:
-                break
+        for start, score, elem in itertools.islice(ranked(scores), args.top):
+            marker = " *" if elem in bundle.faulty else ""
+            print(f"  {start:>4}  {score:<12.6g} {elem}{marker}")
     return 0
 
 

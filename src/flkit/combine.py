@@ -31,7 +31,6 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .metrics import expected_first_faulty_rank
-from .model import rank_elements
 
 PAIR_CAP = 50  # correct elements sampled per faulty element
 L2_LAMBDA = 0.01
@@ -474,8 +473,7 @@ def predict(model: RankModel, features: FaultFeatures) -> dict:
 
 
 def combined_e_inspect(model: RankModel, fault: FaultFeatures) -> Fraction:
-    ranking = rank_elements(predict(model, fault))
-    return expected_first_faulty_rank(ranking, set(fault.faulty))
+    return expected_first_faulty_rank(predict(model, fault), fault.faulty)
 
 
 def kfold_cv(faults: Sequence[FaultFeatures], k: int = 10, seed: int = 0) -> dict:

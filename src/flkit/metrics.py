@@ -1,37 +1,52 @@
-"""Tie-aware expected-rank metrics and pairwise correlation."""
+"""Tie-aware expected-rank metrics and pairwise correlation.
+
+The expected rank is counted from a plain score dict: only the elements above
+and tied at the best faulty score matter, so no ranking is built.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .model import Ranking
+from .model import ModelError
 
 
 class NotLocalizedError(Exception):
-    """The ranking contains no faulty element; the caller picks a penalty policy."""
+    """No faulty element is scored; the caller picks a penalty policy."""
 
 
 class CorrelationUndefinedError(Exception):
     """Too few retained pairs, or zero variance in a coordinate."""
 
 
-def expected_first_faulty_rank(ranking: Ranking, faulty: set) -> Fraction:
+def expected_first_faulty_rank(scores: Mapping, faulty: AbstractSet) -> Fraction:
     """Expected 1-based rank of the first faulty element, exact.
 
-    Tied elements are assumed to be presented in uniformly random order. With
-    the first faulty-containing tie-group of size t holding t_f faulty
-    elements and starting at position P, the value is
-    P + (t - t_f) / (t_f + 1), the mean of the negative hypergeometric count
-    of correct elements before the first faulty one: the t_f faulty elements
-    cut the t - t_f correct ones into t_f + 1 runs of equal expected length.
+    Tied elements are assumed to be presented in uniformly random order. Let
+    s* be the best faulty score, a the elements scored above s*, t the
+    elements tied at s* and t_f the faulty ones among those. The value is
+    a + 1 + (t - t_f) / (t_f + 1), the mean of the negative hypergeometric
+    count of correct elements before the first faulty one: the t_f faulty
+    elements cut the t - t_f correct ones into t_f + 1 runs of equal expected
+    length.
     """
-    for group, start in zip(ranking.groups, ranking.start_positions):
-        t_f = len(group & faulty)
-        if t_f:
-            return Fraction(start * (t_f + 1) + len(group) - t_f, t_f + 1)
-    raise NotLocalizedError("no faulty element appears in the ranking")
+    for elem, score in scores.items():
+        if math.isnan(score):
+            raise ModelError(f"NaN score for {elem}")
+    found = [scores[e] for e in faulty if e in scores]
+    if not found:
+        raise NotLocalizedError("no faulty element appears in the ranking")
+    best = max(found)
+    t_f = found.count(best)
+    above = tied = 0
+    for score in scores.values():
+        if score > best:
+            above += 1
+        elif score == best:
+            tied += 1
+    return Fraction((above + 1) * (t_f + 1) + tied - t_f, t_f + 1)
 
 
 def e_inspect_at_n(values: Iterable[Fraction], n: int) -> int:

@@ -1,15 +1,15 @@
-"""Shared data model: program elements, scores and tie-aware rankings.
+"""Shared data model: program elements and scores.
 
 A technique's scores are a plain dict from element to score. Scores may be
-+inf or -inf, never NaN; a ranking rejects NaN with a ModelError.
++inf or -inf, never NaN; the expected-rank metric rejects NaN with a
+ModelError. A ranking is not built to be measured: metrics counts the scores.
+`ranked` orders them only where a list is shown.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 
 class ModelError(Exception):
@@ -77,66 +77,28 @@ def parse_element_key(key: str) -> ProgramElement:
         raise ModelError(f"malformed element id {key!r}") from exc
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Tie-groups in strictly decreasing score order, with 1-based start positions."""
-
-    groups: tuple  # tuple of frozensets
-    start_positions: tuple
-    scores: tuple
-
-    def __post_init__(self):
-        if not len(self.groups) == len(self.start_positions) == len(self.scores):
-            raise ModelError("groups, start positions and scores differ in length")
-        if not all(self.groups):
-            raise ModelError("empty tie-group")
-        pos = 1
-        for group, start in zip(self.groups, self.start_positions):
-            if start != pos:
-                raise ModelError("start positions inconsistent with group sizes")
-            pos += len(group)
-        for a, b in zip(self.scores, self.scores[1:]):
-            if not a > b:
-                raise ModelError("group scores must strictly decrease")
-
-
-def _group(entries: Iterable) -> Ranking:
-    """Group (element, score) pairs, no element twice, by exact score equality."""
-    by_score: dict = {}
-    for elem, score in entries:
-        by_score.setdefault(score, []).append(elem)
-    if not by_score:
-        raise ModelError("cannot rank an empty scored list")
-    for score, members in by_score.items():
-        if math.isnan(score):
-            raise ModelError(f"NaN score for {members[0]}")
-    groups = []
-    starts = []
-    pos = 1
-    scores = sorted(by_score, reverse=True)
-    for score in scores:
-        members = by_score[score]
-        groups.append(frozenset(members))
-        starts.append(pos)
-        pos += len(members)
-    return Ranking(tuple(groups), tuple(starts), tuple(scores))
-
-
-def rank_elements(scores: Mapping) -> Ranking:
-    """Group elements by exact score equality, ordered by decreasing score.
-
-    +inf sorts above every finite score and forms its own tie-group.
-    """
-    return _group(scores.items())
-
-
-def full_universe_ranking(scores: Mapping, universe: Iterable) -> Ranking:
-    """Rank the whole element universe; elements the technique left unscored get 0."""
-    universe = set(universe)
-    outside = scores.keys() - universe
+def full_universe_ranking(scores: Mapping, universe: Iterable) -> dict:
+    """The universe's scores in universe order; elements the technique left
+    unscored get 0."""
+    ranking = dict.fromkeys(universe, 0.0)
+    outside = scores.keys() - ranking.keys()
     if outside:
         raise ModelError(f"scored elements outside universe: {sorted(map(str, outside))}")
-    return _group((e, scores.get(e, 0.0)) for e in universe)
+    if not ranking:
+        raise ModelError("cannot rank an empty scored list")
+    ranking.update(scores)
+    return ranking
+
+
+def ranked(scores: Mapping) -> Iterator[tuple]:
+    """(start, score, element) by decreasing score, for display. Tied elements
+    share their group's 1-based start and are listed by str(element)."""
+    start, last = 0, None
+    order = sorted(scores.items(), key=lambda item: (-item[1], str(item[0])))
+    for position, (elem, score) in enumerate(order, 1):
+        if score != last:
+            start, last = position, score
+        yield start, score, elem
 
 
 def lift_to_method_granularity(scores: Mapping, method_of: Mapping[Hashable, str]) -> dict:

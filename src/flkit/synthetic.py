@@ -12,7 +12,6 @@ import random
 
 from .combine import FaultFeatures, build_features
 from .metrics import expected_first_faulty_rank
-from .model import rank_elements
 
 TECHNIQUES = ("alpha", "beta")
 
@@ -50,5 +49,5 @@ def standalone_e_inspect(standalone: dict, technique: str) -> dict:
     """fault_id -> expected rank when using one technique alone."""
     out = {}
     for fault_id, (scored, faulty) in standalone[technique].items():
-        out[fault_id] = expected_first_faulty_rank(rank_elements(scored), faulty)
+        out[fault_id] = expected_first_faulty_rank(scored, faulty)
     return out

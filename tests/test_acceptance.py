@@ -28,7 +28,7 @@ from flkit.corpus import load_corpus
 from flkit.metrics import expected_first_faulty_rank, r_squared
 from flkit.minilang.interp import TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
-from flkit.model import full_universe_ranking, rank_elements
+from flkit.model import full_universe_ranking, ranked
 from flkit.pipeline import analyze_fault, emit_report, evaluate_corpus
 from flkit.predswitch import critical_predicates_for_tests
 from flkit.sbfl import dstar, ochiai
@@ -58,22 +58,12 @@ def _enumerated(t, t_f, start):
 
 
 def _tied_ranking(t, t_f, start):
-    from flkit.model import ProgramElement, Ranking
+    from flkit.model import ProgramElement
 
-    groups, starts, scores = [], [], []
-    pos, score = 1, 100.0
-    for i in range(start - 1):
-        groups.append(frozenset({ProgramElement("pre", i + 1)}))
-        starts.append(pos)
-        scores.append(score)
-        pos += 1
-        score -= 1.0
-    tied = frozenset(ProgramElement("g", i + 1) for i in range(t))
-    groups.append(tied)
-    starts.append(pos)
-    scores.append(score)
-    faulty = set(sorted(tied, key=lambda e: e.line)[:t_f])
-    return Ranking(tuple(groups), tuple(starts), tuple(scores)), faulty
+    scores = {ProgramElement("pre", i + 1): 100.0 - i for i in range(start - 1)}
+    tied = [ProgramElement("g", i + 1) for i in range(t)]
+    scores.update(dict.fromkeys(tied, 100.0 - start))
+    return scores, set(tied[:t_f])
 
 
 def test_01_expected_rank_oracle():
@@ -81,8 +71,8 @@ def test_01_expected_rank_oracle():
         for start in (1, 5):
             for t in range(1, 9):
                 for t_f in range(1, t + 1):
-                    ranking, faulty = _tied_ranking(t, t_f, start)
-                    got = expected_first_faulty_rank(ranking, faulty)
+                    scores, faulty = _tied_ranking(t, t_f, start)
+                    got = expected_first_faulty_rank(scores, faulty)
                     assert got == _enumerated(t, t_f, start), (t, t_f, start)
                     if t_f == 1:
                         assert got == start + Fraction(t - 1, 2)  # average rank
@@ -216,9 +206,9 @@ def test_07_rank_learning():
         assert violations(model, pairs) == 0
         scaled = RankModel(model.techniques, tuple(w * 7.0 for w in model.weights), model.seed)
         for fault in faults:
-            base_rank = rank_elements(predict(model, fault))
-            scaled_rank = rank_elements(predict(scaled, fault))
-            assert base_rank.groups == scaled_rank.groups
+            base_rank = [(start, e) for start, _, e in ranked(predict(model, fault))]
+            scaled_rank = [(start, e) for start, _, e in ranked(predict(scaled, fault))]
+            assert base_rank == scaled_rank
 
 
 # --- 8: correlation ----------------------------------------------------------

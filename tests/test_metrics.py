@@ -16,7 +16,7 @@ from flkit.metrics import (
     expected_first_faulty_rank,
     r_squared,
 )
-from flkit.model import ProgramElement, Ranking, rank_elements
+from flkit.model import ProgramElement
 from flkit.pipeline import _summary
 
 
@@ -44,25 +44,12 @@ def fraction_sum_expected_rank(t: int, t_f: int, start: int) -> Fraction:
 
 
 def ranking_with_tied_group(t: int, t_f: int, start: int):
-    """A ranking whose first (and only) faulty group has size t at position start."""
-    groups = []
-    starts = []
-    scores = []
-    pos = 1
-    score = 100.0
-    # filler singleton groups occupying positions 1..start-1
-    for i in range(start - 1):
-        groups.append(frozenset({ProgramElement("pre", i + 1)}))
-        starts.append(pos)
-        scores.append(score)
-        pos += 1
-        score -= 1.0
-    tied = frozenset(ProgramElement("g", i + 1) for i in range(t))
-    groups.append(tied)
-    starts.append(pos)
-    scores.append(score)
-    faulty = set(list(sorted(tied, key=lambda e: e.line))[:t_f])
-    return Ranking(tuple(groups), tuple(starts), tuple(scores)), faulty
+    """Scores whose first (and only) faulty tie-group has size t at position start."""
+    # filler elements with distinct scores occupying positions 1..start-1
+    scores = {ProgramElement("pre", i + 1): 100.0 - i for i in range(start - 1)}
+    tied = [ProgramElement("g", i + 1) for i in range(t)]
+    scores.update(dict.fromkeys(tied, 100.0 - start))
+    return scores, set(tied[:t_f])
 
 
 class TestExpectedFirstFaultyRank:
@@ -71,52 +58,50 @@ class TestExpectedFirstFaultyRank:
         "t,t_f", [(t, t_f) for t in range(1, 9) for t_f in range(1, t + 1)]
     )
     def test_matches_enumeration_oracle(self, t, t_f, start):
-        ranking, faulty = ranking_with_tied_group(t, t_f, start)
-        got = expected_first_faulty_rank(ranking, faulty)
+        scores, faulty = ranking_with_tied_group(t, t_f, start)
+        got = expected_first_faulty_rank(scores, faulty)
         assert got == enumerate_expected_rank(t, t_f, start)
 
     def test_matches_fraction_sum_oracle(self):
         for t in range(1, 61):
             for t_f in range(1, t + 1):
-                ranking, faulty = ranking_with_tied_group(t, t_f, 3)
-                got = expected_first_faulty_rank(ranking, faulty)
+                scores, faulty = ranking_with_tied_group(t, t_f, 3)
+                got = expected_first_faulty_rank(scores, faulty)
                 assert got == fraction_sum_expected_rank(t, t_f, 3), (t, t_f)
                 assert t != t_f or got == 3
 
     def test_single_faulty_reduces_to_midpoint(self):
         # t_f = 1: expected rank is start + (t-1)/2
-        ranking, faulty = ranking_with_tied_group(7, 1, 3)
-        assert expected_first_faulty_rank(ranking, faulty) == 3 + Fraction(6, 2)
+        scores, faulty = ranking_with_tied_group(7, 1, 3)
+        assert expected_first_faulty_rank(scores, faulty) == 3 + Fraction(6, 2)
 
     def test_all_faulty_reduces_to_start(self):
-        ranking, faulty = ranking_with_tied_group(5, 5, 2)
-        assert expected_first_faulty_rank(ranking, faulty) == 2
+        scores, faulty = ranking_with_tied_group(5, 5, 2)
+        assert expected_first_faulty_rank(scores, faulty) == 2
 
     def test_untied_exact_position(self):
         a, b, c = (ProgramElement("f", i) for i in (1, 2, 3))
-        r = rank_elements({a: 3.0, b: 2.0, c: 1.0})
-        assert expected_first_faulty_rank(r, {b}) == 2
+        assert expected_first_faulty_rank({a: 3.0, b: 2.0, c: 1.0}, {b}) == 2
 
     def test_only_first_faulty_group_counts(self):
         a, b, c = (ProgramElement("f", i) for i in (1, 2, 3))
-        r = rank_elements({a: 3.0, b: 2.0, c: 1.0})
-        assert expected_first_faulty_rank(r, {b, c}) == 2
+        assert expected_first_faulty_rank({a: 3.0, b: 2.0, c: 1.0}, {b, c}) == 2
 
     def test_hand_worked_case(self):
         # t=4, t_f=2, start=1: (3*1 + 2*2 + 1*3) / 6 = 5/3
-        ranking, faulty = ranking_with_tied_group(4, 2, 1)
-        assert expected_first_faulty_rank(ranking, faulty) == Fraction(5, 3)
+        scores, faulty = ranking_with_tied_group(4, 2, 1)
+        assert expected_first_faulty_rank(scores, faulty) == Fraction(5, 3)
 
     def test_missing_fault_raises(self):
-        ranking, _ = ranking_with_tied_group(3, 1, 1)
+        scores, _ = ranking_with_tied_group(3, 1, 1)
         with pytest.raises(NotLocalizedError):
-            expected_first_faulty_rank(ranking, {ProgramElement("other", 9)})
+            expected_first_faulty_rank(scores, {ProgramElement("other", 9)})
 
     @given(st.integers(1, 10), st.data(), st.integers(1, 4))
     def test_value_within_group_bounds(self, t, data, start):
         t_f = data.draw(st.integers(1, t))
-        ranking, faulty = ranking_with_tied_group(t, t_f, start)
-        v = expected_first_faulty_rank(ranking, faulty)
+        scores, faulty = ranking_with_tied_group(t, t_f, start)
+        v = expected_first_faulty_rank(scores, faulty)
         assert start <= v <= start + (t - t_f)
 
 
@@ -135,8 +120,8 @@ class TestAtNAndExam:
     def test_exam_is_expected_rank_over_universe(self):
         # The report's EXAM mean: each localized fault's expected rank over
         # its universe size, averaged; unlocalized faults are left out.
-        ranking, faulty = ranking_with_tied_group(4, 2, 1)
-        values = {"a": expected_first_faulty_rank(ranking, faulty), "b": Fraction(1), "c": None}
+        scores, faulty = ranking_with_tied_group(4, 2, 1)
+        values = {"a": expected_first_faulty_rank(scores, faulty), "b": Fraction(1), "c": None}
         summary = _summary(values, {"a": 10, "b": 4, "c": 7})
         assert values["a"] == Fraction(5, 3)
         assert summary["exam_mean"] == (5 / 30 + 1 / 4) / 2

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,15 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flkit.corpus import load_corpus
+from flkit.metrics import NotLocalizedError, expected_first_faulty_rank
 from flkit.model import (
     ModelError,
     ProgramElement,
-    Ranking,
     adjust_ground_truth_for_insertions,
     full_universe_ranking,
     lift_to_method_granularity,
     parse_element_key,
-    rank_elements,
+    ranked,
 )
 from flkit.pipeline import analyze_corpus
 
@@ -77,43 +78,27 @@ class TestProgramElement:
 
 
 class TestRankElements:
+    """`ranked`, the display order: (start, score, element) by decreasing score."""
+
     def test_direct_grouping(self):
         a, b, c = elems(1, 2, 3)
-        r = rank_elements({a: 1.0, b: 0.5, c: 0.5})
-        assert r.groups == (frozenset({a}), frozenset({b, c}))
-        assert r.start_positions == (1, 2)
+        assert list(ranked({c: 0.5, a: 1.0, b: 0.5})) == [(1, 1.0, a), (2, 0.5, b), (2, 0.5, c)]
 
     def test_all_tied(self):
         a, b, c = elems(1, 2, 3)
-        r = rank_elements({a: 1.0, b: 1.0, c: 1.0})
-        assert r.groups == (frozenset({a, b, c}),)
-        assert r.start_positions == (1,)
+        assert [(start, e) for start, _, e in ranked({c: 1.0, b: 1.0, a: 1.0})] == [
+            (1, a), (1, b), (1, c)
+        ]
 
     def test_infinity_sorts_first(self):
-        a, b = elems(1, 2)
-        r = rank_elements({a: math.inf, b: 3.0})
-        assert r.groups == (frozenset({a}), frozenset({b}))
-        assert r.scores[0] == math.inf
+        a, b, c = elems(1, 2, 3)
+        assert list(ranked({b: 3.0, c: -math.inf, a: math.inf})) == [
+            (1, math.inf, a), (2, 3.0, b), (3, -math.inf, c)
+        ]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ModelError):
-            rank_elements({})
-
-    @pytest.mark.parametrize(
-        "groups, starts, scores, message",
-        [
-            ("ab", (1,), (2.0, 1.0), "differ in length"),
-            ("a", (1, 2), (2.0,), "differ in length"),
-            ("a", (1,), (1.0, 0.5), "differ in length"),
-            ("a-", (1, 2), (2.0, 1.0), "empty tie-group"),
-        ],
-        ids=["fewer-starts", "more-starts", "more-scores", "empty-group"],
-    )
-    def test_invalid_parts_rejected(self, groups, starts, scores, message):
-        a, b = elems(1, 2)
-        members = {"a": frozenset({a}), "b": frozenset({b}), "-": frozenset()}
-        with pytest.raises(ModelError, match=message):
-            Ranking(tuple(members[g] for g in groups), starts, scores)
+    def test_ties_listed_by_element_text(self):
+        late, early = ProgramElement("f", 10), ProgramElement("f", 9)
+        assert [e for _, _, e in ranked({early: 0.0, late: 0.0})] == [late, early]
 
     @given(
         st.lists(
@@ -132,21 +117,24 @@ class TestRankElements:
     )
     def test_ranking_invariants(self, data):
         keys, scores = data
-        entries = [(ProgramElement("f", l, i), s) for (l, i), s in zip(keys, scores)]
-        r = rank_elements(dict(entries))
-        assert sum(len(g) for g in r.groups) == len(entries)
-        assert list(r.start_positions) == sorted(set(r.start_positions))
-        assert all(a > b for a, b in zip(r.scores, r.scores[1:]))
-        ranked = set().union(*r.groups)
-        assert ranked == {e for e, _ in entries}
+        entries = dict((ProgramElement("f", l, i), s) for (l, i), s in zip(keys, scores))
+        rows = list(ranked(entries))
+        assert sorted(e for _, _, e in rows) == sorted(entries)
+        assert all(entries[e] == score for _, score, e in rows)
+        for (start, score, e), (next_start, next_score, f) in zip(rows, rows[1:]):
+            assert score >= next_score
+            if score == next_score:
+                assert next_start == start and str(e) < str(f)
+            else:
+                assert next_start == sum(1 for other in entries.values() if other > next_score) + 1
 
 
 class TestFullUniverseRanking:
     def test_unscored_get_zero_tail_group(self):
         a, b, c = elems(1, 2, 3)
-        r = full_universe_ranking({a: 2.0}, [a, b, c])
-        assert r.groups == (frozenset({a}), frozenset({b, c}))
-        assert r.scores[1] == 0.0
+        r = full_universe_ranking({a: 2.0}, [c, a, b])
+        assert list(r.items()) == [(c, 0.0), (a, 2.0), (b, 0.0)]
+        assert list(ranked(r)) == [(1, 2.0, a), (2, 0.0, b), (2, 0.0, c)]
 
     def test_scored_outside_universe_rejected(self):
         a, b = elems(1, 2)
@@ -154,76 +142,96 @@ class TestFullUniverseRanking:
             full_universe_ranking({a: 1.0}, [b])
 
 
-def two_step_rank(scores):
-    """Ranking as built before one grouping pass: entries into sets per score."""
-    if not scores:
-        raise ModelError("cannot rank an empty scored list")
+def two_step_rank(scores, faulty):
+    """Reference expected rank in two steps, as a ranking of tie-groups gave it:
+    group the elements by exact score, then walk the groups in decreasing
+    score order to the first that holds a faulty element."""
     by_score: dict = {}
     for elem, score in scores.items():
+        if math.isnan(score):
+            raise ModelError(f"NaN score for {elem}")
         by_score.setdefault(score, set()).add(elem)
-    ordered = sorted(by_score.items(), key=lambda kv: kv[0], reverse=True)
-    starts, pos = [], 1
-    for _, members in ordered:
-        starts.append(pos)
-        pos += len(members)
-    return Ranking(
-        tuple(frozenset(m) for _, m in ordered), tuple(starts), tuple(s for s, _ in ordered)
-    )
+    start = 1
+    for score in sorted(by_score, reverse=True):
+        group = by_score[score]
+        t_f = len(group & faulty)
+        if t_f:
+            return Fraction(start * (t_f + 1) + len(group) - t_f, t_f + 1)
+        start += len(group)
+    raise NotLocalizedError("no faulty element appears in the ranking")
 
 
-def two_step_universe_ranking(scores, universe):
-    """A second, validated, score dict over the universe, then ranked."""
+def two_step_universe_rank(scores, universe, faulty):
+    """two_step_rank of a second, validated, score dict over the universe."""
     universe = set(universe)
     outside = set(scores) - universe
     if outside:
         raise ModelError(f"scored elements outside universe: {sorted(map(str, outside))}")
-    return two_step_rank({e: scores.get(e, 0.0) for e in universe})
+    if not universe:
+        raise ModelError("cannot rank an empty scored list")
+    return two_step_rank({e: scores.get(e, 0.0) for e in universe}, faulty)
+
+
+def counted_universe_rank(scores, universe, faulty):
+    return expected_first_faulty_rank(full_universe_ranking(scores, universe), faulty)
 
 
 def outcome(fn, *args):
-    """A ranking as (groups, starts, score reprs), so that 0.0 is not -0.0,
-    or the message of the ModelError it raised."""
+    """The expected rank, or the type and message of the error raised."""
     try:
-        r = fn(*args)
-    except ModelError as exc:
-        return str(exc)
-    return r.groups, r.start_positions, tuple(map(repr, r.scores))
+        return fn(*args)
+    except (ModelError, NotLocalizedError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5])
 # A score, or None for an element left unscored but in the universe.
 MAYBE_SCORE = st.none() | SPECIAL | st.floats(allow_nan=False, width=16)
+KEYS = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2)), max_size=3, unique=True)
 
 
 class TestOneGroupingPass:
+    """Counting the elements above and tied at the best faulty score gives the
+    two-step reference's exact value and errors."""
+
     @given(
         st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2), MAYBE_SCORE), max_size=25),
-        st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2)), max_size=3, unique=True),
+        KEYS,
+        KEYS,
     )
-    def test_equals_two_step_reference(self, rows, extra):
+    def test_equals_two_step_reference(self, rows, extra, faulty):
         rows = {ProgramElement("f", l, i): s for l, i, s in rows}
         scored = {e: s for e, s in rows.items() if s is not None}
         universe = list(rows)
         outside = [e for e in (ProgramElement("f", *k) for k in extra) if e not in rows]
         wider = {**scored, **dict.fromkeys(outside, 1.0)}
-        for s, u in (
-            (scored, universe),
-            (scored, universe + universe[:2]),
-            (scored, universe[1:] + elems(99)),
-            (wider, universe),
-        ):
-            assert outcome(full_universe_ranking, s, u) == outcome(two_step_universe_ranking, s, u)
-        assert outcome(rank_elements, scored) == outcome(two_step_rank, scored)
+        faulty = {ProgramElement("f", *k) for k in faulty}
+        for fault_set in (faulty, faulty | set(universe[::3]), set(universe)):
+            for s, u in (
+                (scored, universe),
+                (scored, universe + universe[:2]),
+                (scored, universe[1:] + elems(99)),
+                (wider, universe),
+            ):
+                assert outcome(counted_universe_rank, s, u, fault_set) == outcome(
+                    two_step_universe_rank, s, u, fault_set
+                )
+            assert outcome(expected_first_faulty_rank, scored, fault_set) == outcome(
+                two_step_rank, scored, fault_set
+            )
 
-    def test_signed_zero_tie_keeps_its_first_score(self):
+    def test_signed_zeros_tie_and_keep_their_own_scores(self):
         a, b, c = elems(1, 2, 3)
-        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            r = rank_elements({a: 1.0, b: first, c: second})
-            assert r.groups[1] == frozenset({b, c}) and repr(r.scores[1]) == repr(first)
         scored = {b: -0.0}
-        assert outcome(full_universe_ranking, scored, [a, b, c]) == outcome(
-            two_step_universe_ranking, scored, [a, b, c]
-        )
+        for faulty in ({a}, {b}, {a, b}):
+            assert outcome(counted_universe_rank, scored, [a, b, c], faulty) == outcome(
+                two_step_universe_rank, scored, [a, b, c], faulty
+            )
+        assert counted_universe_rank(scored, [a, b, c], {b}) == 2
+        rows = ranked(full_universe_ranking(scored, [c, b, a]))
+        assert [(start, repr(score), e) for start, score, e in rows] == [
+            (1, "0.0", a), (1, "-0.0", b), (1, "0.0", c)
+        ]
 
     def test_errors(self):
         a, b = elems(1, 2)
@@ -232,25 +240,35 @@ class TestOneGroupingPass:
                 full_universe_ranking({a: 1.0}, universe)
         with pytest.raises(ModelError, match="empty scored list"):
             full_universe_ranking({}, [])
-        with pytest.raises(ModelError, match="empty scored list"):
-            rank_elements({})
-        with pytest.raises(ModelError, match="NaN score for"):
-            rank_elements({a: 1.0, b: math.nan})
-        with pytest.raises(ModelError, match="NaN score for"):
-            full_universe_ranking({a: math.nan}, [a, b])
+        with pytest.raises(ModelError, match="NaN score for f:2:0"):
+            expected_first_faulty_rank({a: 1.0, b: math.nan}, {a})
+        with pytest.raises(ModelError, match="NaN score for f:1:0"):
+            counted_universe_rank({a: math.nan}, [a, b], {b})
+        with pytest.raises(NotLocalizedError):
+            expected_first_faulty_rank({a: 1.0}, {b})
+        with pytest.raises(NotLocalizedError):
+            expected_first_faulty_rank({}, {a})
 
     def test_corpus_scores(self):
         analyses = analyze_corpus(load_corpus(CORPUS), 4)
         checked = 0
         for analysis in analyses:
-            method_of = analysis.bundle.program.method_map()
+            bundle = analysis.bundle
+            method_of = bundle.program.method_map()
+            methods = set(method_of.values())
+            faulty_methods = {method_of[e] for e in bundle.faulty}
             for scored in analysis.scores.values():
                 lifted = lift_to_method_granularity(scored, method_of)
-                for s, u in ((scored, analysis.bundle.elements), (lifted, set(method_of.values()))):
-                    assert outcome(full_universe_ranking, s, u) == outcome(
-                        two_step_universe_ranking, s, u
+                for s, u, faulty in (
+                    (scored, bundle.elements, bundle.faulty),
+                    (lifted, methods, faulty_methods),
+                ):
+                    assert outcome(counted_universe_rank, s, u, faulty) == outcome(
+                        two_step_universe_rank, s, u, faulty
                     )
-                    assert outcome(rank_elements, s) == outcome(two_step_rank, s)
+                    assert outcome(expected_first_faulty_rank, s, faulty) == outcome(
+                        two_step_rank, s, faulty
+                    )
                     checked += 1
         assert checked == 2 * 11 * len(analyses)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flkit.model import ProgramElement, rank_elements
+from flkit.model import ProgramElement, ranked
 from flkit.sbfl import (
     Counts,
     Spectrum,
@@ -94,6 +94,6 @@ class TestSpectrum:
         runs = [({a, b}, True), ({a, c}, False)]
         sp = build_spectrum(runs, [a, b, c])
         scored = spectrum_scores(sp, ochiai)
-        ranking = rank_elements(scored)
+        (first, _, top), (second, _, _), _ = ranked(scored)
         # b covered only by the failing run ranks strictly first
-        assert ranking.groups[0] == frozenset({b})
+        assert (first, top, second) == (1, b, 2)
