@@ -2,8 +2,8 @@
 
 A technique's scores are a plain dict from element to score. Scores may be
 +inf or -inf, never NaN; the expected-rank metric rejects NaN with a
-ModelError. A ranking is not built to be measured: metrics counts the scores.
-`ranked` orders them only where a list is shown.
+ModelError. That metric counts a score dict directly; `ranked` orders one only
+where a list is shown.
 """
 
 from __future__ import annotations

@@ -85,9 +85,10 @@ class TestRankElements:
         assert list(ranked({c: 0.5, a: 1.0, b: 0.5})) == [(1, 1.0, a), (2, 0.5, b), (2, 0.5, c)]
 
     def test_all_tied(self):
-        a, b, c = elems(1, 2, 3)
-        assert [(start, e) for start, _, e in ranked({c: 1.0, b: 1.0, a: 1.0})] == [
-            (1, a), (1, b), (1, c)
+        a, b, c = elems(1, 2, 10)
+        # listed by element text, in which "f:10:0" comes first
+        assert [(start, e) for start, _, e in ranked({b: 1.0, a: 1.0, c: 1.0})] == [
+            (1, c), (1, a), (1, b)
         ]
 
     def test_infinity_sorts_first(self):
@@ -95,10 +96,6 @@ class TestRankElements:
         assert list(ranked({b: 3.0, c: -math.inf, a: math.inf})) == [
             (1, math.inf, a), (2, 3.0, b), (3, -math.inf, c)
         ]
-
-    def test_ties_listed_by_element_text(self):
-        late, early = ProgramElement("f", 10), ProgramElement("f", 9)
-        assert [e for _, _, e in ranked({early: 0.0, late: 0.0})] == [late, early]
 
     @given(
         st.lists(
