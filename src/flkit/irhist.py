@@ -52,17 +52,22 @@ def ir_rank_files(report_text: str, files: Mapping[str, str]) -> dict:
     def vec(counts: Counter) -> dict:
         return {t: c * idf[t] for t, c in counts.items() if t in idf}
 
+    def dot(a: dict, b: dict) -> float:
+        total = 0.0  # left to right: sum() compensates rounding from Python 3.12
+        for t, w in a.items():
+            total += w * b.get(t, 0.0)
+        return total
+
     qv = vec(query)
-    qnorm = math.sqrt(sum(w * w for w in qv.values()))
+    qnorm = math.sqrt(dot(qv, qv))
     scores = {}
     for fid, counts in docs.items():
         dv = vec(counts)
-        dnorm = math.sqrt(sum(w * w for w in dv.values()))
+        dnorm = math.sqrt(dot(dv, dv))
         if qnorm == 0 or dnorm == 0:
             scores[fid] = 0.0
             continue
-        dot = sum(w * dv.get(t, 0.0) for t, w in qv.items())
-        scores[fid] = dot / (qnorm * dnorm)
+        scores[fid] = dot(qv, dv) / (qnorm * dnorm)
     return scores
 
 

@@ -90,7 +90,10 @@ def aggregate_to_statement(technique: str, matrix: tuple, universe) -> dict:
         if not stmt_scores:
             out[elem] = 0.0
         elif technique == "muse":
-            out[elem] = sum(stmt_scores) / len(stmt_scores)
+            total = 0.0  # left to right: sum() compensates rounding from Python 3.12
+            for score in stmt_scores:
+                total += score
+            out[elem] = total / len(stmt_scores)
         else:
             out[elem] = max(stmt_scores)
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .model import ModelError
@@ -56,11 +57,11 @@ def e_inspect_at_n(values: Iterable[Fraction], n: int) -> int:
     return sum(1 for v in values if v <= n)
 
 
-def _scaled(values: Sequence) -> list:
-    """The values times the lcm of their denominators: integers, same ratios."""
+def scale_to_integers(values: Sequence) -> tuple[list, int]:
+    """The values times the lcm of their denominators (integers, same ratios), and that lcm."""
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values]
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def r_squared(
@@ -82,16 +83,22 @@ def r_squared(
             f"only {n} pairs retained after q={q} filter; need >= 3"
         )
     try:
-        rx = _scaled([p[0] for p in pairs])
-        ry = _scaled([p[1] for p in pairs])
+        rx, ry = (scale_to_integers(side)[0] for side in zip(*pairs))
     except (OverflowError, ValueError):
         raise ValueError("coordinates must be finite") from None
+    return integer_r_squared(rx, ry)
+
+
+def integer_r_squared(rx: Sequence[int], ry: Sequence[int]) -> tuple[float, float]:
+    """`r_squared` of n >= 3 retained integer pairs. Scaling rx or ry by a positive
+    integer leaves both exact ratios, so each side may be scaled over more values."""
+    n = len(rx)
     sx, sy = sum(rx), sum(ry)
-    sxx = n * sum(v * v for v in rx) - sx * sx
-    syy = n * sum(v * v for v in ry) - sy * sy
+    sxx = n * sum(map(mul, rx, rx)) - sx * sx
+    syy = n * sum(map(mul, ry, ry)) - sy * sy
     if sxx == 0 or syy == 0:
         raise CorrelationUndefinedError("zero variance in a retained coordinate")
-    sxy = n * sum(a * b for a, b in zip(rx, ry)) - sx * sy
+    sxy = n * sum(map(mul, rx, ry)) - sx * sy
     # n^2 times covariance and variances, in ints: r^2 and 1 - r^2 round once.
     den = sxx * syy
     r2 = sxy * sxy / den

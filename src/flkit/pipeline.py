@@ -22,7 +22,8 @@ from .metrics import (
     CorrelationUndefinedError,
     e_inspect_at_n,
     expected_first_faulty_rank,
-    r_squared,
+    integer_r_squared,
+    scale_to_integers,
 )
 from .minilang import gen_mutants, run
 from .minilang.interp import reexec_step_budget
@@ -179,15 +180,18 @@ def _granular(analysis: FaultAnalysis, granularity: str):
 def _summary(values: Mapping[str, Optional[Fraction]], sizes: Mapping[str, int]):
     """Aggregate per-fault expected ranks; unlocalized faults count against @n
     and are excluded from the EXAM mean (expected rank / universe size)."""
-    localized = [v for v in values.values() if v is not None]
-    exam_vals = [float(v / sizes[fid]) for fid, v in values.items() if v is not None]
+    parts = [(fid, v.numerator, v.denominator) for fid, v in values.items() if v is not None]
+    exam_total = 0.0
+    for fid, num, den in parts:
+        exam_total += num / (den * sizes[fid])  # rounds once; sum() compensates from 3.12
+    ceilings = [-(-num // den) for _, num, den in parts]  # v <= n iff ceil(v) <= n
     return {
         "e_inspect": {
             fid: (str(v) if v is not None else None) for fid, v in sorted(values.items())
         },
-        "at": {str(n): e_inspect_at_n(localized, n) for n in AT_N},
-        "exam_mean": (sum(exam_vals) / len(exam_vals)) if exam_vals else None,
-        "not_localized": sum(1 for v in values.values() if v is None),
+        "at": {str(n): e_inspect_at_n(ceilings, n) for n in AT_N},
+        "exam_mean": exam_total / len(parts) if parts else None,
+        "not_localized": len(values) - len(parts),
     }
 
 
@@ -311,22 +315,28 @@ def evaluate_corpus(
 
 
 def correlation_matrix(per_tech_values: Mapping[str, Mapping], q: int = 100) -> dict:
-    """Pairwise r^2 (and p-values) of per-fault expected ranks; undefined pairs are null."""
+    """Pairwise r^2 (and p-values) of per-fault expected ranks; undefined pairs are null.
+    Each technique's ranks are scaled to integers once, over all its faults."""
     techniques = sorted(per_tech_values)
+    ranks = []  # per technique: (fault -> scaled rank, faults within q, unranked, all faults)
+    for tech in techniques:
+        values = per_tech_values[tech]
+        ranked = {f: v for f, v in values.items() if v is not None}
+        ints, den = scale_to_integers(list(ranked.values()))
+        near = {f for f, x in zip(ranked, ints) if x <= q * den}
+        ranks.append((dict(zip(ranked, ints)), near, values.keys() - ranked.keys(), values.keys()))
     r2 = [[None] * len(techniques) for _ in techniques]
     pv = [[None] * len(techniques) for _ in techniques]
-    for i, ta in enumerate(techniques):
-        for j, tb in enumerate(techniques):
-            if j < i:
-                r2[i][j], pv[i][j] = r2[j][i], pv[j][i]
-                continue
-            common = sorted(set(per_tech_values[ta]) & set(per_tech_values[tb]))
-            xs = [per_tech_values[ta][f] for f in common]
-            ys = [per_tech_values[tb][f] for f in common]
-            if any(v is None for v in xs) or any(v is None for v in ys):
+    for i, (xa, near_a, none_a, keys_a) in enumerate(ranks):
+        for j in range(i, len(ranks)):
+            xb, near_b, none_b, keys_b = ranks[j]
+            kept = [f for f in near_a | near_b if f in xa and f in xb]
+            if len(kept) < 3 or not none_a.isdisjoint(keys_b) or not none_b.isdisjoint(keys_a):
                 continue
             try:
-                r2[i][j], pv[i][j] = r_squared(xs, ys, q=q)
+                r2[i][j], pv[i][j] = r2[j][i], pv[j][i] = integer_r_squared(
+                    [xa[f] for f in kept], [xb[f] for f in kept]
+                )
             except CorrelationUndefinedError:
                 pass
     return {"techniques": techniques, "r2": r2, "p": pv}

@@ -46,16 +46,24 @@ def reference_ir(report_text: str, files: dict) -> dict:
         df = {t: sum(t in d for d in docs.values()) for t in dict.fromkeys(words)}
         return {t: words.count(t) * math.log(len(docs) / n) for t, n in df.items() if n}
 
+    def left_to_right(terms) -> float:
+        # The order every Python version keeps; sum() compensates from 3.12.
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+
     query = weights(reference_tokenize(report_text))
-    qnorm = math.sqrt(sum(w * w for w in query.values()))
+    qnorm = math.sqrt(left_to_right(w * w for w in query.values()))
     scores = {}
     for fid, words in docs.items():
         doc = weights(words)
-        dnorm = math.sqrt(sum(w * w for w in doc.values()))
+        dnorm = math.sqrt(left_to_right(w * w for w in doc.values()))
         if qnorm == 0 or dnorm == 0:
             scores[fid] = 0.0
         else:
-            scores[fid] = sum(w * doc.get(t, 0.0) for t, w in query.items()) / (qnorm * dnorm)
+            dot = left_to_right(w * doc.get(t, 0.0) for t, w in query.items())
+            scores[fid] = dot / (qnorm * dnorm)
     return scores
 
 

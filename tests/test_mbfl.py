@@ -67,7 +67,10 @@ def oracle(original, mutants, mutant_stmt, universe):
             if not mine:
                 scores[tech][elem] = 0.0
             elif tech == "muse":
-                scores[tech][elem] = sum(mine) / len(mine)
+                total = 0.0  # left to right, the order every Python version keeps
+                for score in mine:
+                    total += score
+                scores[tech][elem] = total / len(mine)
             else:
                 scores[tech][elem] = max(mine)
     return len(failed), kills, scores
@@ -184,6 +187,23 @@ class TestAggregation:
         # muse scores: a=1, b=0 -> average 0.5; metallaxis: max(1, 0) = 1
         assert muse[S1] == pytest.approx(0.5, abs=1e-12)
         assert met[S1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_muse_mean_sums_left_to_right(self):
+        # One fail->pass against ten pass->fail (seven of them S2's) makes the
+        # weight 1/10, so S1's mutants score -0.1, 0.9 and -0.1. Left to right they
+        # sum to 0.7000000000000001; a compensated sum (sum() from Python
+        # 3.12) gives 0.7. The mean keeps the left-to-right bits everywhere.
+        kills = {
+            "m0": MutantKills(S1, 0, 1, 0, 1),
+            "m1": MutantKills(S1, 1, 1, 1, 1),
+            "m2": MutantKills(S1, 0, 1, 0, 1),
+            "m3": MutantKills(S2, 0, 7, 0, 7),
+        }
+        scores = [muse_mutant_score(k.f2p, k.p2f, 1, 10) for k in kills.values()]
+        assert scores[:3] == [-0.1, 0.9, -0.1]
+        assert math.fsum(scores[:3]) == 0.7
+        muse = aggregate_to_statement("muse", (2, kills), [S1, S2])
+        assert muse[S1] == 0.7000000000000001 / 3
 
     def test_statement_without_mutants_scores_zero(self):
         m = small_matrix()
