@@ -20,7 +20,7 @@ from .metrics import (
 )
 from .sbfl import build_spectrum, dstar, ochiai
 from .mbfl import metallaxis_mutant_score, muse_mutant_score
-from .slicing import Strategy, backward_slice, combine_slices
+from .slicing import backward_slice, combine_slices
 from .combine import (
     RankModel,
     build_features,

@@ -4,10 +4,10 @@ A corpus is a directory of fault directories:
 
     corpus/<fault_id>/
         program.ml      subject program
-        tests.json      {"tests": [{"id", "entry", "args", "expect"}]}
+        tests.json      {"tests": [{"id", "entry", "args", "expect"}]}  (ids unique)
         truth.json      {"faulty": ["file:line:idx", ...],
                          "insertions": [{"file", "after_line"}, ...],
-                         "project": "..."}           (project optional)
+                         "project": "..."}           (project optional, a string)
         report.txt      bug report text               (optional)
         history.json    {"commits": [{"ts", "msg", "files"}]}  (optional)
 
@@ -84,15 +84,17 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     except MiniSyntaxError as exc:
         raise CorpusError(f"fault {fault_id}: {PROGRAM_FILE}:{exc}") from None
     with _malformed(fault_id, "tests.json"):
-        tests = []
+        tests = {}
         for t in json.loads(_read(fault_dir, "tests.json"))["tests"]:
             test_id, entry, args = t["id"], t["entry"], t.get("args", [])
             if type(test_id) is not str or type(entry) is not str or type(args) is not list:
                 raise TypeError("a test's id and entry must be strings, and its args a list")
-            tests.append(TestCase(test_id, entry, tuple(args), t["expect"]))
+            if test_id in tests:  # runs are keyed by test id
+                raise ValueError(f"duplicate test id {test_id!r}")
+            tests[test_id] = TestCase(test_id, entry, tuple(args), t["expect"])
         if not tests:
             raise CorpusError(f"fault {fault_id}: no tests")
-        for t in tests:
+        for t in tests.values():
             fn = program.functions.get(t.entry)
             if fn is None or len(t.args) != len(fn.params):
                 raise CorpusError(
@@ -104,6 +106,9 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     faulty: set[ProgramElement] = set()
     with _malformed(fault_id, "truth.json"):
         truth = json.loads(_read(fault_dir, "truth.json"))
+        project = truth.get("project", "")
+        if type(project) is not str:
+            raise TypeError(f"project {json.dumps(project)} is not a string")
         for key in truth.get("faulty", ()):
             elem = parse_element_key(key)
             if elem not in element_set:
@@ -129,9 +134,9 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
     return FaultBundle(
         fault_id,
         program,
-        tuple(tests),
+        tuple(tests.values()),
         frozenset(faulty),
-        truth.get("project", ""),
+        project,
         bug_report,
         commits,
     )

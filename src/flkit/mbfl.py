@@ -65,35 +65,26 @@ def metallaxis_mutant_score(failed_m: int, passed_m: int, total_failed: int) -> 
     return failed_m / math.sqrt(total_failed * (failed_m + passed_m))
 
 
-def aggregate_to_statement(technique: str, matrix: tuple, universe) -> dict:
+def aggregate_to_statement(matrix: tuple, universe) -> dict:
     """Score each mutant from `build_outcome_matrix`'s counts, then each
-    statement: MUSE averages its mutants' scores, Metallaxis takes the maximum.
-    Statements without mutants score 0."""
+    statement: technique -> statement -> score, where Metallaxis takes the
+    maximum of the statement's mutants and MUSE averages them. Statements
+    without mutants score 0."""
     total_failed, kills = matrix
-    if technique == "muse":
-        f2p = sum(k.f2p for k in kills.values())
-        p2f = sum(k.p2f for k in kills.values())
-        scores = [muse_mutant_score(k.f2p, k.p2f, f2p, p2f) for k in kills.values()]
-    elif technique == "metallaxis":
-        scores = [
-            metallaxis_mutant_score(k.failed_changed, k.passed_changed, total_failed)
-            for k in kills.values()
-        ]
-    else:
-        raise ValueError(f"unknown MBFL technique {technique!r}")
+    f2p = sum(k.f2p for k in kills.values())
+    p2f = sum(k.p2f for k in kills.values())
     by_stmt: dict = {}
-    for k, score in zip(kills.values(), scores):
-        by_stmt.setdefault(k.stmt, []).append(score)
-    out = {}
+    for k in kills.values():
+        by_stmt.setdefault(k.stmt, []).append(k)
+    metallaxis, muse = {}, {}
     for elem in universe:
-        stmt_scores = by_stmt.get(elem)
-        if not stmt_scores:
-            out[elem] = 0.0
-        elif technique == "muse":
-            total = 0.0  # left to right: sum() compensates rounding from Python 3.12
-            for score in stmt_scores:
-                total += score
-            out[elem] = total / len(stmt_scores)
-        else:
-            out[elem] = max(stmt_scores)
-    return out
+        mine = by_stmt.get(elem, ())
+        metallaxis[elem] = max(
+            (metallaxis_mutant_score(k.failed_changed, k.passed_changed, total_failed) for k in mine),
+            default=0.0,
+        )
+        total = 0.0  # left to right: sum() compensates rounding from Python 3.12
+        for k in mine:
+            total += muse_mutant_score(k.f2p, k.p2f, f2p, p2f)
+        muse[elem] = total / len(mine) if mine else 0.0
+    return {"metallaxis": metallaxis, "muse": muse}

@@ -29,7 +29,7 @@ from .minilang import gen_mutants, run
 from .minilang.interp import reexec_step_budget
 from .model import ModelError, full_universe_ranking, lift_to_method_granularity
 from .predswitch import critical_predicates_for_tests
-from .slicing import Strategy, backward_slice, combine_slices
+from .slicing import backward_slice, combine_slices
 from .stacktrace import score_stack_traces
 
 AT_N = (1, 3, 5, 10)
@@ -65,15 +65,8 @@ def _score_ir(bundle: FaultBundle, traces: dict) -> dict:
 
 
 def _score_slicing(bundle: FaultBundle, traces: dict) -> dict:
-    slices = [
-        backward_slice(tr)
-        for tr in traces.values()
-        if tr.failed and tr.criterion_event is not None
-    ]
-    return {
-        f"slice-{strategy.value}": combine_slices(slices, strategy) if slices else {}
-        for strategy in Strategy
-    }
+    failed = [tr for tr in traces.values() if tr.failed and tr.criterion_event is not None]
+    return combine_slices([backward_slice(tr) for tr in failed])
 
 
 def _score_sbfl(bundle: FaultBundle, traces: dict) -> dict:
@@ -111,10 +104,7 @@ def _score_mbfl(bundle: FaultBundle, traces: dict) -> dict:
                 per_test[tid] = original[tid]
         mutant_runs[mutant.mutant_id] = per_test
     matrix = mbfl.build_outcome_matrix(original, mutant_runs, mutant_stmt)
-    return {
-        tech: mbfl.aggregate_to_statement(tech, matrix, bundle.elements)
-        for tech in ("metallaxis", "muse")
-    }
+    return mbfl.aggregate_to_statement(matrix, bundle.elements)
 
 
 # One scorer per row of combine.FAMILIES: (bundle, test_id -> original trace)
@@ -377,9 +367,7 @@ def emit_report(results: dict, fmt: str = "text-table") -> str:
 
 
 def _metric_rows(results: dict):
-    rows = []
-    for tech, summary in results.get("techniques", {}).items():
-        rows.append((tech, summary))
+    rows = list(results.get("techniques", {}).items())
     if results.get("combined"):
         rows.append(("combined", results["combined"]))
     return rows
@@ -412,6 +400,8 @@ def _emit_text(results: dict) -> str:
         lines.append("")
 
     def table(title, rows):
+        if not rows:
+            return
         lines.append(title)
         lines.append(
             f"{'technique':<22}" + "".join(f"{'@' + str(n):>6}" for n in AT_N) + f"{'EXAM':>10}{'miss':>6}"
@@ -427,11 +417,10 @@ def _emit_text(results: dict) -> str:
         lines.append("")
 
     table("Technique performance", _metric_rows(results))
-    if results.get("ablation"):
-        table(
-            "Leave-one-family-out",
-            [(f"w/o {family}", s) for family, s in results["ablation"].items()],
-        )
+    table(
+        "Leave-one-family-out",
+        [(f"w/o {family}", s) for family, s in results.get("ablation", {}).items()],
+    )
     corr = results.get("correlation")
     if corr:
         lines.append("Correlation (r^2)")

@@ -3,36 +3,23 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class SpectrumError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(NamedTuple):
     ef: int  # failed tests executing the element
     ep: int  # passed tests executing the element
     nf: int  # failed tests not executing it
     np: int  # passed tests not executing it
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    counts: dict  # element -> Counts
-    total_failed: int
-    total_passed: int
-
-    def __post_init__(self):
-        for elem, c in self.counts.items():
-            if c.ef + c.nf != self.total_failed or c.ep + c.np != self.total_passed:
-                raise SpectrumError(f"inconsistent counts for {elem}: {c}")
-
-
-def build_spectrum(runs: Iterable[tuple], universe: Iterable) -> Spectrum:
-    """Count per-element coverage over (covered_elements, failed) runs."""
+def build_spectrum(runs: Iterable[tuple], universe: Iterable) -> dict:
+    """Count per-element coverage over (covered_elements, failed) runs:
+    element -> Counts, in universe order."""
     runs = list(runs)
     total_failed = sum(1 for _, failed in runs if failed)
     total_passed = len(runs) - total_failed
@@ -43,7 +30,7 @@ def build_spectrum(runs: Iterable[tuple], universe: Iterable) -> Spectrum:
         ef = sum(1 for covered, failed in runs if failed and elem in covered)
         ep = sum(1 for covered, failed in runs if not failed and elem in covered)
         counts[elem] = Counts(ef, ep, total_failed - ef, total_passed - ep)
-    return Spectrum(counts, total_failed, total_passed)
+    return counts
 
 
 def ochiai(ef: int, ep: int, nf: int, np: int) -> float:
@@ -64,5 +51,5 @@ def dstar(ef: int, ep: int, nf: int, np: int, star: int = 2) -> float:
     return ef**star / denom
 
 
-def spectrum_scores(spectrum: Spectrum, formula) -> dict:
-    return {elem: formula(c.ef, c.ep, c.nf, c.np) for elem, c in spectrum.counts.items()}
+def spectrum_scores(spectrum: dict, formula) -> dict:
+    return {elem: formula(*counts) for elem, counts in spectrum.items()}

@@ -1,30 +1,15 @@
-"""Backward dynamic slicing and multi-slice combination strategies."""
+"""Backward dynamic slicing and the three multi-slice combinations."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .minilang.interp import ExecutionTrace
 
 
-class Strategy(Enum):
-    UNION = "union"
-    INTERSECTION = "intersection"
-    FREQUENCY = "frequency"
-
-
-@dataclass(frozen=True)
-class DynamicSlice:
-    criterion_element: object
-    criterion_event: int
-    members: frozenset  # elements
-
-
-def backward_slice(trace: ExecutionTrace, criterion_event: Optional[int] = None) -> DynamicSlice:
-    """Transitive closure over dynamic data and control dependences.
+def backward_slice(trace: ExecutionTrace, criterion_event: Optional[int] = None) -> frozenset:
+    """Elements of the transitive closure over dynamic data and control dependences.
 
     Defaults to the trace's failure-raising event as the criterion.
     """
@@ -43,22 +28,19 @@ def backward_slice(trace: ExecutionTrace, criterion_event: Optional[int] = None)
             if idx not in reached:
                 reached.add(idx)
                 worklist.append(idx)
-    members = frozenset(trace.events[i].element for i in reached)
-    return DynamicSlice(trace.events[criterion_event].element, criterion_event, members)
+    return frozenset(trace.events[i].element for i in reached)
 
 
-def combine_slices(slices: Iterable[DynamicSlice], strategy: Strategy) -> dict:
-    """Combine one slice per failed test.
+def combine_slices(slices: Sequence[frozenset]) -> dict:
+    """Combine one slice per failed test into technique -> element -> score.
 
     Union and intersection are set outputs (members score 1); frequency scores
-    each element by the fraction of slices containing it.
+    each element by the fraction of slices containing it. With no slices all
+    three are empty.
     """
-    slices = list(slices)
-    if not slices:
-        raise ValueError("need at least one slice")
-    if strategy is Strategy.UNION:
-        return dict.fromkeys(frozenset().union(*(s.members for s in slices)), 1.0)
-    if strategy is Strategy.INTERSECTION:
-        return dict.fromkeys(frozenset.intersection(*(s.members for s in slices)), 1.0)
-    counts = Counter(e for s in slices for e in s.members)
-    return {e: c / len(slices) for e, c in counts.items()}
+    counts = Counter(e for members in slices for e in members)
+    return {
+        "slice-union": dict.fromkeys(counts, 1.0),
+        "slice-intersection": {e: 1.0 for e, c in counts.items() if c == len(slices)},
+        "slice-frequency": {e: c / len(slices) for e, c in counts.items()},
+    }

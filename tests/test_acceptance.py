@@ -110,7 +110,7 @@ def test_03_collatz_slice():
         prog = parse(COLLATZ)
         trace = run(prog, MLTest("t", "collatz", (3,), "pass"))
         ret_event = next(i for i, e in enumerate(trace.events) if e.element.line == 6)
-        slice_lines = {e.line for e in backward_slice(trace, ret_event).members}
+        slice_lines = {e.line for e in backward_slice(trace, ret_event)}
         assert 5 in slice_lines
         assert 3 not in slice_lines
 
@@ -164,12 +164,12 @@ def test_05_seeded_corpus_sbfl():
                     [(tr.covered, tr.failed) for tr in traces], bundle.elements
                 )
                 faulty = next(iter(bundle.faulty))
-                max_ef = max(c.ef for c in spectrum.counts.values())
-                assert spectrum.counts[faulty].ef == max_ef
+                max_ef = max(c.ef for c in spectrum.values())
+                assert spectrum[faulty].ef == max_ef
                 min_ep = min(
-                    c.ep for c in spectrum.counts.values() if c.ef == max_ef
+                    c.ep for c in spectrum.values() if c.ef == max_ef
                 )
-                assert spectrum.counts[faulty].ep <= min_ep + 1
+                assert spectrum[faulty].ep <= min_ep + 1
         assert hits >= 8
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,17 @@ class TestCorpusLoading:
         with pytest.raises(CorpusError, match="f1: test t: no function 'f' of 2 args"):
             load_fault(tmp_path / "f1")
 
+    def test_duplicate_test_id_rejected(self, tmp_path):
+        # Runs are keyed by test id, so a second t1 would replace the first.
+        corpus = edited_corpus(tmp_path, "f02_maxof3", "tests.json", '"t2"', '"t1"')
+        with pytest.raises(CorpusError, match="fault f02_maxof3: tests.json: duplicate test id 't1'"):
+            load_fault(corpus / "f02_maxof3")
+
+    def test_project_must_be_a_string(self, tmp_path):
+        corpus = edited_corpus(tmp_path, "f02_maxof3", "truth.json", '"maxof3"', "5")
+        with pytest.raises(CorpusError, match="fault f02_maxof3: truth.json: project 5 is not a string"):
+            load_fault(corpus / "f02_maxof3")
+
 
 def write_scores(records, path):
     """Write score records as the JSON lines `ingest_scores` reads."""
@@ -110,6 +122,17 @@ def write_scores(records, path):
         for rec in records:
             scores = [[str(e), str(v) if math.isinf(v) else v] for e, v in rec.scores.items()]
             fh.write(json.dumps({"fault": rec.fault_id, "technique": rec.technique_id, "scores": scores}) + "\n")
+
+
+def edited_corpus(tmp_path, fault, name, old, new):
+    """A copy of the corpus with the one occurrence of `old` in a fault file replaced."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    path = corpus / fault / name
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return corpus
 
 
 def write_fault(fault_dir, program="func f(x) { return x; }", entry="f", args=(1,)):
@@ -201,10 +224,11 @@ class TestAnalyzeFault:
         assert set(SCORERS) == {f.name for f in cmb.FAMILIES}
 
     def test_level4_produces_exactly_the_preset(self, bundles):
-        (bundle,) = [b for b in bundles if b.fault_id == "f02_maxof3"]
-        analysis = analyze_fault(bundle, cmb.preset_families(4))
-        assert sorted(analysis.scores) == sorted(cmb.preset_techniques(4))
-        assert set(analysis.timings) == {"testruns", *cmb.preset_families(4)}
+        assert len(bundles) == 10
+        for bundle in bundles:
+            analysis = analyze_fault(bundle, cmb.preset_families(4))
+            assert sorted(analysis.scores) == sorted(cmb.preset_techniques(4)), bundle.fault_id
+            assert set(analysis.timings) == {"testruns", *cmb.preset_families(4)}
 
     def test_missing_aux_inputs_rejected(self, bundles):
         from dataclasses import replace
@@ -591,6 +615,21 @@ class TestCli:
         assert rc == 0
         assert "Correlation" in capsys.readouterr().out
 
+    def test_correlate_text_prints_no_empty_table(self, capsys):
+        rc = cli_main(["correlate", "--corpus", str(CORPUS), "--preset", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.startswith("Correlation (r^2)\n")
+        assert "Technique performance" not in out and "EXAM" not in out
+
+    def test_report_of_empty_score_file_prints_no_table(self, tmp_path, capsys):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("")
+        rc = cli_main(["report", "--corpus", str(CORPUS), "--scores", str(scores)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "Technique performance" not in out and "EXAM" not in out
+
     def test_combine_honours_granularity(self, tmp_path):
         weights = {}
         for granularity in ("statement", "method"):
@@ -790,6 +829,21 @@ class TestCli:
         rc = cli_main(["localize", "--corpus", str(tmp_path), "--fault", "f1"])
         assert rc == 1
         self.assert_one_error_line(capsys, "fault f1:", *words)
+
+    @pytest.mark.parametrize(
+        "name, old, new, argv, words",
+        [
+            ("tests.json", '"t2"', '"t1"', ["--preset", "level4"], ("tests.json", "duplicate test id 't1'")),
+            ("truth.json", '"maxof3"', "5", ["--preset", "level1", "--cv", "cross-project"],
+             ("truth.json", "project 5 is not a string")),
+        ],
+        ids=["duplicate-test-id", "int-project"],
+    )
+    def test_bad_corpus_file_in_evaluate(self, tmp_path, capsys, name, old, new, argv, words):
+        corpus = edited_corpus(tmp_path, "f02_maxof3", name, old, new)
+        rc = cli_main(["evaluate", "--corpus", str(corpus), *argv])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "fault f02_maxof3:", *words)
 
     def test_non_utf8_score_file(self, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"

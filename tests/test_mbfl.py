@@ -161,17 +161,13 @@ class TestMatrix:
 
     def test_mutant_scores(self):
         # One mutant per statement, so each statement scores as its mutant.
-        m = small_matrix()
-        muse = aggregate_to_statement("muse", m, [S1, S2])
+        scored = aggregate_to_statement(small_matrix(), [S1, S2])
+        assert list(scored) == ["metallaxis", "muse"]
+        muse, met = scored["muse"], scored["metallaxis"]
         assert muse[S1] == pytest.approx(2.0, abs=1e-12)
         assert muse[S2] == pytest.approx(0 - 2.0 * 1, abs=1e-12)
-        met = aggregate_to_statement("metallaxis", m, [S1, S2])
         assert met[S1] == pytest.approx(2 / math.sqrt(2 * 2), abs=1e-12)
         assert met[S2] == pytest.approx(1 / math.sqrt(2 * 2), abs=1e-12)
-
-    def test_unknown_technique(self):
-        with pytest.raises(ValueError):
-            aggregate_to_statement("nope", small_matrix(), [S1])
 
 
 class TestAggregation:
@@ -182,8 +178,8 @@ class TestAggregation:
             "b": {"tf": (False, "s"), "tp": (True, "p")},   # no effect
         }
         m = build_outcome_matrix(original, mutants, {"a": S1, "b": S1})
-        muse = aggregate_to_statement("muse", m, [S1, S2])
-        met = aggregate_to_statement("metallaxis", m, [S1, S2])
+        scored = aggregate_to_statement(m, [S1, S2])
+        muse, met = scored["muse"], scored["metallaxis"]
         # muse scores: a=1, b=0 -> average 0.5; metallaxis: max(1, 0) = 1
         assert muse[S1] == pytest.approx(0.5, abs=1e-12)
         assert met[S1] == pytest.approx(1.0, abs=1e-12)
@@ -202,13 +198,17 @@ class TestAggregation:
         scores = [muse_mutant_score(k.f2p, k.p2f, 1, 10) for k in kills.values()]
         assert scores[:3] == [-0.1, 0.9, -0.1]
         assert math.fsum(scores[:3]) == 0.7
-        muse = aggregate_to_statement("muse", (2, kills), [S1, S2])
+        muse = aggregate_to_statement((2, kills), [S1, S2])["muse"]
         assert muse[S1] == 0.7000000000000001 / 3
 
     def test_statement_without_mutants_scores_zero(self):
-        m = small_matrix()
-        scored = aggregate_to_statement("metallaxis", m, [S1, S2, S3])
-        assert scored[S3] == 0.0
+        scored = aggregate_to_statement(small_matrix(), [S1, S2, S3])
+        assert scored["metallaxis"][S3] == 0.0
+        assert scored["muse"][S3] == 0.0
+
+    def test_scores_follow_universe_order(self):
+        scored = aggregate_to_statement(small_matrix(), [S3, S2, S1])
+        assert [list(s) for s in scored.values()] == [[S3, S2, S1]] * 2
 
 
 RUN = st.tuples(st.booleans(), st.integers(0, 2))
@@ -240,6 +240,7 @@ def test_counts_and_scores_match_pair_oracle(case):
     matrix = build_outcome_matrix(original, mutants, mutant_stmt)
     assert matrix == (total_failed, kills)
     assert list(matrix[1]) == list(mutants)
+    scored = aggregate_to_statement(matrix, universe)
+    assert list(scored) == ["metallaxis", "muse"]
     for tech in ("muse", "metallaxis"):
-        scored = aggregate_to_statement(tech, matrix, universe)
-        assert list(scored.items()) == list(scores[tech].items())
+        assert list(scored[tech].items()) == list(scores[tech].items())

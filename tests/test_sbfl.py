@@ -1,13 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from flkit.model import ProgramElement, ranked
 from flkit.sbfl import (
     Counts,
-    Spectrum,
     SpectrumError,
     build_spectrum,
     dstar,
@@ -74,20 +73,24 @@ class TestSpectrum:
             ({a, c}, False),
             ({a}, False),
         ]
-        sp = build_spectrum(runs, [a, b, c])
-        assert sp.counts[a] == Counts(1, 2, 0, 0)
-        assert sp.counts[b] == Counts(1, 0, 0, 2)
-        assert sp.counts[c] == Counts(0, 1, 1, 1)
+        sp = build_spectrum(runs, [c, a, b])
+        assert sp == {c: Counts(0, 1, 1, 1), a: Counts(1, 2, 0, 0), b: Counts(1, 0, 0, 2)}
+        assert list(sp) == [c, a, b]
+        assert (sp[a].ef, sp[a].ep, sp[a].nf, sp[a].np) == (1, 2, 0, 0)
+
+    @given(st.lists(st.tuples(st.sets(st.integers(0, 3)), st.booleans()), max_size=8))
+    def test_counts_partition_the_runs(self, runs):
+        elems = self.elems()
+        runs = [({elems[i] for i in covered if i < 3}, failed) for covered, failed in runs]
+        failed = sum(1 for _, f in runs if f)
+        assume(failed)
+        for c in build_spectrum(runs, elems).values():
+            assert (c.ef + c.nf, c.ep + c.np) == (failed, len(runs) - failed)
 
     def test_requires_a_failed_test(self):
         a = ProgramElement("f", 1)
         with pytest.raises(SpectrumError):
             build_spectrum([({a}, False)], [a])
-
-    def test_inconsistent_counts_rejected(self):
-        a = ProgramElement("f", 1)
-        with pytest.raises(SpectrumError):
-            Spectrum({a: Counts(1, 0, 1, 0)}, 1, 0)
 
     def test_scores_and_ranking(self):
         a, b, c = self.elems()
@@ -97,3 +100,9 @@ class TestSpectrum:
         (first, _, top), (second, _, _), _ = ranked(scored)
         # b covered only by the failing run ranks strictly first
         assert (first, top, second) == (1, b, 2)
+
+    def test_formula_takes_the_counts_in_order(self):
+        a, b, c = self.elems()
+        sp = build_spectrum([({a, b}, True), ({a}, True), ({a, c}, False)], [a, b, c])
+        assert spectrum_scores(sp, dstar) == {a: 4 / 1, b: 1 / 1, c: 0.0}
+        assert spectrum_scores(sp, lambda *counts: counts) == sp

@@ -2,7 +2,7 @@ import pytest
 
 from flkit.minilang.interp import TestCase as MLTest, run
 from flkit.minilang.parse import parse
-from flkit.slicing import Strategy, backward_slice, combine_slices
+from flkit.slicing import backward_slice, combine_slices
 
 COLLATZ = """\
 func collatz(x) { var res = 0;
@@ -16,7 +16,7 @@ func collatz(x) { var res = 0;
 
 
 def slice_lines(sl):
-    return sorted(e.line for e in sl.members)
+    return sorted(e.line for e in sl)
 
 
 class TestBackwardSlice:
@@ -63,9 +63,9 @@ class TestBackwardSlice:
         prog = parse("func f(x) {\n var y = x + 1;\n assert(y > 10);\n return y;\n}")
         tr = run(prog, MLTest("t", "f", (1,), "pass"))
         assert tr.failed
-        sl = backward_slice(tr)
-        assert sl.criterion_element.line == 3
-        assert slice_lines(sl) == [2, 3]
+        assert tr.events[tr.criterion_event].element.line == 3
+        assert backward_slice(tr) == backward_slice(tr, tr.criterion_event)
+        assert slice_lines(backward_slice(tr)) == [2, 3]
 
     @pytest.mark.parametrize(
         "src, args, lines",
@@ -114,27 +114,38 @@ class TestCombineSlices:
         return out
 
     def test_union(self):
-        combined = combine_slices(self.make_slices(), Strategy.UNION)
+        combined = combine_slices(self.make_slices())["slice-union"]
         assert sorted(e.line for e in combined) == [2, 3, 5, 6]
         assert set(combined.values()) == {1.0}
 
     def test_intersection(self):
-        combined = combine_slices(self.make_slices(), Strategy.INTERSECTION)
+        combined = combine_slices(self.make_slices())["slice-intersection"]
         assert sorted(e.line for e in combined) == [2, 6]
+        assert set(combined.values()) == {1.0}
 
     def test_frequency(self):
-        combined = combine_slices(self.make_slices(), Strategy.FREQUENCY)
+        combined = combine_slices(self.make_slices())["slice-frequency"]
         scores = {e.line: s for e, s in combined.items()}
-        assert scores[2] == 1.0 and scores[6] == 1.0
-        assert scores[3] == 0.5 and scores[5] == 0.5
+        assert scores == {2: 1.0, 3: 0.5, 5: 0.5, 6: 1.0}
 
     def test_single_slice_strategies_agree(self):
         (sl, _) = self.make_slices()
-        for strategy in Strategy:
-            combined = combine_slices([sl], strategy)
-            assert combined.keys() == set(sl.members)
-            assert set(combined.values()) == {1.0}
+        combined = combine_slices([sl])
+        assert list(combined) == ["slice-union", "slice-intersection", "slice-frequency"]
+        for scores in combined.values():
+            assert scores == dict.fromkeys(sl, 1.0)
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            combine_slices([], Strategy.UNION)
+    def test_no_slices_give_three_empty_techniques(self):
+        assert combine_slices([]) == {
+            "slice-union": {},
+            "slice-intersection": {},
+            "slice-frequency": {},
+        }
+
+    def test_repeated_slice_counts_each_time(self):
+        (a, b) = self.make_slices()
+        combined = combine_slices([a, a, b])
+        scores = {e.line: s for e, s in combined["slice-frequency"].items()}
+        assert scores == {2: 1.0, 3: 1 / 3, 5: 2 / 3, 6: 1.0}
+        assert combined["slice-intersection"].keys() == a & b
+        assert combined["slice-union"].keys() == a | b
