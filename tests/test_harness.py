@@ -104,17 +104,6 @@ class TestCorpusLoading:
         with pytest.raises(CorpusError, match="f1: test t: no function 'f' of 2 args"):
             load_fault(tmp_path / "f1")
 
-    def test_duplicate_test_id_rejected(self, tmp_path):
-        # Runs are keyed by test id, so a second t1 would replace the first.
-        corpus = edited_corpus(tmp_path, "f02_maxof3", "tests.json", '"t2"', '"t1"')
-        with pytest.raises(CorpusError, match="fault f02_maxof3: tests.json: duplicate test id 't1'"):
-            load_fault(corpus / "f02_maxof3")
-
-    def test_project_must_be_a_string(self, tmp_path):
-        corpus = edited_corpus(tmp_path, "f02_maxof3", "truth.json", '"maxof3"', "5")
-        with pytest.raises(CorpusError, match="fault f02_maxof3: truth.json: project 5 is not a string"):
-            load_fault(corpus / "f02_maxof3")
-
 
 def write_scores(records, path):
     """Write score records as the JSON lines `ingest_scores` reads."""

@@ -206,10 +206,6 @@ class TestAggregation:
         assert scored["metallaxis"][S3] == 0.0
         assert scored["muse"][S3] == 0.0
 
-    def test_scores_follow_universe_order(self):
-        scored = aggregate_to_statement(small_matrix(), [S3, S2, S1])
-        assert [list(s) for s in scored.values()] == [[S3, S2, S1]] * 2
-
 
 RUN = st.tuples(st.booleans(), st.integers(0, 2))
 
