@@ -225,7 +225,7 @@ class RankModel:
             )
         except json.JSONDecodeError as exc:
             raise CombineError(f"model file is not JSON: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CombineError(f"malformed model file: {type(exc).__name__} {exc}") from None
 
 

@@ -155,7 +155,7 @@ def _malformed(fault_id: str, name: str):
     """Report malformed content of a fault's JSON file as a CorpusError."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError, ModelError) as exc:
         raise CorpusError(f"fault {fault_id}: {name}: {exc}") from None
 
 
@@ -207,6 +207,7 @@ def ingest_scores(path: str | Path) -> list[ScoreRecord]:
             TypeError,
             ValueError,
             OverflowError,
+            RecursionError,
             ModelError,
         ) as exc:
             raise CorpusError(f"{path}:{lineno}: malformed score record: {exc}") from exc

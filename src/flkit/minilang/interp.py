@@ -87,6 +87,7 @@ from .parse import (
     Call,
     ExprStmt,
     Function,
+    INT_LIMIT,
     If,
     Index,
     Num,
@@ -126,10 +127,6 @@ def reexec_step_budget(originals) -> int:
 # before Python's own recursion limit, and the outcome does not depend on how
 # deep run() is called from.
 MAX_CALL_DEPTH = 100
-
-# Integer magnitude trap; keeps runaway mutants (e.g. squaring in a loop)
-# from producing astronomically large bignums before the step budget hits.
-INT_LIMIT = 2**63
 
 PASS = "pass"
 ASSERT_FAIL = "assertfail"
@@ -402,10 +399,10 @@ def _zero(interp, frame):
 
 
 def _divide(left, right):
-    """Integer division truncating toward zero."""
+    """Integer division truncating toward zero, exact at any size."""
     if right == 0:
         raise _Crash("div0")
-    return int(left / right) if (left < 0) != (right < 0) else left // right
+    return left // right if (left < 0) == (right < 0) else -(-left // right)
 
 
 # The operators of Binary nodes other than && and ||.

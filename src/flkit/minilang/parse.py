@@ -43,6 +43,11 @@ ONE_CHAR = set("+-*/%<>!=(){}[],;")
 # Python's recursion limit.
 MAX_NESTING = 64
 
+# Integer magnitude trap; keeps runaway mutants (e.g. squaring in a loop)
+# from producing astronomically large bignums before the step budget hits.
+# Integer literals may not exceed it either.
+INT_LIMIT = 2**63
+
 ARITH_OPS = ("+", "-", "*", "/", "%")
 REL_OPS = ("==", "!=", "<", "<=", ">", ">=")
 LOGIC_OPS = ("&&", "||")
@@ -212,7 +217,6 @@ class Function:
 @dataclass
 class Program:
     functions: dict
-    file_id: str
     source: str
 
     def statements(self) -> list:
@@ -224,9 +228,6 @@ class Program:
 
     def elements(self) -> list:
         return [s.elem for s in self.statements()]
-
-    def method_map(self) -> dict:
-        return {e: e.method_id for e in self.elements()}
 
 
 def _collect(body, out):
@@ -292,6 +293,28 @@ class _Parser:
 
     # -- grammar --
 
+    def name(self, what) -> Token:
+        tok = self.next()
+        if tok.kind != "name":
+            raise MiniSyntaxError(f"expected {what} name", tok.line, tok.col)
+        return tok
+
+    def listed(self, item, close) -> list:
+        """Zero or more item() separated by commas, then close."""
+        items = []
+        if not self.at(close):
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+        self.expect(close)
+        return items
+
+    def enclosed(self, open, close) -> Expr:
+        self.expect(open)
+        expr = self.expression()
+        self.expect(close)
+        return expr
+
     def program(self) -> Program:
         functions = {}
         while self.peek() is not None:
@@ -305,23 +328,15 @@ class _Parser:
 
     def function(self) -> Function:
         kw = self.expect("func")
-        name = self.next()
-        if name.kind != "name":
-            raise MiniSyntaxError("expected function name", name.line, name.col)
-        self.current_func = name.text
+        self.current_func = self.name("function").text
         self.expect("(")
         params = []
-        if not self.at(")"):
-            while True:
-                p = self.next()
-                if p.kind != "name":
-                    raise MiniSyntaxError("expected parameter name", p.line, p.col)
-                params.append(p.text)
-                if not self.accept(","):
-                    break
-        self.expect(")")
+        for p in self.listed(lambda: self.name("parameter"), ")"):
+            if p.text in params:
+                raise MiniSyntaxError(f"duplicate parameter {p.text!r}", p.line, p.col)
+            params.append(p.text)
         body = self.block()
-        return Function(name.text, params, body, kw.line)
+        return Function(self.current_func, params, body, kw.line)
 
     def block(self) -> list:
         self.expect("{")
@@ -340,57 +355,38 @@ class _Parser:
         return self.nested(self._statement)
 
     def _statement(self) -> Stmt:
-        tok = self.peek()
-        if tok is None:
-            raise MiniSyntaxError("unexpected end of input", 1, 1)
+        start = self.pos
+        tok = self.next()
         elem = self.element_for(tok.line)
-        if self.accept("var"):
-            name = self.next()
+        if tok.text == "var":
+            name = self.name("variable").text
             init = self.expression() if self.accept("=") else None
             self.expect(";")
-            return VarDecl(name.text, init, elem=elem)
-        if self.accept("if"):
-            self.expect("(")
-            cond = self.expression()
-            self.expect(")")
+            return VarDecl(name, init, elem=elem)
+        if tok.text == "if":
+            cond = self.enclosed("(", ")")
             then_body = self.stmt_or_block()
             else_body = self.stmt_or_block() if self.accept("else") else []
             return If(cond, then_body, else_body, elem=elem)
-        if self.accept("while"):
-            self.expect("(")
-            cond = self.expression()
-            self.expect(")")
-            body = self.stmt_or_block()
-            return While(cond, body, elem=elem)
-        if self.accept("return"):
+        if tok.text == "while":
+            cond = self.enclosed("(", ")")
+            return While(cond, self.stmt_or_block(), elem=elem)
+        if tok.text == "return":
             value = None if self.at(";") else self.expression()
             self.expect(";")
             return Return(value, elem=elem)
-        if self.accept("assert"):
-            self.expect("(")
-            cond = self.expression()
-            self.expect(")")
+        if tok.text == "assert":
+            cond = self.enclosed("(", ")")
             self.expect(";")
             return Assert(cond, elem=elem)
-        # assignment or expression statement
+        # "name = e;" or "name[e] = e;", else an expression statement from the start
         if tok.kind == "name":
-            nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-            if nxt is not None and nxt.text == "=":
-                self.pos += 2
+            index = self.enclosed("[", "]") if self.at("[") else None
+            if self.accept("="):
                 value = self.expression()
                 self.expect(";")
-                return Assign(tok.text, None, value, elem=elem)
-            if nxt is not None and nxt.text == "[":
-                # lookahead for "name[expr] = ..." vs an index read in an expression
-                save = self.pos
-                self.pos += 2
-                index = self.expression()
-                self.expect("]")
-                if self.accept("="):
-                    value = self.expression()
-                    self.expect(";")
-                    return Assign(tok.text, index, value, elem=elem)
-                self.pos = save
+                return Assign(tok.text, index, value, elem=elem)
+        self.pos = start
         expr = self.expression()
         self.expect(";")
         return ExprStmt(expr, elem=elem)
@@ -416,45 +412,28 @@ class _Parser:
 
     def postfix_expr(self) -> Expr:
         expr = self.primary()
-        while self.at("["):
-            tok = self.next()
-            index = self.expression()
-            self.expect("]")
-            expr = Index(expr, index, line=tok.line)
+        while (tok := self.peek()) is not None and tok.text == "[":
+            expr = Index(expr, self.enclosed("[", "]"), line=tok.line)
         return expr
 
     def primary(self) -> Expr:
+        if self.at("("):
+            return self.enclosed("(", ")")
         tok = self.next()
         if tok.kind == "int":
-            return Num(int(tok.text), line=tok.line)
+            digits = tok.text.lstrip("0") or "0"  # int() refuses over 4,300 digits
+            if len(digits) > len(str(INT_LIMIT)) or int(digits) > INT_LIMIT:
+                raise MiniSyntaxError("integer literal out of range", tok.line, tok.col)
+            return Num(int(digits), line=tok.line)
         if tok.text == "true":
             return BoolLit(True, line=tok.line)
         if tok.text == "false":
             return BoolLit(False, line=tok.line)
-        if tok.text == "(":
-            expr = self.expression()
-            self.expect(")")
-            return expr
         if tok.text == "[":
-            items = []
-            if not self.at("]"):
-                while True:
-                    items.append(self.expression())
-                    if not self.accept(","):
-                        break
-            self.expect("]")
-            return ArrayLit(items, line=tok.line)
+            return ArrayLit(self.listed(self.expression, "]"), line=tok.line)
         if tok.kind == "name":
-            if self.at("("):
-                self.next()
-                args = []
-                if not self.at(")"):
-                    while True:
-                        args.append(self.expression())
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-                return Call(tok.text, args, line=tok.line)
+            if self.accept("("):
+                return Call(tok.text, self.listed(self.expression, ")"), line=tok.line)
             return Var(tok.text, line=tok.line)
         raise MiniSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
@@ -468,7 +447,7 @@ def parse(source: str, file_id: str = "main") -> Program:
         tok = parser.tokens[parser.pos - 1]
         raise MiniSyntaxError("nesting too deep", tok.line, tok.col) from None
     _check_tree(functions)
-    return Program(functions, file_id, source)
+    return Program(functions, source)
 
 
 def _check_tree(functions: dict):

@@ -157,7 +157,7 @@ def _granular(analysis: FaultAnalysis, granularity: str):
         return tuple(bundle.elements), set(bundle.faulty), analysis.scores
     if granularity != "method":
         raise PipelineError(f"unknown granularity {granularity!r}")
-    method_of = bundle.program.method_map()
+    method_of = {e: e.method_id for e in bundle.elements}
     universe = tuple(dict.fromkeys(method_of.values()))
     faulty = {method_of[e] for e in bundle.faulty}
     lifted = {

@@ -834,6 +834,28 @@ class TestCli:
         assert rc == 1
         self.assert_one_error_line(capsys, "fault f02_maxof3:", *words)
 
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("f1/tests.json", '{"tests": [{"id": "t", "entry": "f", "args": DEEP, "expect": 2}]}',
+             ["evaluate", "--corpus", "{dir}"]),
+            ("scores.jsonl", '{"fault": "f01_absval", "technique": "ext", "scores": DEEP}',
+             ["report", "--corpus", str(CORPUS), "--scores", "{path}"]),
+            ("model.json", '{"techniques": DEEP, "weights": [], "seed": 0}',
+             ["combine", "--corpus", str(CORPUS), "--preset", "1",
+              "--load", "{path}", "--fault", "f01_absval"]),
+        ],
+        ids=["tests-json", "score-file", "model-file"],
+    )
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys, name, text, argv):
+        # Python 3.13's json decodes 5,000 levels; none decodes 100,000.
+        write_fault(tmp_path / "f1")
+        path = tmp_path / name
+        path.write_text(text.replace("DEEP", "[" * 100_000 + "]" * 100_000))
+        rc = cli_main([arg.format(dir=tmp_path, path=path) for arg in argv])
+        assert rc == 1
+        self.assert_one_error_line(capsys, "recursion")
+
     def test_non_utf8_score_file(self, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"
         scores.write_bytes(

@@ -58,6 +58,7 @@ EVERY_NODE = (
 )
 RECURSIVE = "func f(n) { if (n == 0) { return 0; } return 1 + f(n - 1); }"
 SPIN = "func f() { while (true) { var x = 1; } return 0; }"
+DIVIDE = parse("func f(a, b) { return [a / b, a % b]; }")
 
 
 def lines(elements):
@@ -115,7 +116,7 @@ class TestParsing:
 
     def test_method_map(self):
         prog = parse("func g() { return 1; }\nfunc h() { return g(); }")
-        methods = set(prog.method_map().values())
+        methods = {e.method_id for e in prog.elements()}
         assert methods == {"g", "h"}
 
     def test_comments_ignored(self):
@@ -139,6 +140,39 @@ class TestParsing:
     def test_duplicate_function_rejected(self):
         with pytest.raises(MiniSyntaxError):
             parse("func f() { return 1; } func f() { return 2; }")
+
+    @pytest.mark.parametrize("source", [
+        "func f() { var 1 = 2; return 1; }",
+        "func f() { var while = 2; }",
+        "func f() { var ( = 2; }",
+    ])
+    def test_var_needs_a_name(self, source):
+        with pytest.raises(MiniSyntaxError, match="^1:16: expected variable name$"):
+            parse(source)
+
+    def test_end_of_input_is_at_the_last_token(self):
+        with pytest.raises(MiniSyntaxError, match="^2:12: unexpected end of input$"):
+            parse("func f(x) {\n  var s = 0;\n")
+
+    def test_duplicate_parameter_rejected(self):
+        # Otherwise the second binding silently replaces the first argument.
+        with pytest.raises(MiniSyntaxError, match="^1:11: duplicate parameter 'a'$"):
+            parse("func f(a, a) { return a; }")
+
+    @pytest.mark.parametrize(
+        "literal, value", [(str(2**63), 2**63), ("0" * 5000 + "7", 7)], ids=["2**63", "zero-padded"]
+    )
+    def test_integer_literal_in_range(self, literal, value):
+        prog = parse(f"func f() {{ return {literal}; }}")
+        assert run(prog, MLTest("t", "f", (), value)).outcome.status == PASS
+
+    @pytest.mark.parametrize(
+        "literal", [str(2**63 + 1), "1" + "0" * 4999], ids=["2**63+1", "5000-digits"]
+    )
+    def test_integer_literal_out_of_range(self, literal):
+        # int() refuses strings over 4,300 digits, so the bound is checked first.
+        with pytest.raises(MiniSyntaxError, match="^1:19: integer literal out of range$"):
+            parse(f"func f() {{ return {literal}; }}")
 
     def test_deep_nesting_is_syntax_error(self):
         with pytest.raises(MiniSyntaxError, match="nesting too deep"):
@@ -175,6 +209,12 @@ class TestInterpreter:
         prog = parse("func f(a, b) { return a % b; }")
         assert run(prog, MLTest("t", "f", (-7, 2), "pass")).value == -1
         assert run(prog, MLTest("t", "f", (7, -2), "pass")).value == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**400, 10**400), st.integers(-10**400, 10**400).filter(bool))
+    def test_division_truncates_exactly_at_any_size(self, a, b):
+        q = abs(a) // abs(b) if (a < 0) == (b < 0) else -(abs(a) // abs(b))
+        assert run(DIVIDE, MLTest("t", "f", (a, b), "pass")).value == [q, a - b * q]
 
     def test_runs_share_the_constant_outcomes(self):
         prog = parse("func f(x) { return x; }")

@@ -251,7 +251,7 @@ class TestOneGroupingPass:
         checked = 0
         for analysis in analyses:
             bundle = analysis.bundle
-            method_of = bundle.program.method_map()
+            method_of = {e: e.method_id for e in bundle.elements}
             methods = set(method_of.values())
             faulty_methods = {method_of[e] for e in bundle.faulty}
             for scored in analysis.scores.values():
