@@ -15,7 +15,7 @@ from pathlib import Path
 
 from flkit.corpus import load_fault
 from flkit.metrics import expected_first_faulty_rank
-from flkit.minilang import run
+from flkit.minilang.interp import run
 from flkit.model import full_universe_ranking, ranked
 from flkit.pipeline import analyze_fault
 

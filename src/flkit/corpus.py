@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from .irhist import commits_from_json, tokenize
-from .minilang import MiniSyntaxError, Program, TestCase, parse
+from .minilang.parse import MiniSyntaxError, Program, TestCase, parse
 from .model import (
     ModelError,
     ProgramElement,

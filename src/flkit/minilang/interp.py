@@ -73,7 +73,7 @@ on. Each While node is classified by one recursive walk when it is compiled.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, NamedTuple, Optional
 
@@ -93,6 +93,7 @@ from .parse import (
     Num,
     Program,
     Return,
+    TestCase,
     Unary,
     Var,
     VarDecl,
@@ -157,29 +158,6 @@ class Event(NamedTuple):
 # NamedTuple; run() builds its ExecutionTrace the same way.
 _new = tuple.__new__
 _NO_DEPS = frozenset()
-
-
-@dataclass(frozen=True)
-class TestCase:
-    """A call of entry with args, whose result must equal expect. values holds
-    args as run-time values, arrays as lists at every depth, bound once and
-    shared by every run: the language never changes an array in place."""
-
-    test_id: str
-    entry: str
-    args: tuple
-    expect: Any  # concrete value, or the string "pass" for run-to-completion
-    values: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        args = tuple(self.args)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "values", tuple(map(_as_value, args)))
-
-
-def _as_value(arg):
-    """A test argument as a run-time value: a list or tuple becomes a list, at every depth."""
-    return list(map(_as_value, arg)) if isinstance(arg, (list, tuple)) else arg
 
 
 class ExecutionTrace(NamedTuple):

@@ -1,4 +1,4 @@
-"""Lexer, parser, and AST for the mini language.
+"""Lexer, parser and AST for the mini language, and the test cases its programs run.
 
 Syntax is C-flavored and whitespace-insensitive, so several statements may
 share a source line; stmt_index distinguishes them. Element numbering follows
@@ -20,7 +20,7 @@ and expression statements (calls). Comments run from '#' to end of line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Any, Optional
 
 from ..model import ProgramElement
 
@@ -147,6 +147,9 @@ class Binary(Expr):
 class Call(Expr):
     name: str
     args: list[Expr]
+    # Column of the name, for errors; the parser sets it. Not a field, so node equality,
+    # dataclasses.replace copies and field-wise renderings leave it out.
+    col = 0
 
 
 @dataclass
@@ -211,7 +214,8 @@ class Function:
     name: str
     params: list
     body: list[Stmt]
-    line: int
+    line: int  # line and col of the name
+    col: int
 
 
 @dataclass
@@ -228,6 +232,29 @@ class Program:
 
     def elements(self) -> list:
         return [s.elem for s in self.statements()]
+
+
+@dataclass(frozen=True)
+class TestCase:
+    """A call of entry with args, whose result must equal expect. values holds
+    args as run-time values, arrays as lists at every depth, bound once and
+    shared by every run: the language never changes an array in place."""
+
+    test_id: str
+    entry: str
+    args: tuple
+    expect: Any  # concrete value, or the string "pass" for run-to-completion
+    values: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        args = tuple(self.args)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "values", tuple(map(_as_value, args)))
+
+
+def _as_value(arg):
+    """A test argument as a run-time value: a list or tuple becomes a list, at every depth."""
+    return list(map(_as_value, arg)) if isinstance(arg, (list, tuple)) else arg
 
 
 def _collect(body, out):
@@ -320,15 +347,16 @@ class _Parser:
         while self.peek() is not None:
             fn = self.function()
             if fn.name in functions:
-                raise MiniSyntaxError(f"duplicate function {fn.name!r}", fn.line, 1)
+                raise MiniSyntaxError(f"duplicate function {fn.name!r}", fn.line, fn.col)
             functions[fn.name] = fn
         if not functions:
             raise MiniSyntaxError("empty program", 1, 1)
         return functions
 
     def function(self) -> Function:
-        kw = self.expect("func")
-        self.current_func = self.name("function").text
+        self.expect("func")
+        name = self.name("function")
+        self.current_func = name.text
         self.expect("(")
         params = []
         for p in self.listed(lambda: self.name("parameter"), ")"):
@@ -336,7 +364,7 @@ class _Parser:
                 raise MiniSyntaxError(f"duplicate parameter {p.text!r}", p.line, p.col)
             params.append(p.text)
         body = self.block()
-        return Function(self.current_func, params, body, kw.line)
+        return Function(name.text, params, body, name.line, name.col)
 
     def block(self) -> list:
         self.expect("{")
@@ -433,7 +461,9 @@ class _Parser:
             return ArrayLit(self.listed(self.expression, "]"), line=tok.line)
         if tok.kind == "name":
             if self.accept("("):
-                return Call(tok.text, self.listed(self.expression, ")"), line=tok.line)
+                call = Call(tok.text, self.listed(self.expression, ")"), line=tok.line)
+                call.col = tok.col
+                return call
             return Var(tok.text, line=tok.line)
         raise MiniSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
@@ -458,7 +488,7 @@ def _check_tree(functions: dict):
         node, depth = stack.pop()
         line = node.elem.line if isinstance(node, Stmt) else node.line
         if isinstance(node, Call) and node.name not in functions:
-            raise MiniSyntaxError(f"call to undefined function {node.name!r}", line, 1)
+            raise MiniSyntaxError(f"call to undefined function {node.name!r}", line, node.col)
         if depth > MAX_NESTING:
             raise MiniSyntaxError("nesting too deep", line, 1)
         stack.extend((child, depth + 1) for child in reversed(children(node)))

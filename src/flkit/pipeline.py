@@ -25,8 +25,8 @@ from .metrics import (
     integer_r_squared,
     scale_to_integers,
 )
-from .minilang import gen_mutants, run
-from .minilang.interp import reexec_step_budget
+from .minilang.interp import reexec_step_budget, run
+from .minilang.mutate import gen_mutants
 from .model import ModelError, full_universe_ranking, lift_to_method_granularity
 from .predswitch import critical_predicates_for_tests
 from .slicing import backward_slice, combine_slices
@@ -306,17 +306,24 @@ def evaluate_corpus(
 
 def correlation_matrix(per_tech_values: Mapping[str, Mapping], q: int = 100) -> dict:
     """Pairwise r^2 (and p-values) of per-fault expected ranks; undefined pairs are null.
-    Each technique's ranks are scaled to integers once, over all its faults."""
+    Each distinct rank column is scaled to integers once, over all its faults; techniques
+    with equal columns share one row and column, as their pairs hold the same integers."""
     techniques = sorted(per_tech_values)
-    ranks = []  # per technique: (fault -> scaled rank, faults within q, unranked, all faults)
+    column_of = {}  # rank column -> its index in ranks
+    same = []  # per technique: the index of its column in ranks
+    ranks = []  # per distinct column: (fault -> scaled rank, faults within q, unranked, all faults)
     for tech in techniques:
         values = per_tech_values[tech]
-        ranked = {f: v for f, v in values.items() if v is not None}
-        ints, den = scale_to_integers(list(ranked.values()))
-        near = {f for f, x in zip(ranked, ints) if x <= q * den}
-        ranks.append((dict(zip(ranked, ints)), near, values.keys() - ranked.keys(), values.keys()))
-    r2 = [[None] * len(techniques) for _ in techniques]
-    pv = [[None] * len(techniques) for _ in techniques]
+        column = frozenset(values.items())
+        if column not in column_of:
+            column_of[column] = len(ranks)
+            ranked = {f: v for f, v in values.items() if v is not None}
+            ints, den = scale_to_integers(list(ranked.values()))
+            near = {f for f, x in zip(ranked, ints) if x <= q * den}
+            ranks.append((dict(zip(ranked, ints)), near, values.keys() - ranked.keys(), values.keys()))
+        same.append(column_of[column])
+    r2 = [[None] * len(ranks) for _ in ranks]
+    pv = [[None] * len(ranks) for _ in ranks]
     for i, (xa, near_a, none_a, keys_a) in enumerate(ranks):
         for j in range(i, len(ranks)):
             xb, near_b, none_b, keys_b = ranks[j]
@@ -329,6 +336,7 @@ def correlation_matrix(per_tech_values: Mapping[str, Mapping], q: int = 100) -> 
                 )
             except CorrelationUndefinedError:
                 pass
+    r2, pv = ([[matrix[a][b] for b in same] for a in same] for matrix in (r2, pv))
     return {"techniques": techniques, "r2": r2, "p": pv}
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion and prints something."""
+"""Each demo script runs to completion and prints something, and the README's
+Quick start prints what its last comment says."""
 
 import os
 import subprocess
@@ -24,3 +25,16 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_quick_start_prints_its_comment():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = block.rstrip().rsplit("  # ", 1)[1]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", block], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected + "\n"

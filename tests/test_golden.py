@@ -21,8 +21,9 @@ import pytest
 
 from flkit.cli import main as cli_main
 from flkit.corpus import load_corpus
-from flkit.minilang import gen_mutants, interp, run
-from flkit.minilang.interp import reexec_step_budget
+from flkit.minilang import interp
+from flkit.minilang.interp import reexec_step_budget, run
+from flkit.minilang.mutate import gen_mutants
 from flkit.minilang.parse import iter_exprs
 from flkit.pipeline import emit_report, evaluate_corpus
 from flkit.predswitch import INSTANCE_BUDGET

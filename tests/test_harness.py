@@ -20,7 +20,9 @@ from flkit.corpus import (
     load_corpus,
     load_fault,
 )
-from flkit.minilang import TestCase as MLTest, gen_mutants, parse, run
+from flkit.minilang.interp import run
+from flkit.minilang.mutate import gen_mutants
+from flkit.minilang.parse import TestCase as MLTest, parse
 from flkit.model import ProgramElement
 from flkit.pipeline import (
     SCORERS,

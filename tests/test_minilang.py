@@ -127,6 +127,14 @@ class TestParsing:
         with pytest.raises(MiniSyntaxError):
             parse("func f() { return g(); }")
 
+    @pytest.mark.parametrize("source, error", [
+        ("func f() {\n  return 1 + g(2);\n}", "2:14: call to undefined function 'g'"),
+        ("func f() { return 1; }\n  func f() { return 2; }", "2:8: duplicate function 'f'"),
+    ], ids=["undefined-call", "duplicate-function"])
+    def test_name_errors_point_at_the_name(self, source, error):
+        with pytest.raises(MiniSyntaxError, match=f"^{error}$"):
+            parse(source)
+
     def test_syntax_error_position(self):
         with pytest.raises(MiniSyntaxError):
             parse("func f() { return 1 }")  # missing semicolon

@@ -10,11 +10,13 @@ must agree to the last bit, every None cell included.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flkit.metrics import CorrelationUndefinedError, _correlation_p, r_squared
+from flkit import pipeline
+from flkit.metrics import CorrelationUndefinedError, _correlation_p, integer_r_squared, r_squared
 from flkit.pipeline import AT_N, _summary, correlation_matrix
 
 
@@ -86,6 +88,18 @@ def reference_summary(values, sizes) -> dict:
     }
 
 
+def counted_pairs(per_tech, q):
+    """correlation_matrix(per_tech, q) and the number of pairs it computed."""
+    calls = []
+
+    def counted(rx, ry):
+        calls.append((rx, ry))
+        return integer_r_squared(rx, ry)
+
+    with mock.patch.object(pipeline, "integer_r_squared", counted):
+        return correlation_matrix(per_tech, q=q), len(calls)
+
+
 FAULTS = [f"f{i:02d}" for i in range(9)]
 # Ranks as the pipeline makes them (ints and small-denominator Fractions, some
 # past any q), plus None for a fault a technique does not localize.
@@ -122,6 +136,16 @@ class TestCorrelationMatrix:
         }
         got = correlation_matrix(per_tech, q=q)
         assert got == reference_correlation_matrix(per_tech, q=q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TECHNIQUES.filter(bool), st.integers(1, 100), st.data())
+    def test_equal_columns_are_computed_once(self, per_tech, q, data):
+        # As history and ir rank every fault of a one-file corpus alike.
+        copied = data.draw(st.sampled_from(sorted(per_tech)))
+        with_copy = {**per_tech, "history": dict(reversed(per_tech[copied].items()))}
+        got, calls = counted_pairs(with_copy, q)
+        assert got == reference_correlation_matrix(with_copy, q=q)
+        assert calls == counted_pairs(per_tech, q)[1]
 
     def test_fault_unranked_by_both_nulls_the_pair(self):
         a = {"f1": 1, "f2": 2, "f3": 3, "f4": None}
