@@ -170,22 +170,20 @@ def build_features(
     )
 
 
-def build_pairwise_constraints(
-    faults: Iterable[FaultFeatures], seed: int = 0, cap: int = PAIR_CAP
-) -> list:
+def build_pairwise_constraints(faults: Iterable[FaultFeatures], seed: int = 0) -> list:
     """(faulty row, correct row) pairs, never crossing faults.
 
-    Each faulty element is contrasted against at most `cap` correct elements of
-    the same fault, sampled with the run seed to bound pair explosion.
+    Each faulty element is contrasted against at most PAIR_CAP correct elements
+    of the same fault, sampled with the run seed to bound pair explosion.
     """
     rng = None  # seeded on first use: only sampling draws from it
     pairs = []
     for fault in faults:
         faulty, correct = fault.split_rows
-        if len(correct) > cap and rng is None:
+        if len(correct) > PAIR_CAP and rng is None:
             rng = random.Random(seed)
         for row in faulty:
-            chosen = correct if len(correct) <= cap else rng.sample(correct, cap)
+            chosen = correct if len(correct) <= PAIR_CAP else rng.sample(correct, PAIR_CAP)
             pairs += [(row, other) for other in chosen]
     return pairs
 
@@ -195,7 +193,7 @@ class RankModel:
     techniques: tuple
     weights: tuple  # one float per technique
     seed: int
-    margin: float = MARGIN
+    margin = MARGIN  # the hinge margin train fits to: shared by every model, so not a field
 
     def __post_init__(self):
         if not self.techniques:

@@ -118,7 +118,7 @@ def load_fault(fault_dir: str | Path) -> FaultBundle:
             (ins["file"], ins["after_line"]) for ins in truth.get("insertions", ())
         ]
         if insertions:
-            faulty |= adjust_ground_truth_for_insertions([], insertions, elements)
+            faulty |= adjust_ground_truth_for_insertions(insertions, elements)
     if not faulty:
         raise CorpusError(f"fault {fault_id}: empty ground truth")
 

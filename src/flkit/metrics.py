@@ -64,33 +64,9 @@ def scale_to_integers(values: Sequence) -> tuple[list, int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def r_squared(
-    xs: Sequence[Fraction], ys: Sequence[Fraction], q: int = 100
-) -> tuple[float, float]:
-    """Coefficient of determination r^2 and its two-sided p-value.
-
-    Only pairs with x <= q or y <= q are retained: positions past the
-    threshold would never be inspected, so agreement there is irrelevant.
-    Coordinates may be ints, Fractions or finite floats; r^2 is computed
-    exactly and rounded to float once.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("coordinate sequences differ in length")
-    pairs = [(x, y) for x, y in zip(xs, ys) if x <= q or y <= q]
-    n = len(pairs)
-    if n < 3:
-        raise CorrelationUndefinedError(
-            f"only {n} pairs retained after q={q} filter; need >= 3"
-        )
-    try:
-        rx, ry = (scale_to_integers(side)[0] for side in zip(*pairs))
-    except (OverflowError, ValueError):
-        raise ValueError("coordinates must be finite") from None
-    return integer_r_squared(rx, ry)
-
-
 def integer_r_squared(rx: Sequence[int], ry: Sequence[int]) -> tuple[float, float]:
-    """`r_squared` of n >= 3 retained integer pairs. Scaling rx or ry by a positive
+    """Coefficient of determination r^2 of n >= 3 integer pairs, computed exactly and
+    rounded to float once, and its two-sided p-value. Scaling rx or ry by a positive
     integer leaves both exact ratios, so each side may be scaled over more values."""
     n = len(rx)
     sx, sy = sum(rx), sum(ry)

@@ -187,16 +187,6 @@ class ExecutionTrace(NamedTuple):
         return (PASS, _freeze(self.value))
 
 
-def _same_types(a, b) -> bool:
-    """Whether two values, or two frames' variables, that compare equal also
-    match in type throughout: 1 == True in Python, but not in the language."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return all(_same_types(v, b[k]) for k, v in a.items())
-    return type(a) is not list or all(map(_same_types, a, b))
-
-
 # Under `v REL e`, the sign of a drift of v that keeps the predicate true.
 _HOLDING_DRIFT = {"<": -1, "<=": -1, ">": 1, ">=": 1}
 
@@ -578,7 +568,7 @@ def _compile(node):
                         for name in skipped:
                             if name in env:  # one that is undefined stays so
                                 saved[name] = env[name]
-                        if env == saved and _same_types(env, saved):
+                        if env == saved and all(_freeze(v) == _freeze(saved[k]) for k, v in env.items()):
                             crash = interp.repeat_crash(env, growing, scaled, before, len(events) - saved_at)
                             if crash is not None:
                                 raise _Crash(crash)

@@ -113,6 +113,9 @@ def tokenize(source: str) -> list[Token]:
 @dataclass
 class Expr:
     line: int = field(default=0, kw_only=True)
+    # Column of the node's token, for errors; the parser sets it. Not a field, so node
+    # equality, dataclasses.replace copies and field-wise renderings leave it out.
+    col = 0
 
 
 @dataclass
@@ -147,9 +150,6 @@ class Binary(Expr):
 class Call(Expr):
     name: str
     args: list[Expr]
-    # Column of the name, for errors; the parser sets it. Not a field, so node equality,
-    # dataclasses.replace copies and field-wise renderings leave it out.
-    col = 0
 
 
 @dataclass
@@ -428,20 +428,20 @@ class _Parser:
         left = self.unary_expr()
         while (tok := self.peek()) is not None and PRECEDENCE.get(tok.text, -1) >= level:
             self.next()
-            left = Binary(tok.text, left, self.binary_expr(PRECEDENCE[tok.text] + 1), line=tok.line)
+            left = _at(tok, Binary(tok.text, left, self.binary_expr(PRECEDENCE[tok.text] + 1)))
         return left
 
     def unary_expr(self) -> Expr:
         tok = self.peek()
         if tok is not None and tok.text in ("-", "!"):
             self.next()
-            return Unary(tok.text, self.nested(self.unary_expr), line=tok.line)
+            return _at(tok, Unary(tok.text, self.nested(self.unary_expr)))
         return self.postfix_expr()
 
     def postfix_expr(self) -> Expr:
         expr = self.primary()
         while (tok := self.peek()) is not None and tok.text == "[":
-            expr = Index(expr, self.enclosed("[", "]"), line=tok.line)
+            expr = _at(tok, Index(expr, self.enclosed("[", "]")))
         return expr
 
     def primary(self) -> Expr:
@@ -452,20 +452,24 @@ class _Parser:
             digits = tok.text.lstrip("0") or "0"  # int() refuses over 4,300 digits
             if len(digits) > len(str(INT_LIMIT)) or int(digits) > INT_LIMIT:
                 raise MiniSyntaxError("integer literal out of range", tok.line, tok.col)
-            return Num(int(digits), line=tok.line)
+            return _at(tok, Num(int(digits)))
         if tok.text == "true":
-            return BoolLit(True, line=tok.line)
+            return _at(tok, BoolLit(True))
         if tok.text == "false":
-            return BoolLit(False, line=tok.line)
+            return _at(tok, BoolLit(False))
         if tok.text == "[":
-            return ArrayLit(self.listed(self.expression, "]"), line=tok.line)
+            return _at(tok, ArrayLit(self.listed(self.expression, "]")))
         if tok.kind == "name":
             if self.accept("("):
-                call = Call(tok.text, self.listed(self.expression, ")"), line=tok.line)
-                call.col = tok.col
-                return call
-            return Var(tok.text, line=tok.line)
+                return _at(tok, Call(tok.text, self.listed(self.expression, ")")))
+            return _at(tok, Var(tok.text))
         raise MiniSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+
+def _at(tok, node):
+    """node, at the line and column of tok."""
+    node.line, node.col = tok.line, tok.col
+    return node
 
 
 def parse(source: str, file_id: str = "main") -> Program:
@@ -484,13 +488,14 @@ def _check_tree(functions: dict):
     """Reject calls to undefined functions, and trees nested past MAX_NESTING
     (including operator and index chains, which the parser builds in loops)."""
     stack = [(stmt, 1) for fn in functions.values() for stmt in fn.body][::-1]
-    while stack:  # lexical pre-order, so the first bad call is reported
+    while stack:  # lexical pre-order, so the first bad node is reported
         node, depth = stack.pop()
-        line = node.elem.line if isinstance(node, Stmt) else node.line
         if isinstance(node, Call) and node.name not in functions:
-            raise MiniSyntaxError(f"call to undefined function {node.name!r}", line, node.col)
+            raise MiniSyntaxError(f"call to undefined function {node.name!r}", node.line, node.col)
+        # A statement's depth here is its depth in the parser, which rejected it
+        # already, so the node is an expression.
         if depth > MAX_NESTING:
-            raise MiniSyntaxError("nesting too deep", line, 1)
+            raise MiniSyntaxError("nesting too deep", node.line, node.col)
         stack.extend((child, depth + 1) for child in reversed(children(node)))
 
 

@@ -115,14 +115,11 @@ def lift_to_method_granularity(scores: Mapping, method_of: Mapping[Hashable, str
 
 
 def adjust_ground_truth_for_insertions(
-    modified: Iterable[tuple[str, int]],
-    inserted_after: Iterable[tuple[str, int]],
-    elements: Iterable[ProgramElement],
+    inserted_after: Iterable[tuple[str, int]], elements: Iterable[ProgramElement]
 ) -> frozenset:
-    """Map a patch onto faulty executable elements.
+    """Map a patch's pure insertions onto faulty executable elements.
 
-    Modified or deleted lines claim every element on that line. A pure
-    insertion between lines L and L+1 claims the first executable element
+    An insertion between lines L and L+1 claims the first executable element
     after L; an insertion past the last executable element falls back to the
     nearest preceding one.
     """
@@ -133,8 +130,6 @@ def adjust_ground_truth_for_insertions(
         elems.sort(key=lambda e: (e.line, e.stmt_index))
 
     faulty: set[ProgramElement] = set()
-    for file_id, line in modified:
-        faulty.update(e for e in by_file.get(file_id, ()) if e.line == line)
     for file_id, line in inserted_after:
         elems = by_file.get(file_id, [])
         following = [e for e in elems if e.line > line]

@@ -306,8 +306,10 @@ def evaluate_corpus(
 
 def correlation_matrix(per_tech_values: Mapping[str, Mapping], q: int = 100) -> dict:
     """Pairwise r^2 (and p-values) of per-fault expected ranks; undefined pairs are null.
-    Each distinct rank column is scaled to integers once, over all its faults; techniques
-    with equal columns share one row and column, as their pairs hold the same integers."""
+    A pair keeps the faults that either technique ranks within q: positions past q would
+    never be inspected, so agreement there is irrelevant. Each distinct rank column is
+    scaled to integers once, over all its faults; techniques with equal columns share one
+    row and column, as their pairs hold the same integers."""
     techniques = sorted(per_tech_values)
     column_of = {}  # rank column -> its index in ranks
     same = []  # per technique: the index of its column in ranks

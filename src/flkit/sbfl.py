@@ -39,16 +39,14 @@ def ochiai(ef: int, ep: int, nf: int, np: int) -> float:
     return ef / math.sqrt((ef + nf) * (ef + ep))
 
 
-def dstar(ef: int, ep: int, nf: int, np: int, star: int = 2) -> float:
-    """DStar with zero denominator mapping to +inf (more suspicious than any finite)."""
-    if star < 1:
-        raise ValueError(f"star must be >= 1, got {star}")
+def dstar(ef: int, ep: int, nf: int, np: int) -> float:
+    """DStar (exponent 2) with zero denominator mapping to +inf (more suspicious than any finite)."""
     if ef == 0:
         return 0.0
     denom = ep + nf
     if denom == 0:
         return math.inf
-    return ef**star / denom
+    return ef**2 / denom
 
 
 def spectrum_scores(spectrum: dict, formula) -> dict:

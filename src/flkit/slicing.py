@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .minilang.interp import ExecutionTrace
 
 
-def backward_slice(trace: ExecutionTrace, criterion_event: Optional[int] = None) -> frozenset:
-    """Elements of the transitive closure over dynamic data and control dependences.
-
-    Defaults to the trace's failure-raising event as the criterion.
-    """
-    if criterion_event is None:
-        criterion_event = trace.criterion_event
+def backward_slice(trace: ExecutionTrace) -> frozenset:
+    """Elements of the transitive closure over dynamic data and control
+    dependences from the trace's failure-raising event."""
+    criterion_event = trace.criterion_event
     if criterion_event is None or not (0 <= criterion_event < len(trace.events)):
         raise ValueError(f"criterion event {criterion_event} not in trace")
     worklist = [criterion_event]

@@ -25,7 +25,7 @@ from flkit.combine import (
     violations,
 )
 from flkit.corpus import load_corpus
-from flkit.metrics import expected_first_faulty_rank, r_squared
+from flkit.metrics import expected_first_faulty_rank, integer_r_squared, scale_to_integers
 from flkit.minilang.interp import TestCase as MLTest, reexec_step_budget, run
 from flkit.minilang.parse import parse
 from flkit.model import full_universe_ranking, ranked
@@ -109,8 +109,8 @@ def test_03_collatz_slice():
     with criterion(3, "backward slice on the collatz example"):
         prog = parse(COLLATZ)
         trace = run(prog, MLTest("t", "collatz", (3,), "pass"))
-        ret_event = next(i for i, e in enumerate(trace.events) if e.element.line == 6)
-        slice_lines = {e.line for e in backward_slice(trace, ret_event)}
+        assert trace.events[trace.criterion_event].element.line == 6  # the return
+        slice_lines = {e.line for e in backward_slice(trace)}
         assert 5 in slice_lines
         assert 3 not in slice_lines
 
@@ -212,6 +212,11 @@ def test_07_rank_learning():
 
 
 # --- 8: correlation ----------------------------------------------------------
+
+
+def r_squared(xs, ys):
+    """r^2 and p of two coordinate lists, each scaled to integers as correlation_matrix does."""
+    return integer_r_squared(scale_to_integers(xs)[0], scale_to_integers(ys)[0])
 
 
 def test_08_correlation():

@@ -147,17 +147,18 @@ class TestFeatures:
         pairs = build_pairwise_constraints(faults, seed=0)
         assert len(pairs) == 4 * 4  # one faulty vs 4 correct per fault
 
-    def test_pair_cap_and_seed_determinism(self):
+    def test_pair_cap_and_seed_determinism(self, monkeypatch):
+        monkeypatch.setattr(cmb, "PAIR_CAP", 10)
         faults, _ = complementary_corpus(n_faults=2, n_elements=30, seed=2)
-        a = build_pairwise_constraints(faults, seed=5, cap=10)
-        b = build_pairwise_constraints(faults, seed=5, cap=10)
+        a = build_pairwise_constraints(faults, seed=5)
+        b = build_pairwise_constraints(faults, seed=5)
         assert len(a) == 2 * 10
         assert all(x[1] == y[1] for x, y in zip(a, b))
-        c = build_pairwise_constraints(faults, seed=6, cap=10)
+        c = build_pairwise_constraints(faults, seed=6)
         assert any(x[1] != y[1] for x, y in zip(a, c))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_pairs_equal_the_reference(self, seed):
+    def test_pairs_equal_the_reference(self, seed, monkeypatch):
         """Faults above and below the cap, interleaved: the generator is made
         only once a fault samples, so the draws and the pairs do not change."""
         rng = random.Random(seed)
@@ -168,7 +169,8 @@ class TestFeatures:
         for _ in range(5):
             rng.shuffle(faults)
             for cap in (4, 10, cmb.PAIR_CAP):
-                got = build_pairwise_constraints(faults, seed=seed, cap=cap)
+                monkeypatch.setattr(cmb, "PAIR_CAP", cap)
+                got = build_pairwise_constraints(faults, seed=seed)
                 assert got == reference_pairs(faults, seed=seed, cap=cap)
 
     def test_replaced_features_split_their_own_matrix(self):

@@ -3,7 +3,8 @@
 numpy and scipy are test-only dependencies (the tests' least-squares and
 correlation oracles use them), so no module under src/flkit may import them.
 Importing the package loads no module of it, and loading a corpus loads only
-the parser, the model and what reads the corpus's files.
+the parser, the model and what reads the corpus's files. Every public function
+and class has a caller outside the tests.
 """
 
 import ast
@@ -73,6 +74,35 @@ def test_corpus_load_loads_no_interpreter_family_or_combiner():
     assert flkit_modules_after("from flkit.corpus import load_corpus; load_corpus('corpus')") == [
         "flkit", "flkit.corpus", "flkit.irhist", "flkit.minilang", "flkit.minilang.parse", "flkit.model",
     ]
+
+
+def referenced_names(path: Path) -> set:
+    """The names, attributes and imported names that one module's code uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = set()
+    for folder in ("src", "demos", "tools", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if not path.name.startswith("test_"):
+                used |= referenced_names(path)
+    public = {
+        f"{path.relative_to(SRC)}:{node.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert len(public) > 50
+    assert sorted(name for name in public if name.split(":")[1] not in used) == []
 
 
 def test_version_matches_pyproject():

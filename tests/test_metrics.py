@@ -14,10 +14,11 @@ from flkit.metrics import (
     NotLocalizedError,
     e_inspect_at_n,
     expected_first_faulty_rank,
-    r_squared,
+    integer_r_squared,
+    scale_to_integers,
 )
 from flkit.model import ProgramElement
-from flkit.pipeline import _summary
+from flkit.pipeline import _summary, correlation_matrix
 
 
 def enumerate_expected_rank(t: int, t_f: int, start: int) -> Fraction:
@@ -140,12 +141,23 @@ def least_squares_r2(xs, ys):
     return 1.0 - ss_res / ss_tot
 
 
+def r_squared(xs, ys):
+    """r^2 and p of two coordinate lists, each scaled to integers as correlation_matrix does."""
+    return integer_r_squared(scale_to_integers(xs)[0], scale_to_integers(ys)[0])
+
+
+def matrix_r_squared(xs, ys, q=100):
+    """correlation_matrix's r^2 cell for two techniques, xs[i] and ys[i] ranking fault i."""
+    faults = [f"f{i}" for i in range(len(xs))]
+    return correlation_matrix({"a": dict(zip(faults, xs)), "b": dict(zip(faults, ys))}, q=q)["r2"][0][1]
+
+
 class TestRSquared:
     def test_matches_least_squares_oracle(self):
         rng = random.Random(7)
         xs = [rng.uniform(1, 80) for _ in range(40)]
         ys = [2.0 * x + rng.gauss(0, 5) for x in xs]
-        r2, p = r_squared(xs, ys, q=100)
+        r2, p = r_squared(xs, ys)
         assert r2 == pytest.approx(least_squares_r2(xs, ys), abs=1e-9)
         assert 0.0 <= p <= 1.0
 
@@ -159,26 +171,21 @@ class TestRSquared:
         # (150, 200) exceeds q in both coordinates and must be ignored.
         xs = [1.0, 2.0, 3.0, 150.0]
         ys = [2.0, 4.0, 6.0, 200.0]
-        r2, _ = r_squared(xs, ys, q=100)
+        r2 = matrix_r_squared(xs, ys, q=100)
         assert r2 == pytest.approx(least_squares_r2(xs[:3], ys[:3]), abs=1e-9)
 
     def test_pair_kept_if_either_side_within_q(self):
         xs = [1.0, 2.0, 3.0, 150.0]
         ys = [2.0, 4.0, 6.0, 50.0]
-        r2, _ = r_squared(xs, ys, q=100)
+        r2 = matrix_r_squared(xs, ys, q=100)
         assert r2 == pytest.approx(least_squares_r2(xs, ys), abs=1e-9)
 
     def test_too_few_pairs(self):
-        with pytest.raises(CorrelationUndefinedError):
-            r_squared([1.0, 2.0], [1.0, 2.0])
+        assert matrix_r_squared([1.0, 2.0], [1.0, 2.0]) is None
 
     def test_zero_variance(self):
         with pytest.raises(CorrelationUndefinedError):
             r_squared([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            r_squared([1.0], [1.0, 2.0])
 
     def test_symmetry(self):
         xs = [1.0, 4.0, 2.0, 9.0, 5.0]
@@ -210,7 +217,7 @@ def t_test_p(r2: Fraction, n: int) -> float:
 
 def oracle_samples(count: int, seed: int):
     """Integer samples (a, b) with n log-uniform in 3..300 and r^2 spread over
-    [0, 1], exactly 1 included, passed to r_squared as Fractions a/d, b/e."""
+    [0, 1], exactly 1 included, also as Fractions a/d, b/e."""
     rng = random.Random(seed)
     for _ in range(count):
         n = round(3 * 100 ** rng.random())
@@ -232,7 +239,7 @@ class TestRSquaredOracle:
         seen = set()
         for a, b, xs, ys in oracle_samples(2000, seed=20):
             n = len(a)
-            r2, p = r_squared(xs, ys, q=10**6)
+            r2, p = r_squared(xs, ys)
             exact = exact_r2(a, b)
             assert r2 == float(exact)
             r, _ = stats.pearsonr([float(x) for x in xs], [float(y) for y in ys])
@@ -276,7 +283,3 @@ class TestRSquaredOracle:
 
     def test_uncorrelated(self):
         assert r_squared([1, 2, 3, 4, 5], [2, 1, 3, 1, 2]) == (0.0, 1.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            r_squared([1.0, 2.0, math.inf], [1.0, 2.0, 3.0])

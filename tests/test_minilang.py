@@ -186,6 +186,15 @@ class TestParsing:
         with pytest.raises(MiniSyntaxError, match="nesting too deep"):
             parse("func f() { return " + "(" * 400 + "1" + ")" * 400 + "; }")
 
+    @pytest.mark.parametrize(
+        "chain, where", [("+".join(["1"] * 70), "2:21"), ("a" + "[0]" * 70, "2:29")], ids=["binary", "index"]
+    )
+    def test_chain_nesting_reported_at_its_column(self, chain, where):
+        # The parser builds these chains in loops, so the tree check finds the
+        # node past MAX_NESTING: the 6th '+', or the 7th '['.
+        with pytest.raises(MiniSyntaxError, match=f"^{where}: nesting too deep$"):
+            parse(f"func f(a) {{\n  return {chain};\n}}")
+
     @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
     def test_nesting_bound(self, shape):
         source, args = NESTED_SHAPES[shape]

@@ -303,21 +303,16 @@ class TestMethodLift:
 
 
 class TestGroundTruthAdjustment:
-    def test_modified_line(self):
-        universe = elems(1, 2, 3)
-        faulty = adjust_ground_truth_for_insertions([("f", 2)], [], universe)
-        assert faulty == {ProgramElement("f", 2)}
-
     def test_insertion_maps_to_following_element(self):
         universe = elems(2, 4, 5, 7)
-        faulty = adjust_ground_truth_for_insertions([], [("f", 4)], universe)
+        faulty = adjust_ground_truth_for_insertions([("f", 4)], universe)
         assert faulty == {ProgramElement("f", 5)}
 
     def test_insertion_at_end_falls_back_to_preceding(self):
         universe = elems(1, 3)
-        faulty = adjust_ground_truth_for_insertions([], [("f", 9)], universe)
+        faulty = adjust_ground_truth_for_insertions([("f", 9)], universe)
         assert faulty == {ProgramElement("f", 3)}
 
     def test_empty_result_rejected(self):
         with pytest.raises(ModelError):
-            adjust_ground_truth_for_insertions([("f", 99)], [], elems(1))
+            adjust_ground_truth_for_insertions([("g", 1)], elems(1))  # a file with no elements

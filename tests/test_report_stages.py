@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flkit import pipeline
-from flkit.metrics import CorrelationUndefinedError, _correlation_p, integer_r_squared, r_squared
+from flkit.metrics import CorrelationUndefinedError, _correlation_p, integer_r_squared
 from flkit.pipeline import AT_N, _summary, correlation_matrix
 
 
@@ -171,16 +171,15 @@ class TestRSquared:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(COORDINATE, COORDINATE), max_size=12), st.integers(1, 100))
     def test_matches_reference(self, pairs, q):
+        """correlation_matrix's cell for two techniques, float ranks included."""
         xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
         try:
             want = reference_r_squared(xs, ys, q=q)
-        except CorrelationUndefinedError as exc:
-            want = type(exc)
-        try:
-            got = r_squared(xs, ys, q=q)
-        except CorrelationUndefinedError as exc:
-            got = type(exc)
-        assert got == want
+        except CorrelationUndefinedError:
+            want = (None, None)
+        faults = [f"f{i}" for i in range(len(pairs))]
+        got = correlation_matrix({"a": dict(zip(faults, xs)), "b": dict(zip(faults, ys))}, q=q)
+        assert (got["r2"][0][1], got["p"][0][1]) == want
 
 
 class TestSummary:

@@ -34,11 +34,6 @@ class TestFormulas:
     def test_dstar_zero_ef(self):
         assert dstar(0, 0, 2, 5) == 0.0
 
-    def test_dstar_star_parameter(self):
-        assert dstar(3, 2, 1, 0, star=3) == pytest.approx(9.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            dstar(1, 1, 1, 1, star=0)
-
     @given(
         st.integers(0, 20), st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)
     )

@@ -64,7 +64,6 @@ class TestBackwardSlice:
         tr = run(prog, MLTest("t", "f", (1,), "pass"))
         assert tr.failed
         assert tr.events[tr.criterion_event].element.line == 3
-        assert backward_slice(tr) == backward_slice(tr, tr.criterion_event)
         assert slice_lines(backward_slice(tr)) == [2, 3]
 
     @pytest.mark.parametrize(
@@ -90,18 +89,11 @@ class TestBackwardSlice:
         assert tr.outcome.crash_kind == "bounds"
         assert slice_lines(backward_slice(tr)) == lines
 
-    def test_explicit_criterion(self):
-        prog = parse("func f() {\n var a = 1;\n var b = a;\n return b;\n}")
-        tr = run(prog, MLTest("t", "f", (), "pass"))
-        ev_b = next(i for i, e in enumerate(tr.events) if e.element.line == 3)
-        sl = backward_slice(tr, ev_b)
-        assert slice_lines(sl) == [2, 3]
-
     def test_invalid_criterion_rejected(self):
         prog = parse("func f() { return 1; }")
         tr = run(prog, MLTest("t", "f", (), "pass"))
         with pytest.raises(ValueError):
-            backward_slice(tr, 99)
+            backward_slice(tr._replace(criterion_event=99))
 
 
 class TestCombineSlices:
