@@ -3,7 +3,10 @@
 Rewrite the files (only when a change is meant to alter results, and say so
 in CHANGES.md) with:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [FILE ...]
+
+where each FILE names one file in tests/golden, such as traces.tsv; with no
+FILE every file is rewritten.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -117,13 +121,25 @@ def mutants_text(bundles) -> str:
 
 
 def trace_text(trace) -> str:
-    """Every field of an ExecutionTrace, in a canonical order."""
+    """Every field of an original run's ExecutionTrace, in a canonical order."""
     outcome = trace.outcome
     lines = [
         repr((trace.test_id, outcome.status, outcome.crash_kind, outcome.stack)),
         " ".join(sorted(e.key for e in trace.covered)),
     ]
     lines += [f"{ev.element.key} {sorted(ev.deps)} {ev.control}" for ev in trace.events]
+    lines.append(repr(trace.predicate_instances))
+    lines.append(repr((trace.criterion_event, trace.value, trace.flip_applied, trace.signature())))
+    return "\n".join(lines) + "\n"
+
+
+def reexec_text(trace) -> str:
+    """What a re-execution records, in a canonical order: its outcome, the
+    element of each step, its predicate instances, and its criterion, value,
+    flip and signature."""
+    outcome = trace.outcome
+    lines = [repr((trace.test_id, outcome.status, outcome.crash_kind, outcome.stack))]
+    lines += [ev.element.key for ev in trace.events]
     lines.append(repr(trace.predicate_instances))
     lines.append(repr((trace.criterion_event, trace.value, trace.flip_applied, trace.signature())))
     return "\n".join(lines) + "\n"
@@ -157,9 +173,10 @@ def traces_text(bundles) -> str:
     lines = []
     for bundle in bundles:
         for kind, traces in fault_runs(bundle).items():
+            render = trace_text if kind == "original" else reexec_text
             digest = hashlib.sha256()
             for trace in traces:
-                digest.update(trace_text(trace).encode())
+                digest.update(render(trace).encode())
             lines.append("\t".join((bundle.fault_id, kind, str(len(traces)), digest.hexdigest())))
     return "\n".join(lines) + "\n"
 
@@ -331,11 +348,17 @@ def test_traces_do_not_depend_on_hash_seed(hash_seed):
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
     bundles = load_corpus(CORPUS)
-    for path, options in REPORT_FILES.items():
-        path.write_text(report_text(bundles, **options))
-    MUTANTS_FILE.write_text(mutants_text(bundles))
-    TRACES_FILE.write_text(traces_text(bundles))
-    WEIGHTS_FILE.write_text(weights_text())
-    LOCALIZE_FILE.write_text(localize_text(bundles))
+    texts = {path: partial(report_text, bundles, **options) for path, options in REPORT_FILES.items()}
+    texts[MUTANTS_FILE] = partial(mutants_text, bundles)
+    texts[TRACES_FILE] = partial(traces_text, bundles)
+    texts[WEIGHTS_FILE] = weights_text
+    texts[LOCALIZE_FILE] = partial(localize_text, bundles)
+    names = sys.argv[1:] or [path.name for path in texts]
+    unknown = sorted(set(names) - {path.name for path in texts})
+    if unknown:
+        sys.exit(f"no golden file named {', '.join(unknown)}")
+    GOLDEN.mkdir(exist_ok=True)
+    for path, text in texts.items():
+        if path.name in names:
+            path.write_text(text())
