@@ -4,8 +4,9 @@ Every executed statement (and every dynamic predicate evaluation) produces one
 trace event recording its element, the trace positions of the events it
 depends on (dynamic data dependences, including values returned by calls), and
 its dynamic control parent. A re-execution, a mutant's or a predicate flip's
-run with fewer steps than STEP_BUDGET, is read for its outcome alone: its
-events record no dependences. A predicate evaluation, named by the trace
+run with fewer steps than STEP_BUDGET, is read for its outcome alone: it
+records only the element of each step, with no dependences, no control
+parents and no coverage. A predicate evaluation, named by the trace
 position of its if's or while's event, can be inverted for predicate
 switching: a run is deterministic, so a flipped run repeats the original's
 elements and control parents up to that event.
@@ -16,8 +17,8 @@ closure is cached on the node as _code. An expression's closure returns its
 value. A statement's returns whether a return statement ran: the return stores
 its value and event on its frame, and each enclosing if and while passes True
 on to the call or run() that reads them, so a return raises no Python
-exception. Each event is built once, final, when its statement begins. In an
-original run its deps are a set that the interpreter keeps as the running
+exception. Each step is recorded once, final, when its statement begins. In an
+original run its event's deps are a set that the interpreter keeps as the running
 statement's: each variable read adds its defining event and each call its
 callee's return event, while the callee's statements fill sets of their own.
 So a statement that raises, or whose callee raises, keeps the reads it made
@@ -148,26 +149,26 @@ _ASSERT_FAILED = Outcome(ASSERT_FAIL)
 
 class Event(NamedTuple):
     element: ProgramElement
-    # Trace positions of events this one data-depends on: a set, filled while
-    # the statement runs, in an original run; an empty frozenset in a re-execution.
-    deps: frozenset | set
+    # Trace positions of events this one data-depends on, filled while the statement runs.
+    deps: set
     control: Optional[int]  # trace position of the controlling branch event
 
 
 # _new(Event, (element, deps, control)) skips the Python-level __new__ of a
 # NamedTuple; run() builds its ExecutionTrace the same way.
 _new = tuple.__new__
-_NO_DEPS = frozenset()
+_NO_ELEMENTS = frozenset()
 
 
 class ExecutionTrace(NamedTuple):
     """One test's run. A tuple, so run() builds it without a Python __new__. An
-    original run's events hold their deps as sets; a re-execution's carry none."""
+    original run's events are Events, with their deps as sets. A re-execution's
+    events are a list of the element of each step, and its covered is empty."""
 
     test_id: str
     outcome: Outcome
     covered: frozenset
-    events: tuple
+    events: tuple | list
     predicate_instances: tuple  # trace positions of completed predicate evaluations, in completion order
     criterion_event: Optional[int]  # failure-raising event (return event on Pass)
     value: Any = None
@@ -182,7 +183,8 @@ class ExecutionTrace(NamedTuple):
         if self.outcome.status == CRASH:
             return (CRASH, self.outcome.crash_kind)
         if self.outcome.status == ASSERT_FAIL:
-            elem = self.events[self.criterion_event].element if self.criterion_event is not None else None
+            elem = None if self.criterion_event is None else self.events[self.criterion_event]
+            elem = elem.element if type(elem) is Event else elem
             return (ASSERT_FAIL, elem, _freeze(self.value))
         return (PASS, _freeze(self.value))
 
@@ -280,7 +282,7 @@ class _Interp:
         self.flip_applied = flip is None  # whether no flip is pending
         self.step_budget = step_budget
         self.reexec = step_budget < STEP_BUDGET  # keeps no deps; stops at a certain overflow
-        self.events: list = []  # an Event per begun statement
+        self.events: list = []  # an Event per begun statement; its element in a re-execution
         self.predicate_instances: list[int] = []
         self.frames: list[_Frame] = []
         self.current_event = None  # the running statement's event: a call's call site
@@ -338,15 +340,16 @@ def _codes(nodes) -> tuple:
 
 
 def _begin(interp, frame, elem) -> int:
-    """Add a statement's event, final from here on, and return its trace
-    position. In an original run the event's deps are a new set, also stored as
-    interp.deps for the statement's reads to add to."""
+    """Record a statement's step, final from here on, and return its trace
+    position. A re-execution records the element; an original run an Event
+    whose deps are a new set, also stored as interp.deps for the statement's
+    reads to add to."""
     events = interp.events
     idx = interp.current_event = len(events)
     if idx >= interp.step_budget:
         raise _Crash("budget")
     if interp.reexec:
-        events.append(_new(Event, (elem, _NO_DEPS, frame.control[-1])))
+        events.append(elem)
     else:
         deps = interp.deps = set()
         events.append(_new(Event, (elem, deps, frame.control[-1])))
@@ -658,8 +661,8 @@ def run(
     """Execute one test, optionally inverting the predicate evaluation at trace position ``flip``.
 
     The entry function starts from the test's shared argument values. A run with fewer steps
-    than STEP_BUDGET is a re-execution: it keeps no dependence bookkeeping, and its events
-    carry no dependences.
+    than STEP_BUDGET is a re-execution: it keeps no dependence bookkeeping, its events are
+    the element of each step, and its covered is empty.
     """
     if test.entry not in program.functions:
         raise ValueError(f"entry function {test.entry!r} not defined")
@@ -697,13 +700,16 @@ def run(
     except _Crash as crash:
         outcome = Outcome(CRASH, crash_kind=crash.kind, stack=interp.crash_stack())
         criterion = len(interp.events) - 1 if interp.events else None
+    events, covered = interp.events, _NO_ELEMENTS
+    if not interp.reexec:
+        events, covered = tuple(events), frozenset([ev[0] for ev in events])
     return _new(
         ExecutionTrace,
         (
             test.test_id,
             outcome,
-            frozenset([ev[0] for ev in interp.events]),
-            tuple(interp.events),
+            covered,
+            events,
             tuple(interp.predicate_instances),
             criterion,
             value,

@@ -139,7 +139,7 @@ def reexec_text(trace) -> str:
     flip and signature."""
     outcome = trace.outcome
     lines = [repr((trace.test_id, outcome.status, outcome.crash_kind, outcome.stack))]
-    lines += [ev.element.key for ev in trace.events]
+    lines += [element.key for element in trace.events]
     lines.append(repr(trace.predicate_instances))
     lines.append(repr((trace.criterion_event, trace.value, trace.flip_applied, trace.signature())))
     return "\n".join(lines) + "\n"
@@ -282,25 +282,28 @@ def recording_runs(bundle) -> dict:
         return fault_runs(bundle)
 
 
-def without_deps(trace) -> tuple:
-    """Every field of a trace but its events' deps."""
+def outcome_fields(trace) -> tuple:
+    """Every field of a trace that a re-execution records, but its events."""
     return (
         trace.outcome, trace.signature(), trace.value, trace.criterion_event, trace.flip_applied,
-        trace.covered, trace.predicate_instances, [(ev.element, ev.control) for ev in trace.events],
+        trace.predicate_instances,
     )
 
 
 def test_reexecutions_record_no_deps():
-    """Every mutant and flip run at the re-execution budget is its recording
-    run but for its events' deps, which are all empty; originals record."""
+    """Every mutant and flip run at the re-execution budget is, step for step,
+    its recording run: its events are the recording's event elements, with no
+    deps or control parents, its covered is empty, and every other field is
+    equal. Originals record."""
     counts, recorded = {"mutant": 0, "flip": 0}, 0
     for bundle in load_corpus(CORPUS):
         runs, reference = fault_runs(bundle), recording_runs(bundle)
         assert runs["original"] == reference["original"]
         for kind in counts:
             for tr, full in zip(runs[kind], reference[kind], strict=True):
-                assert without_deps(tr) == without_deps(full)
-                assert all(ev.deps == frozenset() for ev in tr.events)
+                assert tr.events == [ev.element for ev in full.events]
+                assert outcome_fields(tr) == outcome_fields(full)
+                assert tr.covered == frozenset()
                 recorded += any(ev.deps for ev in full.events)
             counts[kind] += len(runs[kind])
     assert counts == {"mutant": 932, "flip": 82}

@@ -686,7 +686,7 @@ class TestScaledStop:
         assert (tr.outcome.status, tr.outcome.crash_kind, tr.outcome.stack) == (CRASH, kind, ("f",))
         assert len(tr.events) <= 40
         loop = [s.elem for s in parse(src).statements() if isinstance(s, While)][0]
-        assert tr.events[tr.criterion_event].element == loop  # the outer loop's head
+        assert tr.events[tr.criterion_event] == loop  # the outer loop's head
 
     # After `var r = 1`, a lap is the head and `r = r * 2`, so the 64th
     # assignment, at event 128, passes INT_LIMIT. The first repeat is at the
@@ -735,9 +735,11 @@ class TestScaledStop:
         # budget of an original run.
         budget = interp.reexec_step_budget([SimpleNamespace(events=range(longest))])
         assert budget == min(10 * longest + 250, interp.STEP_BUDGET - 1)
-        tr = run(parse(self.DOUBLING), MLTest("t", "f", (), "pass"), step_budget=budget)
+        prog, test = parse(self.DOUBLING), MLTest("t", "f", (), "pass")
+        tr = run(prog, test, step_budget=budget)
         assert (tr.outcome.crash_kind, len(tr.events)) == ("overflow", 4)
-        assert [e.deps for e in tr.events] == [frozenset()] * 4
+        assert tr.events == [e.element for e in run(prog, test).events[:4]]
+        assert tr.covered == frozenset()
 
     def test_factor_reading_the_variable_stays_compared(self):
         # r = r * (r - r + 2) doubles r like DOUBLING, but e reads r, so r
@@ -924,18 +926,19 @@ class TestReturnByValue:
     @pytest.mark.parametrize("step_budget", [interp.STEP_BUDGET, interp.STEP_BUDGET - 1], ids=["original", "reexec"])
     def test_return_inside_if_inside_while(self, step_budget):
         tr = run(parse(self.NESTED), MLTest("t", "f", (5,), 20), step_budget=step_budget)
-        lines_run = [e.element.line for e in tr.events]
+        reexec = step_budget < interp.STEP_BUDGET
+        lines_run = [e.line if reexec else e.element.line for e in tr.events]
         assert lines_run == [12, 13, 14, 2, 3, 4, 7, 3, 4, 7, 3, 4, 5, 15, 16]
         assert (tr.outcome.status, tr.value, tr.criterion_event) == (PASS, 20, 14)
+        if reexec:  # the elements alone
+            assert tr.covered == frozenset()
+            return
         # Each return's control parent is its if; after g returns, f's if runs
         # under f's loop head again.
         assert [e.control for e in tr.events] == [None, None, 1, 2, 2, 4, 4, 2, 7, 7, 2, 10, 11, 1, 13]
         call, returned = lines_run.index(14), lines_run.index(5)
-        if step_budget == interp.STEP_BUDGET:
-            assert tr.events[call].deps == {returned}
-            assert tr.events[14].deps == {call, 0}
-        else:
-            assert all(e.deps == frozenset() for e in tr.events)
+        assert tr.events[call].deps == {returned}
+        assert tr.events[14].deps == {call, 0}
 
     def test_falling_off_the_end_returns_zero_with_no_dependence(self):
         prog = parse("func g(n) {\n if (n > 0) {\n  return n;\n }\n}\nfunc f(n) {\n var x = g(n);\n return x;\n}")
@@ -1034,7 +1037,7 @@ class TestPendingEvents:
 
     def test_short_budget_run_records_no_deps(self):
         # A run with fewer steps than STEP_BUDGET is a re-execution: it keeps
-        # the full run's elements and control parents, but no deps. Events:
+        # the full run's elements, but no deps, control parents or coverage. Events:
         # f's call, g's declaration, then head and body in turn; the seventh
         # event would be a loop head.
         prog = parse(
@@ -1045,9 +1048,10 @@ class TestPendingEvents:
         tr, full = run(prog, test, step_budget=6), run(prog, test)
         assert (tr.outcome.crash_kind, tr.outcome.stack) == ("budget", ("g", "f"))
         assert tr.criterion_event == 5 == len(tr.events) - 1
-        assert [(e.element, e.control) for e in tr.events] == [(e.element, e.control) for e in full.events[:6]]
-        assert [e.deps for e in tr.events] == [frozenset()] * 6
+        assert tr.events == [e.element for e in full.events[:6]]
+        assert tr.covered == frozenset()
         assert full.outcome.status == PASS
+        assert [e.control for e in full.events[:6]] == [None, 0, 0, 2, 0, 4]
         assert [e.deps for e in full.events[1:6]] == [frozenset(), {0, 1}, {1}, {0, 3}, {3}]
 
 

@@ -131,7 +131,9 @@ def test_flipped_run_repeats_the_original_up_to_the_flip():
     """Positional flips rest on this: a run is deterministic, so flipping the
     predicate evaluation at position p of a failing test's original run gives
     a run whose events up to p have the original's elements and control
-    parents, and that applies the flip at the same predicate."""
+    parents, and that applies the flip at the same predicate. The flip run at
+    the re-execution budget records the elements of that full-trace flip run
+    and has its signature."""
     flips = 0
     for bundle in load_corpus(Path(__file__).resolve().parent.parent / "corpus"):
         originals = [run(bundle.program, t) for t in bundle.tests]
@@ -140,10 +142,14 @@ def test_flipped_run_repeats_the_original_up_to_the_flip():
             if not original.failed:
                 continue
             for p in original.predicate_instances:
+                full = run(bundle.program, test, flip=p)
+                assert full.flip_applied
+                shape = [(ev.element, ev.control) for ev in full.events[: p + 1]]
+                assert shape == [(ev.element, ev.control) for ev in original.events[: p + 1]]
                 flipped = run(bundle.program, test, flip=p, step_budget=budget)
                 assert flipped.flip_applied
-                shape = [(ev.element, ev.control) for ev in flipped.events[: p + 1]]
-                assert shape == [(ev.element, ev.control) for ev in original.events[: p + 1]]
+                assert flipped.events == [ev.element for ev in full.events]
+                assert flipped.signature() == full.signature()
                 flips += 1
     assert flips == 82
 
