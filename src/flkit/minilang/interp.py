@@ -161,14 +161,14 @@ _NO_ELEMENTS = frozenset()
 
 
 class ExecutionTrace(NamedTuple):
-    """One test's run. A tuple, so run() builds it without a Python __new__. An
-    original run's events are Events, with their deps as sets. A re-execution's
-    events are a list of the element of each step, and its covered is empty."""
+    """One test's run. A tuple, so run() builds it without a Python __new__. Its
+    events are a list: an original run's of Events, with their deps as sets; a
+    re-execution's of the element of each step, and its covered is empty."""
 
     test_id: str
     outcome: Outcome
     covered: frozenset
-    events: tuple | list
+    events: list
     predicate_instances: tuple  # trace positions of completed predicate evaluations, in completion order
     criterion_event: Optional[int]  # failure-raising event (return event on Pass)
     value: Any = None
@@ -700,9 +700,8 @@ def run(
     except _Crash as crash:
         outcome = Outcome(CRASH, crash_kind=crash.kind, stack=interp.crash_stack())
         criterion = len(interp.events) - 1 if interp.events else None
-    events, covered = interp.events, _NO_ELEMENTS
-    if not interp.reexec:
-        events, covered = tuple(events), frozenset([ev[0] for ev in events])
+    events = interp.events
+    covered = _NO_ELEMENTS if interp.reexec else frozenset([ev[0] for ev in events])
     return _new(
         ExecutionTrace,
         (

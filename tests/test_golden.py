@@ -3,10 +3,7 @@
 Rewrite the files (only when a change is meant to alter results, and say so
 in CHANGES.md) with:
 
-    PYTHONPATH=src python tests/test_golden.py [FILE ...]
-
-where each FILE names one file in tests/golden, such as traces.tsv; with no
-FILE every file is rewritten.
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
@@ -18,7 +15,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -351,17 +347,11 @@ def test_traces_do_not_depend_on_hash_seed(hash_seed):
 
 
 if __name__ == "__main__":
-    bundles = load_corpus(CORPUS)
-    texts = {path: partial(report_text, bundles, **options) for path, options in REPORT_FILES.items()}
-    texts[MUTANTS_FILE] = partial(mutants_text, bundles)
-    texts[TRACES_FILE] = partial(traces_text, bundles)
-    texts[WEIGHTS_FILE] = weights_text
-    texts[LOCALIZE_FILE] = partial(localize_text, bundles)
-    names = sys.argv[1:] or [path.name for path in texts]
-    unknown = sorted(set(names) - {path.name for path in texts})
-    if unknown:
-        sys.exit(f"no golden file named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for path, text in texts.items():
-        if path.name in names:
-            path.write_text(text())
+    bundles = load_corpus(CORPUS)
+    for path, options in REPORT_FILES.items():
+        path.write_text(report_text(bundles, **options))
+    MUTANTS_FILE.write_text(mutants_text(bundles))
+    TRACES_FILE.write_text(traces_text(bundles))
+    WEIGHTS_FILE.write_text(weights_text())
+    LOCALIZE_FILE.write_text(localize_text(bundles))
